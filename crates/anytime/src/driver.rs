@@ -1,7 +1,18 @@
-//! The anytime driver: seed greedily, then alternate PARTIALCOL
-//! compression passes, TabuCol squash-repair kicks and randomized greedy
-//! restarts until the budget runs out, keeping the best verified schedule
-//! and an improving-bound trace.
+//! The anytime driver: seed greedily, then run PARTIALCOL compression
+//! passes against the incumbent until the budget runs out, keeping the
+//! best verified schedule and an improving-bound trace.
+//!
+//! After [`AnytimeConfig::stalls_before_kick`] failed passes the next pass
+//! is a diversification kick: a randomized greedy restart on an even pass
+//! number, a TabuCol squash-repair on an odd one. A kick and an acceptance
+//! both reset the stall counter, so with the default of 3 stalls the kicks
+//! from a clean start land on passes 4, 8, 12, …: always even, always a
+//! restart. A squash fires only after an acceptance on an odd pass (or a
+//! portfolio adoption before an even one) shifts that phase.
+//!
+//! The incumbent's [`PartialSchedule`] is frozen once and kept while the
+//! incumbent stands; each compress or squash pass rewinds it
+//! ([`PartialSchedule::rewind`]) instead of freezing it again.
 //!
 //! [`solve_anytime`] runs one search chain. The same chain body
 //! ([`run_chain`]) also powers the parallel [`Portfolio`](crate::Portfolio)
@@ -33,8 +44,13 @@ use crate::portfolio::SharedBest;
 pub enum Budget {
     /// Stop after this many milliseconds of wall-clock time.
     WallClockMs(u64),
-    /// Stop after this many deterministic work units (local-search moves
-    /// plus a per-pass setup charge proportional to the relay count).
+    /// Stop after this many deterministic work units: local-search moves,
+    /// plus a setup charge of `relays / 8 + 1` per compress or squash pass
+    /// and `nodes / 64 + 1` per restart. The pass charge dates from when
+    /// every pass froze the incumbent again. A freeze now happens once per
+    /// incumbent and later passes rewind it, so the charge no longer
+    /// measures work done; it stays as the budget contract, which keeps
+    /// iteration-budget results reproducible bit for bit.
     Iterations(u64),
 }
 
@@ -328,6 +344,11 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     let mut passes = 0u64;
     let mut restarts = 0u64;
     let mut stalls = 0u32;
+    // The frozen structure of `best`, kept while `best` stays the
+    // incumbent and rewound at the start of each compress or squash pass.
+    let mut frozen: Option<PartialSchedule> = None;
+    let mut freezes = 0u64;
+    let mut freeze_reuses = 0u64;
     // Wall-clock budgets only: smoothed per-pass cost, so the loop can
     // decline to start a pass the remaining budget clearly cannot fit
     // (pass setup — frozen-structure builds, legalizations — is billed in
@@ -348,6 +369,7 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         if let Some(shared) = ctx.shared {
             if let Some(elite) = shared.adopt_if_better(best.latency()) {
                 best = elite;
+                frozen = None;
                 trace.push(TracePoint {
                     elapsed_ms: clock.elapsed_ms(),
                     moves: clock.moves,
@@ -388,8 +410,26 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
             // when kicked: both search the frozen conflict structure for
             // an assignment one slot shorter, which the legalizer then
             // re-simulates.
-            let mut partial =
-                PartialSchedule::from_schedule_masked(&best, topo, model, &mut builder, ctx.dead);
+            let freeze = |builder: &mut ConflictGraphBuilder| {
+                PartialSchedule::from_schedule_masked(&best, topo, model, builder, ctx.dead)
+            };
+            let partial = match frozen.as_mut() {
+                Some(partial) => {
+                    partial.rewind();
+                    freeze_reuses += 1;
+                    debug_assert!(
+                        *partial == freeze(&mut builder),
+                        "rewound PartialSchedule differs from a fresh freeze of the incumbent"
+                    );
+                    partial
+                }
+                None => {
+                    freezes += 1;
+                    frozen.insert(freeze(&mut builder))
+                }
+            };
+            // The setup charge is the budget contract, billed whether the
+            // structure was frozen or rewound.
             clock.moves += partial.relays().len() as u64 / 8 + 1;
             let started = if kick {
                 restarts += 1;
@@ -453,6 +493,7 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                         .is_ok()
                 {
                     best = cand;
+                    frozen = None;
                     trace.push(TracePoint {
                         elapsed_ms: clock.elapsed_ms(),
                         moves: clock.moves,
@@ -498,6 +539,8 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         wsn_obs::counter_add("anytime.moves", clock.moves);
         wsn_obs::counter_add("anytime.passes", passes);
         wsn_obs::counter_add("anytime.restarts", restarts);
+        wsn_obs::counter_add("anytime.freezes", freezes);
+        wsn_obs::counter_add("anytime.freeze_reuses", freeze_reuses);
         if proved_optimal {
             wsn_obs::counter_add("anytime.proved_optimal", 1);
         }

@@ -27,6 +27,11 @@
 //!   random earlier slots (conflicts allowed), then reassign conflicted
 //!   relays toward zero total conflicts, tabu on the (relay, old-slot)
 //!   pair, aspiration on conflict-free placements.
+//!
+//! The frozen structure depends only on the schedule it was frozen from,
+//! so one freeze serves every pass against the same incumbent:
+//! [`PartialSchedule::rewind`] restores the just-frozen state in
+//! `O(relays + window)` instead of re-running the conflict builder.
 
 use mlbs_core::Schedule;
 use rand::rngs::StdRng;
@@ -56,6 +61,10 @@ pub enum StepOutcome {
 }
 
 /// The mutable per-pass assignment (see the module docs).
+///
+/// Equality compares the whole state, scratch included; a rewound value
+/// equals a fresh freeze of the same schedule.
+#[derive(Debug, PartialEq, Eq)]
 pub struct PartialSchedule {
     /// Relay ids; index space of everything below.
     relays: Vec<NodeId>,
@@ -64,6 +73,9 @@ pub struct PartialSchedule {
     adj: Vec<Vec<(u32, Slot)>>,
     /// Current absolute slot per relay ([`UNASSIGNED`] while evicted).
     slot_of: Vec<Slot>,
+    /// The assignment as frozen, which [`PartialSchedule::rewind`]
+    /// restores.
+    frozen_slot_of: Vec<Slot>,
     /// Frozen earliest sending slot per relay (`receive_slot + 1`; the
     /// source is pinned to the start slot and never moved).
     earliest: Vec<Slot>,
@@ -170,16 +182,12 @@ impl PartialSchedule {
         }
 
         let window = (end - start + 1) as usize;
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); window];
-        for (i, &t) in slot_of.iter().enumerate() {
-            buckets[(t - start) as usize].push(i as u32);
-        }
-
-        PartialSchedule {
+        let mut partial = PartialSchedule {
             adj,
+            frozen_slot_of: slot_of.clone(),
             slot_of,
             earliest,
-            buckets,
+            buckets: vec![Vec::new(); window],
             start,
             cap: end,
             src,
@@ -192,7 +200,34 @@ impl PartialSchedule {
             total_conf: 0,
             conflicted: Vec::new(),
             relays,
+        };
+        // Fills the buckets, so a freeze and a rewind order them alike.
+        partial.rewind();
+        partial
+    }
+
+    /// Restores the state right after the freeze, undoing every pass run
+    /// since: the frozen assignment, its slot buckets in ascending relay
+    /// order (bucket order feeds the RNG-indexed unassigned stack; the
+    /// freeze fills its buckets by calling this), the full window, and
+    /// empty tabu, eviction and conflict state. `O(relays + window)`; the
+    /// conflict builder is not consulted.
+    pub fn rewind(&mut self) {
+        self.slot_of.copy_from_slice(&self.frozen_slot_of);
+        self.buckets.iter_mut().for_each(Vec::clear);
+        for (i, &t) in self.slot_of.iter().enumerate() {
+            self.buckets[(t - self.start) as usize].push(i as u32);
         }
+        self.cap = self.start + self.buckets.len() as Slot - 1;
+        self.tabu.clear();
+        self.iter = 0;
+        for idx in self.touched.drain(..) {
+            self.cost[idx as usize] = 0;
+        }
+        self.unassigned.clear();
+        self.conf.fill(0);
+        self.total_conf = 0;
+        self.conflicted.clear();
     }
 
     /// The relay list (the assignment's index space).
@@ -535,5 +570,90 @@ impl PartialSchedule {
                 self.conflicted.push(i as u32);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{solve_anytime, AnytimeConfig, Budget};
+    use rand::SeedableRng;
+    use wsn_dutycycle::AlwaysAwake;
+    use wsn_phy::ProtocolModel;
+    use wsn_topology::deploy::SyntheticDeployment;
+
+    /// The greedy seed of a paper instance, frozen, plus what a fresh
+    /// freeze of it needs.
+    fn frozen(n: usize, seed: u64) -> (Topology, Schedule, ConflictGraphBuilder, PartialSchedule) {
+        let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
+        let cfg = AnytimeConfig {
+            budget: Budget::Iterations(0),
+            ..AnytimeConfig::default()
+        };
+        let schedule = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg).schedule;
+        let mut builder = ConflictGraphBuilder::new();
+        let partial =
+            PartialSchedule::from_schedule(&schedule, &topo, &ProtocolModel, &mut builder);
+        (topo, schedule, builder, partial)
+    }
+
+    fn assert_rewinds_to_fresh(
+        partial: &mut PartialSchedule,
+        topo: &Topology,
+        schedule: &Schedule,
+        builder: &mut ConflictGraphBuilder,
+    ) {
+        partial.rewind();
+        let fresh = PartialSchedule::from_schedule(schedule, topo, &ProtocolModel, builder);
+        assert_eq!(*partial, fresh);
+    }
+
+    #[test]
+    fn rewind_after_compress_moves_equals_fresh_freeze() {
+        let (topo, schedule, mut builder, mut partial) = frozen(80, 2);
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(partial.begin_compress());
+        for _ in 0..50 {
+            if partial.compress_step(&AlwaysAwake, 7, &mut rng) != StepOutcome::Progress {
+                break;
+            }
+        }
+        assert!(partial.iter > 0, "the pass must have made moves");
+        assert!(!partial.tabu.is_empty() && !partial.unassigned.is_empty());
+        assert_rewinds_to_fresh(&mut partial, &topo, &schedule, &mut builder);
+    }
+
+    #[test]
+    fn rewind_after_squash_repair_equals_fresh_freeze() {
+        let (topo, schedule, mut builder, mut partial) = frozen(80, 2);
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(partial.begin_squash(&AlwaysAwake, &mut rng));
+        for _ in 0..50 {
+            if partial.repair_step(&AlwaysAwake, 7, &mut rng) != StepOutcome::Progress {
+                break;
+            }
+        }
+        assert!(partial.iter > 0, "the pass must have made moves");
+        assert!(partial.total_conflicts() > 0 && partial.conf.iter().any(|&c| c > 0));
+        assert_ne!(
+            partial.slot_of, partial.frozen_slot_of,
+            "the squash moved relays"
+        );
+        assert_rewinds_to_fresh(&mut partial, &topo, &schedule, &mut builder);
+    }
+
+    #[test]
+    fn rewind_after_failed_squash_equals_fresh_freeze() {
+        let (topo, schedule, mut builder, mut partial) = frozen(80, 0);
+        let last = partial.last_occupied().unwrap();
+        assert!(last > 0);
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(!partial.begin_squash(&AlwaysAwake, &mut rng));
+        assert!(
+            partial.buckets[last].is_empty(),
+            "the failed squash emptied the last bucket"
+        );
+        assert_rewinds_to_fresh(&mut partial, &topo, &schedule, &mut builder);
+        assert_eq!(partial.last_occupied(), Some(last));
     }
 }

@@ -75,6 +75,11 @@ proptest! {
         // The enabled run must actually have recorded something.
         prop_assert_eq!(rec.counter_value("anytime.solves"), 1);
         prop_assert!(rec.counter_value("anytime.moves") >= on.moves);
+        // One freeze per incumbent at most; every other compress or squash
+        // pass rewinds the frozen structure, and restarts do neither.
+        let freezes = rec.counter_value("anytime.freezes");
+        prop_assert!(freezes <= on.trace.len() as u64);
+        prop_assert!(freezes + rec.counter_value("anytime.freeze_reuses") <= on.passes);
     }
 
     /// Same invariance under a degenerate-SINR model (the searcher's
@@ -185,6 +190,24 @@ fn chrome_trace_of_portfolio_run_is_valid_and_nested() {
     let prom = export::prometheus(&rec);
     assert!(prom.contains("portfolio_solves_total"));
     assert!(prom.contains("anytime_wall_us_count"));
+}
+
+/// A chain that stalls on its incumbent rewinds the frozen structure
+/// instead of freezing it again, and the counters say so.
+#[test]
+fn stalled_passes_reuse_the_frozen_incumbent() {
+    let (topo, src) = SyntheticDeployment::paper(120).sample(5);
+    let cfg = AnytimeConfig {
+        budget: Budget::Iterations(10_000),
+        ..AnytimeConfig::default()
+    };
+    let (out, _, rec) =
+        with_and_without_recorder(|| solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg));
+    let freezes = rec.counter_value("anytime.freezes");
+    let reuses = rec.counter_value("anytime.freeze_reuses");
+    assert!(freezes >= 1 && freezes <= out.trace.len() as u64);
+    assert!(reuses > 0, "a stalled chain must rewind, not re-freeze");
+    assert!(freezes + reuses <= out.passes);
 }
 
 /// Injected (non-global) recorders observe nothing from the global free

@@ -16,11 +16,6 @@
 use crate::Point;
 use std::collections::HashMap;
 
-/// Point count below which [`CellGrid::build_parallel`] falls back to the
-/// serial path: binning a point is a handful of float ops, so under ~16k
-/// points the scoped-thread setup costs more than it saves.
-const PARALLEL_BUILD_MIN_POINTS: usize = 16_384;
-
 /// A spatial hash over a fixed point set, keyed on square cells.
 #[derive(Clone, Debug)]
 pub struct CellGrid {
@@ -61,106 +56,6 @@ impl CellGrid {
             cells.entry(Self::key(p, cell)).or_default().push(i);
         }
         CellGrid { cell, cells }
-    }
-
-    /// Like [`CellGrid::build`] but bins contiguous index ranges on
-    /// `threads` scoped threads and merges the per-thread maps in thread
-    /// order, so every bucket holds the same ascending index sequence the
-    /// serial build produces. Falls back to the serial path when
-    /// `threads <= 1` or the point set is too small to amortize spawning.
-    pub fn build_parallel(points: &[Point], cell: f64, threads: usize) -> Self {
-        if threads <= 1 || points.len() < PARALLEL_BUILD_MIN_POINTS {
-            return Self::build(points, cell);
-        }
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "cell side must be positive and finite, got {cell}"
-        );
-        let chunk = points.len().div_ceil(threads);
-        let mut partials: Vec<HashMap<(i64, i64), Vec<u32>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = (t * chunk).min(points.len());
-                    let hi = ((t + 1) * chunk).min(points.len());
-                    scope.spawn(move || {
-                        let mut local: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-                        for (i, p) in points[lo..hi].iter().enumerate() {
-                            local
-                                .entry(Self::key(p, cell))
-                                .or_default()
-                                .push((lo + i) as u32);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("grid build worker panicked"));
-            }
-        });
-        CellGrid {
-            cell,
-            cells: Self::merge_partials(partials),
-        }
-    }
-
-    /// Parallel counterpart of [`CellGrid::build_subset`]: partitions
-    /// `subset` into contiguous ranges so bucket contents keep subset
-    /// order, exactly as the serial build lays them out.
-    pub fn build_subset_parallel(
-        points: &[Point],
-        subset: &[u32],
-        cell: f64,
-        threads: usize,
-    ) -> Self {
-        if threads <= 1 || subset.len() < PARALLEL_BUILD_MIN_POINTS {
-            return Self::build_subset(points, subset, cell);
-        }
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "cell side must be positive and finite, got {cell}"
-        );
-        let chunk = subset.len().div_ceil(threads);
-        let mut partials: Vec<HashMap<(i64, i64), Vec<u32>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = subset
-                .chunks(chunk)
-                .map(|range| {
-                    scope.spawn(move || {
-                        let mut local: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-                        for &i in range {
-                            let p = &points[i as usize];
-                            local.entry(Self::key(p, cell)).or_default().push(i);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("grid build worker panicked"));
-            }
-        });
-        CellGrid {
-            cell,
-            cells: Self::merge_partials(partials),
-        }
-    }
-
-    /// Merges per-thread bucket maps in thread order. Threads own
-    /// contiguous, ascending input ranges, so appending their buckets in
-    /// order reproduces the serial insertion sequence per cell.
-    fn merge_partials(
-        partials: Vec<HashMap<(i64, i64), Vec<u32>>>,
-    ) -> HashMap<(i64, i64), Vec<u32>> {
-        let mut iter = partials.into_iter();
-        let mut cells = iter.next().unwrap_or_default();
-        for partial in iter {
-            for (k, mut v) in partial {
-                cells.entry(k).or_default().append(&mut v);
-            }
-        }
-        cells
     }
 
     #[inline]
@@ -343,36 +238,5 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn zero_cell_panics() {
         CellGrid::build(&[], 0.0);
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        // Large enough to clear the PARALLEL_BUILD_MIN_POINTS gate so the
-        // threaded path actually runs.
-        let pts = scatter(PARALLEL_BUILD_MIN_POINTS + 500, 17);
-        let serial = CellGrid::build(&pts, 4.0);
-        for threads in [1, 2, 3, 4, 8] {
-            let par = CellGrid::build_parallel(&pts, 4.0, threads);
-            assert_eq!(par.cells, serial.cells, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_subset_build_is_bit_identical_to_serial() {
-        let pts = scatter(40_000, 23);
-        let subset: Vec<u32> = (0..pts.len() as u32).filter(|i| i % 2 == 0).collect();
-        let serial = CellGrid::build_subset(&pts, &subset, 7.5);
-        for threads in [2, 4, 7] {
-            let par = CellGrid::build_subset_parallel(&pts, &subset, 7.5, threads);
-            assert_eq!(par.cells, serial.cells, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn small_inputs_take_the_serial_path() {
-        let pts = scatter(64, 5);
-        let serial = CellGrid::build(&pts, 10.0);
-        let par = CellGrid::build_parallel(&pts, 10.0, 8);
-        assert_eq!(par.cells, serial.cells);
     }
 }

@@ -1,8 +1,7 @@
-//! Property tests for hull and quadrant invariants, plus bit-identity of
-//! the parallel spatial-grid builds against the serial paths.
+//! Property tests for hull, quadrant and angular-gap invariants.
 
 use proptest::prelude::*;
-use wsn_geom::{convex_hull, max_angular_gap, polygon_area, CellGrid, Point, Quadrant};
+use wsn_geom::{convex_hull, max_angular_gap, polygon_area, Point, Quadrant};
 
 fn arb_points() -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(
@@ -83,85 +82,6 @@ proptest! {
         prop_assert!(gap <= std::f64::consts::TAU + 1e-12);
         if !neighbors.is_empty() {
             prop_assert!(gap >= std::f64::consts::TAU / neighbors.len() as f64 - 1e-9);
-        }
-    }
-}
-
-/// Deterministic xorshift scatter: the strategies only draw a seed and
-/// shape parameters, so cases stay cheap to generate and shrink even
-/// though the point sets must exceed the parallel-build gate (~16k).
-fn scatter(n: usize, seed: u64) -> Vec<Point> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    (0..n)
-        .map(|_| Point::new(next() * 200.0, next() * 200.0))
-        .collect()
-}
-
-/// Order-sensitive probe of the grid around `points[i]`: the 3×3 block
-/// scan reports bucket contents in storage order, so equal outputs on
-/// every probe certify per-bucket bit-identity, not just set equality.
-fn near_order(grid: &CellGrid, points: &[Point], i: u32) -> Vec<u32> {
-    let mut out = Vec::new();
-    grid.for_each_near(&points[i as usize], |j| out.push(j));
-    out
-}
-
-proptest! {
-    // Each case builds grids over ≥16k points to clear the parallel gate;
-    // a handful of cases keeps the suite fast while still varying seed,
-    // size, cell geometry and thread count.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The threaded full build must be bit-identical to the serial one
-    /// for every thread count, including non-dividing ones.
-    #[test]
-    fn parallel_grid_build_is_bit_identical(
-        seed in 0u64..1_000_000,
-        extra in 0usize..2_000,
-        threads in 2usize..9,
-        cell in 1.5f64..25.0,
-    ) {
-        let pts = scatter(16_384 + extra, seed);
-        let serial = CellGrid::build(&pts, cell);
-        let par = CellGrid::build_parallel(&pts, cell, threads);
-        for i in (0..pts.len() as u32).step_by(131) {
-            prop_assert_eq!(
-                near_order(&par, &pts, i),
-                near_order(&serial, &pts, i),
-                "probe {} threads {}", i, threads
-            );
-        }
-    }
-
-    /// Subset builds keep original indices and subset order under
-    /// partitioning.
-    #[test]
-    fn parallel_subset_build_is_bit_identical(
-        seed in 0u64..1_000_000,
-        stride in 1usize..4,
-        threads in 2usize..9,
-        cell in 1.5f64..25.0,
-    ) {
-        // The subset itself must clear the gate, so scale the base set by
-        // the keep-stride.
-        let pts = scatter((16_384 + 512) * stride, seed);
-        let subset: Vec<u32> = (0..pts.len() as u32)
-            .filter(|i| (*i as usize).is_multiple_of(stride))
-            .collect();
-        let serial = CellGrid::build_subset(&pts, &subset, cell);
-        let par = CellGrid::build_subset_parallel(&pts, &subset, cell, threads);
-        for &i in subset.iter().step_by(97) {
-            prop_assert_eq!(
-                near_order(&par, &pts, i),
-                near_order(&serial, &pts, i),
-                "probe {} threads {}", i, threads
-            );
         }
     }
 }

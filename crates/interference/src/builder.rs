@@ -107,12 +107,6 @@ pub const WITNESS_RETEST_MIN_UNIVERSE: usize = 1024;
 /// Below this the grid's construction overhead dwarfs the saved tests.
 const SPATIAL_BUILD_MIN_CANDIDATES: usize = 64;
 
-/// Geometric pair count above which a multi-threaded full build fans the
-/// conflict-predicate evaluations out across worker threads. One pair test
-/// is a short bitset intersection, so fewer pairs than this finish before
-/// the threads are up.
-const PARALLEL_FULL_BUILD_MIN_PAIRS: usize = 4_096;
-
 /// Reusable, incrementally-updated [`ConflictGraph`] factory.
 ///
 /// One builder serves one `(topology, model)` pair between
@@ -165,8 +159,6 @@ pub struct ConflictGraphBuilder {
     universe: usize,
     /// Universe size at which retests switch to cached witness scans.
     witness_min_universe: usize,
-    /// Worker threads a full build may fan pair tests out to (1 = serial).
-    build_threads: usize,
     stats: ConflictStats,
 }
 
@@ -203,27 +195,8 @@ impl ConflictGraphBuilder {
             model_fp: 0,
             universe: 0,
             witness_min_universe: WITNESS_RETEST_MIN_UNIVERSE,
-            build_threads: 1,
             stats: ConflictStats::default(),
         }
-    }
-
-    /// Worker threads full builds may use (1 = serial, the default).
-    #[inline]
-    pub fn build_threads(&self) -> usize {
-        self.build_threads
-    }
-
-    /// Lets from-scratch builds fan conflict-pair tests out across
-    /// `threads` scoped workers. Only large spatial builds under models
-    /// whose predicate is pure (no witness-cache preference) actually
-    /// parallelize — everything else, and every delta path, keeps the
-    /// serial code — and the produced graphs and stats are bit-identical
-    /// either way (row inserts commute; the flags are computed in pair
-    /// order). Like the witness knob, the setting survives
-    /// [`ConflictGraphBuilder::reset`]: it is configuration, not cache.
-    pub fn set_build_threads(&mut self, threads: usize) {
-        self.build_threads = threads.max(1);
     }
 
     /// The universe size at which retests switch from fused predicate
@@ -507,37 +480,15 @@ impl ConflictGraphBuilder {
         };
         if let Some(range) = spatial {
             let ids: Vec<u32> = candidates.iter().map(|c| c.0).collect();
-            let grid =
-                CellGrid::build_subset_parallel(topo.positions(), &ids, range, self.build_threads);
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            grid.for_each_pair_within(topo.positions(), range, |a, b| pairs.push((a, b)));
-            if self.build_threads > 1
-                && !model.prefers_witness_cache()
-                && pairs.len() >= PARALLEL_FULL_BUILD_MIN_PAIRS
-            {
-                // Fan the pure predicate out over row blocks; fill rows
-                // serially afterwards in the same pair order, so the graph
-                // is bit-identical to the serial build.
-                let flags = parallel_pair_flags(model, topo, unf, &pairs, self.build_threads);
-                self.stats.pair_tests += pairs.len();
-                for (&(a, b), &hit) in pairs.iter().zip(&flags) {
-                    if hit {
-                        let i = self.slot_of[a as usize] as usize;
-                        let j = self.slot_of[b as usize] as usize;
-                        self.graph.rows[i].insert(j);
-                        self.graph.rows[j].insert(i);
-                    }
+            let grid = CellGrid::build_subset(topo.positions(), &ids, range);
+            grid.for_each_pair_within(topo.positions(), range, |a, b| {
+                let i = self.slot_of[a as usize] as usize;
+                let j = self.slot_of[b as usize] as usize;
+                if self.pair_conflicts_fresh(model, topo, NodeId(a), NodeId(b), unf) {
+                    self.graph.rows[i].insert(j);
+                    self.graph.rows[j].insert(i);
                 }
-            } else {
-                for (a, b) in pairs {
-                    let i = self.slot_of[a as usize] as usize;
-                    let j = self.slot_of[b as usize] as usize;
-                    if self.pair_conflicts_fresh(model, topo, NodeId(a), NodeId(b), unf) {
-                        self.graph.rows[i].insert(j);
-                        self.graph.rows[j].insert(i);
-                    }
-                }
-            }
+            });
         } else {
             for i in 0..k {
                 for j in (i + 1)..k {
@@ -852,31 +803,6 @@ impl ConflictGraphBuilder {
     }
 }
 
-/// Evaluates the conflict predicate over `pairs` on `threads` scoped
-/// workers, one contiguous chunk each, writing into a positional flag
-/// array. Requires a *pure* predicate (no witness-cache mutation); the
-/// caller keeps cache-preferring models on the serial path.
-fn parallel_pair_flags<M: ConflictModel>(
-    model: &M,
-    topo: &Topology,
-    unf: &NodeSet,
-    pairs: &[(u32, u32)],
-    threads: usize,
-) -> Vec<bool> {
-    let mut flags = vec![false; pairs.len()];
-    let chunk = pairs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ps, fs) in pairs.chunks(chunk).zip(flags.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (&(a, b), f) in ps.iter().zip(fs.iter_mut()) {
-                    *f = model.conflicts(topo, NodeId(a), NodeId(b), unf);
-                }
-            });
-        }
-    });
-    flags
-}
-
 /// Packs an unordered node pair into a symmetric cache key.
 #[inline]
 fn pack_pair(u: NodeId, v: NodeId) -> u64 {
@@ -1170,74 +1096,44 @@ mod tests {
         // Enough candidates to trigger the CellGrid pair enumeration for
         // models that certify a witness range; graphs must be bit-identical
         // to the all-pairs scratch build (skipped pairs provably have empty
-        // witness sets).
-        let t = line(300);
-        let cands: Vec<NodeId> = (0..150).map(|i| NodeId(i as u32 * 2)).collect();
-        assert!(cands.len() >= SPATIAL_BUILD_MIN_CANDIDATES);
-        let mut unf = NodeSet::full(300);
-        for informed in [0usize, 17, 33, 120] {
-            unf.remove(informed);
-        }
-        let mut b = ConflictGraphBuilder::new();
-        assert_graphs_equal(
-            b.update(&t, &cands, &unf),
-            &ConflictGraph::build(&t, &cands, &unf),
+        // witness sets). Inputs: every other node of a 1-D chain, and every
+        // node of a dense 50×50 lattice where each grid cell holds many
+        // candidates.
+        let lattice = Topology::unit_disk(
+            (0..2500)
+                .map(|i| Point::new((i % 50) as f64, (i / 50) as f64))
+                .collect(),
+            2.0,
         );
-        let sinr = SinrModel::new(SinrParams::calibrated(t.radius(), 3.0, 1.5), &t);
-        let mut bs = ConflictGraphBuilder::new();
-        assert_graphs_equal(
-            bs.update_with(&sinr, &t, &cands, &unf),
-            &ConflictGraph::build_with_model(&sinr, &t, &cands, &unf),
-        );
-    }
-
-    #[test]
-    fn parallel_full_build_matches_serial_bit_for_bit() {
-        // Dense 2-D grid so the geometric pair count clears
-        // PARALLEL_FULL_BUILD_MIN_PAIRS and the threaded path actually runs.
-        let pts: Vec<Point> = (0..2500)
-            .map(|i| Point::new((i % 50) as f64, (i / 50) as f64))
-            .collect();
-        let t = Topology::unit_disk(pts, 2.0);
-        let cands: Vec<NodeId> = (0..2500).map(NodeId).collect();
-        let mut unf = NodeSet::full(2500);
-        for informed in [0usize, 777, 1234, 2400] {
-            unf.remove(informed);
-        }
-        let mut serial = ConflictGraphBuilder::new();
-        serial.update(&t, &cands, &unf);
-        for threads in [2usize, 4] {
-            let mut par = ConflictGraphBuilder::new();
-            par.set_build_threads(threads);
-            assert_eq!(par.build_threads(), threads);
-            assert_graphs_equal(par.update(&t, &cands, &unf), serial.graph());
-            assert_eq!(
-                par.stats().pair_tests,
-                serial.stats().pair_tests,
-                "threads {threads}: accounting must not drift"
+        let unf_of = |n: usize| {
+            let mut unf = NodeSet::full(n);
+            for informed in [0usize, 17, 33, 120] {
+                unf.remove(informed);
+            }
+            unf
+        };
+        let chain_cands: Vec<NodeId> = (0..150).map(|i| NodeId(i * 2)).collect();
+        let chain = line(300);
+        for (t, cands) in [
+            (&chain, chain_cands.clone()),
+            (&lattice, (0..2500).map(NodeId).collect()),
+        ] {
+            assert!(cands.len() >= SPATIAL_BUILD_MIN_CANDIDATES);
+            let unf = unf_of(t.len());
+            let mut b = ConflictGraphBuilder::new();
+            assert_graphs_equal(
+                b.update(t, &cands, &unf),
+                &ConflictGraph::build(t, &cands, &unf),
             );
         }
-    }
-
-    #[test]
-    fn build_threads_knob_survives_reset_and_sinr_stays_serial() {
-        let mut b = ConflictGraphBuilder::new();
-        b.set_build_threads(4);
-        b.reset(100);
-        assert_eq!(b.build_threads(), 4);
-        b.set_build_threads(0); // clamps to serial
-        assert_eq!(b.build_threads(), 1);
-
-        // Cache-preferring models keep the serial path and stay correct.
-        let t = line(300);
-        let cands: Vec<NodeId> = (0..150).map(|i| NodeId(i as u32 * 2)).collect();
-        let sinr = SinrModel::new(SinrParams::calibrated(t.radius(), 3.0, 1.5), &t);
-        let unf = NodeSet::full(300);
-        let mut par = ConflictGraphBuilder::new();
-        par.set_build_threads(4);
+        // SINR's all-pairs reference is slow on the lattice; the chain
+        // covers its spatial path.
+        let unf = unf_of(chain.len());
+        let sinr = SinrModel::new(SinrParams::calibrated(chain.radius(), 3.0, 1.5), &chain);
+        let mut bs = ConflictGraphBuilder::new();
         assert_graphs_equal(
-            par.update_with(&sinr, &t, &cands, &unf),
-            &ConflictGraph::build_with_model(&sinr, &t, &cands, &unf),
+            bs.update_with(&sinr, &chain, &chain_cands, &unf),
+            &ConflictGraph::build_with_model(&sinr, &chain, &chain_cands, &unf),
         );
     }
 

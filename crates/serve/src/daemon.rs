@@ -244,6 +244,32 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_gets_an_error_reply() {
+        let d = Daemon::new(DaemonConfig::default());
+        let (resp, stop) = d.handle_line(&"[".repeat(200_000));
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
+        assert_eq!(resp.get("kind").unwrap().as_str(), Some("bad_request"));
+        assert!(!stop);
+    }
+
+    #[test]
+    fn infeasible_create_answers_build_failed_instead_of_hanging() {
+        let d = Daemon::new(DaemonConfig::default());
+        // Two nodes pass request validation, but no connected `paper`
+        // deployment of that size exists, so the cold build panics.
+        let (resp, _) = d.handle_line(&create_line("tiny", 2));
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
+        for _ in 0..2 {
+            let resp = d
+                .submit(Request::parse(r#"{"op":"solve","shard":"tiny"}"#).unwrap())
+                .recv_timeout(Duration::from_secs(60))
+                .expect("shard must reply, not hang");
+            assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
+            assert_eq!(resp.get("kind").unwrap().as_str(), Some("build_failed"));
+        }
+    }
+
+    #[test]
     fn metrics_verb_speaks_prometheus() {
         Daemon::install_recorder();
         let d = Daemon::new(DaemonConfig::default());

@@ -4,9 +4,15 @@
 //! flat request/response objects, so this is a small recursive-descent
 //! parser plus a compact writer. Numbers are `f64` (every protocol field
 //! fits in the 53-bit integer range); strings handle the full escape set
-//! including `\uXXXX` surrogate pairs.
+//! including `\uXXXX` surrogate pairs. Nesting is capped at 64 levels so
+//! hostile input fails with an error instead of overflowing the parser's
+//! stack.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Requests are flat
+/// objects, so this is generous; it bounds the recursion depth.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,6 +34,7 @@ impl Json {
         let mut p = Parser {
             b: s.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -153,6 +160,8 @@ impl fmt::Display for Json {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -190,8 +199,22 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.i)),
         }
@@ -392,6 +415,16 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! quarantined by rebuilding from the spec cold, the
 //! `serve.shard_restarts` counter increments, and the caller gets
 //! an explicit `"panic"` error. The daemon and its other shards never
-//! notice.
+//! notice. A cold build that panics leaves the shard answering every
+//! request with a `"build_failed"` error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -507,36 +508,47 @@ pub struct ShardHandle {
 }
 
 /// Spawns the owner thread: build cold, then serve jobs oldest-deadline
-/// first with panic isolation (see module docs).
+/// first with panic isolation (see module docs). The cold build runs
+/// inside the isolation boundary too: if it panics (no deployment exists
+/// for the spec), the thread stays up and answers every job with an
+/// explicit `build_failed` error instead of leaving callers blocked.
 pub fn spawn_shard(spec: ShardSpec, queue_cap: usize) -> ShardHandle {
     let queue = DeadlineQueue::new(queue_cap);
     let q = Arc::clone(&queue);
     let join = std::thread::Builder::new()
         .name(format!("shard-{}", spec.name))
         .spawn(move || {
-            let mut state = ShardState::build(&spec);
+            let build = || catch_unwind(|| ShardState::build(&spec)).ok();
+            let mut state = build();
             while let Some(job) = q.pop() {
                 let started = Instant::now();
                 wsn_obs::gauge_set("serve.queue_depth", q.len() as i64);
                 let remaining_ms =
                     job.deadline.saturating_duration_since(started).as_millis() as u64;
-                let outcome = {
-                    let st = &mut state;
-                    catch_unwind(AssertUnwindSafe(|| st.handle(&job.req, remaining_ms)))
-                };
+                let outcome = state
+                    .as_mut()
+                    .map(|st| catch_unwind(AssertUnwindSafe(|| st.handle(&job.req, remaining_ms))));
                 let resp = match outcome {
-                    Ok(resp) => resp,
-                    Err(_) => {
+                    Some(Ok(resp)) => resp,
+                    Some(Err(_)) => {
                         wsn_obs::counter_add("serve.shard_restarts", 1);
                         // Quarantine: the old cache (and any half-mutated
                         // incumbent) is dropped wholesale; rebuild cold.
-                        state = ShardState::build(&spec);
+                        state = build();
                         proto::err(
                             "panic",
                             "shard worker panicked; restarted cold",
                             vec![("restarted", Json::Bool(true))],
                         )
                     }
+                    None => proto::err(
+                        "build_failed",
+                        &format!(
+                            "shard {:?} could not be built from its create spec",
+                            spec.name
+                        ),
+                        vec![],
+                    ),
                 };
                 let us = started.elapsed().as_micros() as u64;
                 q.note_service_us(us);

@@ -56,39 +56,6 @@ impl Csr {
         csr
     }
 
-    /// Builds from per-node sorted neighbor lists — the layout the parallel
-    /// unit-disk construction produces directly. `lists[u]` must hold the
-    /// full neighbor set of `u`, sorted ascending, mirroring `u ∈ lists[v]`
-    /// for every listed `v`; the result is then bit-identical to
-    /// [`Csr::from_edges`] over the same graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-loops, out-of-range ids, or unsorted/duplicated
-    /// entries within a list.
-    pub fn from_neighbor_lists(lists: &[Vec<NodeId>]) -> Self {
-        let n = lists.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for list in lists {
-            acc += list.len() as u32;
-            offsets.push(acc);
-        }
-        let mut neighbors = Vec::with_capacity(acc as usize);
-        for (u, list) in lists.iter().enumerate() {
-            for w in list.windows(2) {
-                assert!(w[0] < w[1], "unsorted or duplicate neighbor at node {u}");
-            }
-            for &v in list {
-                assert!(v.idx() != u, "self-loop at node {u}");
-                assert!(v.idx() < n, "neighbor {v} of node {u} out of range");
-                neighbors.push(v);
-            }
-        }
-        Csr { offsets, neighbors }
-    }
-
     #[inline]
     fn range(&self, u: usize) -> std::ops::Range<usize> {
         self.offsets[u] as usize..self.offsets[u + 1] as usize
@@ -195,26 +162,5 @@ mod tests {
         let csr = Csr::from_edges(0, &[]);
         assert!(csr.is_empty());
         assert_eq!(csr.edge_count(), 0);
-    }
-
-    #[test]
-    fn neighbor_lists_match_edge_build() {
-        let edges = [
-            (id(2), id(0)),
-            (id(0), id(1)),
-            (id(3), id(0)),
-            (id(1), id(3)),
-        ];
-        let from_edges = Csr::from_edges(4, &edges);
-        let lists: Vec<Vec<NodeId>> = (0..4)
-            .map(|u| from_edges.neighbors_of(id(u)).to_vec())
-            .collect();
-        assert_eq!(Csr::from_neighbor_lists(&lists), from_edges);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsorted or duplicate")]
-    fn neighbor_lists_reject_unsorted() {
-        Csr::from_neighbor_lists(&[vec![id(2), id(1)], vec![id(2)], vec![id(0), id(1)]]);
     }
 }

@@ -28,11 +28,6 @@ pub struct Topology {
 /// Source of [`Topology::token`] values; 0 is reserved for "no topology".
 static NEXT_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
-/// Node count below which [`Topology::unit_disk_parallel`] takes the serial
-/// path: deriving one node's neighbor list costs a 3×3 grid-cell scan, so a
-/// few thousand nodes finish faster than threads can be spawned.
-const PARALLEL_BUILD_MIN_NODES: usize = 4_096;
-
 impl Topology {
     /// Builds the UDG topology of `positions` with communication `radius`.
     ///
@@ -62,83 +57,6 @@ impl Topology {
         });
 
         Self::from_parts(positions, radius, Csr::from_edges(n, &edges))
-    }
-
-    /// Parallel counterpart of [`Topology::unit_disk`]: grid binning and
-    /// per-node neighbor discovery are partitioned over contiguous node
-    /// ranges on `threads` scoped threads, and the per-range results are
-    /// stitched back in node order, so the adjacency (CSR and neighbor
-    /// masks) is bit-identical to the serial build. Only the identity
-    /// token differs — tokens are construction-unique by design.
-    ///
-    /// Small instances (or `threads <= 1`) take the serial path untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Topology::unit_disk`].
-    pub fn unit_disk_parallel(positions: Vec<Point>, radius: f64, threads: usize) -> Self {
-        let n = positions.len();
-        if threads <= 1 || n < PARALLEL_BUILD_MIN_NODES {
-            return Self::unit_disk(positions, radius);
-        }
-        assert!(radius > 0.0, "radius must be positive");
-        assert!(
-            positions.iter().all(|p| p.x.is_finite() && p.y.is_finite()),
-            "positions must be finite"
-        );
-
-        let grid = CellGrid::build_parallel(&positions, radius, threads);
-        let chunk = n.div_ceil(threads);
-        type RangeBuild = (Vec<Vec<NodeId>>, Vec<(NodeSet, NodeSet)>);
-        let mut per_range: Vec<RangeBuild> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = (t * chunk).min(n);
-                    let hi = ((t + 1) * chunk).min(n);
-                    let grid = &grid;
-                    let positions = &positions;
-                    scope.spawn(move || {
-                        let mut lists = Vec::with_capacity(hi - lo);
-                        let mut sets = Vec::with_capacity(hi - lo);
-                        for u in lo..hi {
-                            let ns = grid.neighbors_within(positions, u as u32, radius);
-                            let mut s = NodeSet::new(n);
-                            for &v in &ns {
-                                s.insert(v as usize);
-                            }
-                            let mut c = s.clone();
-                            c.insert(u);
-                            lists.push(ns.into_iter().map(NodeId).collect::<Vec<NodeId>>());
-                            sets.push((s, c));
-                        }
-                        (lists, sets)
-                    })
-                })
-                .collect();
-            for h in handles {
-                per_range.push(h.join().expect("adjacency build worker panicked"));
-            }
-        });
-
-        let mut lists = Vec::with_capacity(n);
-        let mut neighbor_sets = Vec::with_capacity(n);
-        let mut closed_sets = Vec::with_capacity(n);
-        for (range_lists, range_sets) in per_range {
-            lists.extend(range_lists);
-            for (s, c) in range_sets {
-                neighbor_sets.push(s);
-                closed_sets.push(c);
-            }
-        }
-        Topology {
-            positions,
-            radius,
-            csr: Csr::from_neighbor_lists(&lists),
-            neighbor_sets,
-            closed_sets,
-            token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        }
     }
 
     /// Builds a topology from an explicit edge list, bypassing the UDG rule.
@@ -385,29 +303,6 @@ mod tests {
     #[should_panic(expected = "radius must be positive")]
     fn zero_radius_rejected() {
         Topology::unit_disk(vec![Point::new(0.0, 0.0)], 0.0);
-    }
-
-    #[test]
-    fn parallel_unit_disk_is_bit_identical_to_serial() {
-        // Enough nodes to clear the PARALLEL_BUILD_MIN_NODES gate.
-        let mut state = 0xfeed_beefu64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let pts: Vec<Point> = (0..PARALLEL_BUILD_MIN_NODES + 200)
-            .map(|_| Point::new(next() * 100.0, next() * 100.0))
-            .collect();
-        let serial = Topology::unit_disk(pts.clone(), 2.5);
-        for threads in [1, 2, 4] {
-            let par = Topology::unit_disk_parallel(pts.clone(), 2.5, threads);
-            assert_eq!(par.csr(), serial.csr(), "threads {threads}");
-            assert_eq!(par.neighbor_sets, serial.neighbor_sets);
-            assert_eq!(par.closed_sets, serial.closed_sets);
-            assert_ne!(par.token(), serial.token(), "tokens are per-construction");
-        }
     }
 
     #[test]

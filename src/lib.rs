@@ -113,7 +113,7 @@
 //!
 //! ## The parallel scheduling engine
 //!
-//! Three thread-parallel multipliers sit on the anytime tier, all built on
+//! Two thread-parallel multipliers sit on the anytime tier, both built on
 //! scoped `std::thread` with deterministic contracts:
 //!
 //! * [`anytime::Portfolio`] races N independently-seeded search chains;
@@ -121,13 +121,6 @@
 //!   best and bias restarts away from the elite's early-sender signature,
 //!   while iteration-budget portfolios stay bit-reproducible and provably
 //!   never lose to the serial chain (worker 0 runs the unsalted seed).
-//! * Parallel construction — `CellGrid::build_parallel`,
-//!   `Topology::unit_disk_parallel`, and
-//!   `ConflictGraphBuilder::set_build_threads` — partitions binning,
-//!   adjacency and conflict-row full builds by contiguous index range and
-//!   merges in thread order, so the results are bit-identical to the
-//!   serial paths (property-tested across random topologies and thread
-//!   counts); cost-model gates keep small instances serial.
 //! * [`anytime::ScheduleCache`] warm-starts repeat solves of a held
 //!   instance from their previous incumbent, keyed on `(topology token,
 //!   model fingerprint, source)`.
@@ -135,8 +128,8 @@
 //! Portfolio width is a sweep axis (`sim::Sweep::search_threads`, wired
 //! through [`sim::AnytimeExec`] and the figure binaries'
 //! `--search-threads` flag), and `claims --parallel-bench-only` emits
-//! `BENCH_parallel.json` recording construction speedups and
-//! quality-at-budget across 1/2/4/8 threads.
+//! `BENCH_parallel.json` recording quality-at-budget across 1/2/4/8
+//! threads and the warm-start-vs-cold wall-time ratio.
 //!
 //! ## The reliability tier
 //!

@@ -1,10 +1,12 @@
 //! Warm-start schedule cache: remember the best schedule per
 //! `(topology token, model fingerprint, source)` and feed it back to the
-//! legalizer as hints on the next solve of the same instance.
+//! legalizer as hints on the next solve of the same instance. Pass one to
+//! [`Portfolio::solve`](crate::Portfolio::solve).
 //!
 //! The anytime driver's cold start pays a full greedy construction plus
 //! the whole climb back to the incumbent; a churn re-run or a repeated
-//! sweep point pays it again for an answer it already had. A cache hit
+//! solve of a held topology (a serving shard, a drift re-plan) pays it
+//! again for an answer it already had. A cache hit
 //! skips the climb: the previous incumbent goes in as the *first*
 //! legalization's hints, so the chain starts at (not near) the old
 //! incumbent for the price of one legalizer replay — well under 10 % of a
@@ -20,11 +22,8 @@
 
 use mlbs_core::Schedule;
 use std::collections::HashMap;
-use wsn_dutycycle::WakeSchedule;
 use wsn_phy::ConflictModel;
 use wsn_topology::{NodeId, Topology};
-
-use crate::driver::{run_chain, AnytimeConfig, AnytimeOutcome, ChainCtx};
 
 /// Best-so-far schedules keyed on `(topology token, model fingerprint,
 /// source)`. See the module docs.
@@ -120,32 +119,4 @@ impl ScheduleCache {
         self.hits = 0;
         self.misses = 0;
     }
-}
-
-/// [`solve_anytime`](crate::solve_anytime) with a warm-start cache: a hit
-/// seeds the chain's first legalization with the cached incumbent, and the
-/// run's best schedule is folded back into the cache either way.
-pub fn solve_anytime_cached<S: WakeSchedule, M: ConflictModel>(
-    topo: &Topology,
-    source: NodeId,
-    wake: &S,
-    model: &M,
-    config: &AnytimeConfig,
-    cache: &mut ScheduleCache,
-) -> AnytimeOutcome {
-    let warm = cache.lookup(topo, model, source);
-    let out = run_chain(
-        topo,
-        source,
-        wake,
-        model,
-        config,
-        ChainCtx {
-            shared: None,
-            warm: warm.as_ref(),
-            dead: None,
-        },
-    );
-    cache.observe(topo, model, source, &out.schedule);
-    out
 }

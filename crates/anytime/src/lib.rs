@@ -5,8 +5,8 @@
 //! enumeration and stops being usable a little beyond the paper's 300-node
 //! instances. This crate trades proof for *interrupt-anytime* semantics:
 //!
-//! 1. a greedy legalizer seeds a valid schedule in `O(E)` ([`legalize`]
-//!    internals),
+//! 1. a greedy legalizer seeds a valid schedule in `O(E)` (the private
+//!    `legalize` module),
 //! 2. a [`PartialSchedule`] freezes the incumbent's conflict structure —
 //!    partner pairs from the incremental conflict-graph builder
 //!    (spatially pruned at scale), per-pair *deadlines* from cached
@@ -34,7 +34,7 @@
 //! exchange incumbents through a lock-light shared best; iteration-budget
 //! portfolios stay bit-reproducible and never lose to the serial driver),
 //! and [`ScheduleCache`] warm-starts repeat solves of a held instance from
-//! their previous incumbent ([`solve_anytime_cached`]).
+//! their previous incumbent (pass one to [`Portfolio::solve`]).
 
 mod cache;
 mod driver;
@@ -44,7 +44,7 @@ mod portfolio;
 mod reliable;
 mod repair;
 
-pub use cache::{solve_anytime_cached, ScheduleCache};
+pub use cache::ScheduleCache;
 pub use driver::{
     solve_anytime, AnytimeConfig, AnytimeOutcome, Budget, DetailPoint, TraceKind, TracePoint,
 };

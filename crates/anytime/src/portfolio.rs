@@ -33,6 +33,7 @@ use wsn_phy::ConflictModel;
 use wsn_topology::{NodeId, Topology};
 
 use crate::driver::{run_chain, AnytimeConfig, AnytimeOutcome, Budget, ChainCtx};
+use crate::ScheduleCache;
 
 /// Lock-light incumbent exchange between portfolio chains: a relaxed
 /// atomic latency bound in front of a mutex-guarded elite schedule. The
@@ -158,28 +159,37 @@ impl Portfolio {
         &self.config
     }
 
-    /// Runs the portfolio cold. See [`Portfolio::solve_warm`].
+    /// Runs the portfolio. With a `cache`, a hit warm-starts every chain's
+    /// first legalization from the previous incumbent for this instance,
+    /// and the winning schedule is folded back into the cache either way.
+    /// The returned outcome is the best chain's, with
+    /// `moves`/`passes`/`restarts` summed across all chains so billed work
+    /// stays comparable to the serial driver's accounting.
     pub fn solve<S, M>(
         &self,
         topo: &Topology,
         source: NodeId,
         wake: &S,
         model: &M,
+        cache: Option<&mut ScheduleCache>,
     ) -> AnytimeOutcome
     where
         S: WakeSchedule + Sync,
         M: ConflictModel,
     {
-        self.solve_warm(topo, source, wake, model, None)
+        match cache {
+            None => self.race(topo, source, wake, model, None),
+            Some(cache) => {
+                let warm = cache.lookup(topo, model, source);
+                let out = self.race(topo, source, wake, model, warm.as_ref());
+                cache.observe(topo, model, source, &out.schedule);
+                out
+            }
+        }
     }
 
-    /// Runs the portfolio, optionally warm-starting every chain's first
-    /// legalization from `warm` (a previous incumbent for this instance,
-    /// e.g. a [`ScheduleCache`](crate::ScheduleCache) hit). The returned
-    /// outcome is the best chain's, with `moves`/`passes`/`restarts`
-    /// summed across all chains so billed work stays comparable to the
-    /// serial driver's accounting.
-    pub fn solve_warm<S, M>(
+    /// Races the chains, each warm-started from `warm` when given.
+    fn race<S, M>(
         &self,
         topo: &Topology,
         source: NodeId,
@@ -263,27 +273,6 @@ impl Portfolio {
         out.passes = passes;
         out.restarts = restarts;
         solve_span.set_value(out.latency as i64);
-        out
-    }
-
-    /// [`Portfolio::solve_warm`] wired to a [`ScheduleCache`]: a hit
-    /// warm-starts every chain, and the winning schedule is folded back
-    /// into the cache.
-    pub fn solve_cached<S, M>(
-        &self,
-        topo: &Topology,
-        source: NodeId,
-        wake: &S,
-        model: &M,
-        cache: &mut crate::ScheduleCache,
-    ) -> AnytimeOutcome
-    where
-        S: WakeSchedule + Sync,
-        M: ConflictModel,
-    {
-        let warm = cache.lookup(topo, model, source);
-        let out = self.solve_warm(topo, source, wake, model, warm.as_ref());
-        cache.observe(topo, model, source, &out.schedule);
         out
     }
 

@@ -428,16 +428,14 @@ mod tests {
 
     #[test]
     fn cached_repair_uses_the_incumbent() {
-        use crate::cache::solve_anytime_cached;
         let (topo, src) = deploy::SyntheticDeployment::paper(120).sample(8);
         let mut cache = ScheduleCache::new();
-        solve_anytime_cached(
+        crate::Portfolio::with_config(cfg(2_000), 1).solve(
             &topo,
             src,
             &AlwaysAwake,
             &ProtocolModel,
-            &cfg(2_000),
-            &mut cache,
+            Some(&mut cache),
         );
         let victim = NodeId(if src.0 == 0 { 1 } else { 0 });
         let rep = reschedule_cached(

@@ -79,8 +79,8 @@ proptest! {
         let (topo, src) = SyntheticDeployment::paper(80).sample(seed);
         let serial = solve_anytime(&topo, src, &AlwaysAwake, &wsn_phy::ProtocolModel, &budget(3_000));
         let port = Portfolio::with_config(budget(3_000), threads);
-        let a = port.solve(&topo, src, &AlwaysAwake, &wsn_phy::ProtocolModel);
-        let b = port.solve(&topo, src, &AlwaysAwake, &wsn_phy::ProtocolModel);
+        let a = port.solve(&topo, src, &AlwaysAwake, &wsn_phy::ProtocolModel, None);
+        let b = port.solve(&topo, src, &AlwaysAwake, &wsn_phy::ProtocolModel, None);
         prop_assert!(a.latency <= serial.latency, "portfolio lost to serial");
         prop_assert_eq!(a.latency, b.latency);
         prop_assert_eq!(a.moves, b.moves);

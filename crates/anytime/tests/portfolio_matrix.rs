@@ -4,9 +4,7 @@
 //! conflict models — plus warm-start cache and wall-clock budget checks.
 
 use std::time::Instant;
-use wsn_anytime::{
-    solve_anytime, solve_anytime_cached, AnytimeConfig, Budget, Portfolio, ScheduleCache,
-};
+use wsn_anytime::{solve_anytime, AnytimeConfig, Budget, Portfolio, ScheduleCache};
 use wsn_dutycycle::AlwaysAwake;
 use wsn_phy::{ConflictModel, MultiChannel, ProtocolModel, SinrModel, SinrParams};
 use wsn_topology::deploy;
@@ -33,7 +31,7 @@ fn matrix_case<M: ConflictModel>(
         .unwrap();
     for threads in [1usize, 2, 4] {
         let port = Portfolio::with_config(cfg.clone(), threads);
-        let out = port.solve(&topo, src, &AlwaysAwake, model);
+        let out = port.solve(&topo, src, &AlwaysAwake, model, None);
         out.schedule
             .verify_with_model(&topo, &AlwaysAwake, model)
             .unwrap();
@@ -76,8 +74,8 @@ fn iteration_portfolio_reproduces_bit_identically() {
     let cfg = config();
     for threads in [2usize, 4] {
         let port = Portfolio::with_config(cfg.clone(), threads);
-        let a = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel);
-        let b = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel);
+        let a = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel, None);
+        let b = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel, None);
         assert_eq!(a.latency, b.latency, "threads {threads}");
         assert_eq!(a.moves, b.moves);
         assert_eq!(a.passes, b.passes);
@@ -98,7 +96,7 @@ fn wall_clock_portfolio_produces_valid_schedules() {
         ..AnytimeConfig::default()
     };
     let port = Portfolio::with_config(cfg, 3);
-    let out = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel);
+    let out = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel, None);
     out.schedule.verify(&topo, &AlwaysAwake).unwrap();
     assert_eq!(out.latency, out.schedule.latency());
     assert_eq!(out.trace.last().unwrap().latency, out.latency);
@@ -133,7 +131,13 @@ fn warm_cache_reaches_previous_incumbent_fast() {
     let cfg = config();
     let mut cache = ScheduleCache::new();
 
-    let cold = solve_anytime_cached(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg, &mut cache);
+    let cold = Portfolio::with_config(cfg, 1).solve(
+        &topo,
+        src,
+        &AlwaysAwake,
+        &ProtocolModel,
+        Some(&mut cache),
+    );
     assert_eq!(cache.len(), 1);
     assert_eq!(cache.misses(), 1);
 
@@ -143,13 +147,12 @@ fn warm_cache_reaches_previous_incumbent_fast() {
         budget: Budget::Iterations(0),
         ..AnytimeConfig::default()
     };
-    let warm = solve_anytime_cached(
+    let warm = Portfolio::with_config(warm_cfg, 1).solve(
         &topo,
         src,
         &AlwaysAwake,
         &ProtocolModel,
-        &warm_cfg,
-        &mut cache,
+        Some(&mut cache),
     );
     assert_eq!(cache.hits(), 1);
     assert!(
@@ -171,13 +174,12 @@ fn warm_cache_reaches_previous_incumbent_fast() {
         seed: 0xDEAD,
         ..AnytimeConfig::default()
     };
-    solve_anytime_cached(
+    Portfolio::with_config(worse_budget, 1).solve(
         &topo,
         src,
         &AlwaysAwake,
         &ProtocolModel,
-        &worse_budget,
-        &mut cache,
+        Some(&mut cache),
     );
     let held = cache.lookup(&topo, &ProtocolModel, src).unwrap();
     assert!(held.latency() <= cold.latency);
@@ -188,8 +190,8 @@ fn portfolio_cache_roundtrip() {
     let (topo, src) = deploy::SyntheticDeployment::paper(500).sample(21);
     let mut cache = ScheduleCache::new();
     let port = Portfolio::with_config(config(), 2);
-    let cold = port.solve_cached(&topo, src, &AlwaysAwake, &ProtocolModel, &mut cache);
-    let warm = port.solve_cached(&topo, src, &AlwaysAwake, &ProtocolModel, &mut cache);
+    let cold = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel, Some(&mut cache));
+    let warm = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel, Some(&mut cache));
     assert_eq!(cache.hits(), 1);
     assert_eq!(cache.misses(), 1);
     assert!(warm.latency <= cold.latency);

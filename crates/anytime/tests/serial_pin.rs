@@ -70,7 +70,8 @@ fn single_thread_portfolio_is_the_serial_chain() {
             ..AnytimeConfig::default()
         };
         let serial = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        let port = Portfolio::with_config(cfg, 1).solve(&topo, src, &AlwaysAwake, &ProtocolModel);
+        let port =
+            Portfolio::with_config(cfg, 1).solve(&topo, src, &AlwaysAwake, &ProtocolModel, None);
         assert_eq!(port.latency, serial.latency);
         assert_eq!(port.moves, serial.moves);
         assert_eq!(port.passes, serial.passes);

@@ -22,7 +22,7 @@ fn bench_portfolio(c: &mut Criterion) {
     let serial = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
     for threads in [1usize, 2, 4] {
         let port = Portfolio::with_config(cfg.clone(), threads);
-        let out = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel);
+        let out = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel, None);
         // CI smoke: the portfolio contract — valid schedules that never
         // lose to the serial chain under the same iteration budget.
         out.schedule.verify(&topo, &AlwaysAwake).unwrap();
@@ -35,7 +35,7 @@ fn bench_portfolio(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("n2000(P={})", out.latency), threads),
             &threads,
-            |b, _| b.iter(|| port.solve(black_box(&topo), src, &AlwaysAwake, &ProtocolModel)),
+            |b, _| b.iter(|| port.solve(black_box(&topo), src, &AlwaysAwake, &ProtocolModel, None)),
         );
     }
     group.finish();

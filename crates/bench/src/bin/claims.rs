@@ -422,6 +422,7 @@ fn emit_parallel_baseline(path: &str, max_nodes: usize) {
                 src,
                 &AlwaysAwake,
                 &ProtocolModel,
+                None,
             );
             let wall_us = t0.elapsed().as_micros();
             out.schedule
@@ -477,7 +478,7 @@ fn emit_parallel_baseline(path: &str, max_nodes: usize) {
     // Warm-start cache: a hit must reach the previous incumbent in a
     // small fraction of the cold wall time.
     let warm_json = {
-        use wsn_anytime::{solve_anytime_cached, ScheduleCache};
+        use wsn_anytime::ScheduleCache;
         let n = 10_000.min(max_nodes.max(1_000));
         let (topo, src) = SyntheticDeployment::scaled(n).sample(7);
         let mut cache = ScheduleCache::new();
@@ -486,13 +487,12 @@ fn emit_parallel_baseline(path: &str, max_nodes: usize) {
             ..AnytimeConfig::default()
         };
         let t0 = std::time::Instant::now();
-        let cold = solve_anytime_cached(
+        let cold = Portfolio::with_config(cold_cfg, 1).solve(
             &topo,
             src,
             &AlwaysAwake,
             &ProtocolModel,
-            &cold_cfg,
-            &mut cache,
+            Some(&mut cache),
         );
         let cold_us = t0.elapsed().as_micros();
         let warm_cfg = AnytimeConfig {
@@ -500,13 +500,12 @@ fn emit_parallel_baseline(path: &str, max_nodes: usize) {
             ..AnytimeConfig::default()
         };
         let t0 = std::time::Instant::now();
-        let warm = solve_anytime_cached(
+        let warm = Portfolio::with_config(warm_cfg, 1).solve(
             &topo,
             src,
             &AlwaysAwake,
             &ProtocolModel,
-            &warm_cfg,
-            &mut cache,
+            Some(&mut cache),
         );
         let warm_us = t0.elapsed().as_micros();
         let fraction = warm_us as f64 / cold_us.max(1) as f64;
@@ -718,8 +717,9 @@ fn emit_reliability_baseline(path: &str, max_nodes: usize) {
 /// cache, repair families) and validates both exporters: the Chrome trace
 /// parses as JSON, the Prometheus exposition carries every family.
 fn emit_obs_baseline(path: &str) {
-    use wsn_anytime::{reschedule, solve_anytime_cached, ChurnDelta, Portfolio, ScheduleCache};
+    use wsn_anytime::{reschedule, ChurnDelta, Portfolio, ScheduleCache};
     use wsn_obs::{export, Recorder};
+    use wsn_serve::Json;
 
     /// Order-sensitive digest of a schedule's entries (the serial-pin
     /// signature).
@@ -850,25 +850,17 @@ fn emit_obs_baseline(path: &str) {
         budget: Budget::Iterations(2_000),
         ..AnytimeConfig::default()
     };
-    let _ =
-        Portfolio::with_config(pcfg.clone(), 2).solve(&ptopo, psrc, &AlwaysAwake, &ProtocolModel);
+    let _ = Portfolio::with_config(pcfg.clone(), 2).solve(
+        &ptopo,
+        psrc,
+        &AlwaysAwake,
+        &ProtocolModel,
+        None,
+    );
     let mut cache = ScheduleCache::new();
-    let cold = solve_anytime_cached(
-        &ptopo,
-        psrc,
-        &AlwaysAwake,
-        &ProtocolModel,
-        &pcfg,
-        &mut cache,
-    );
-    let _ = solve_anytime_cached(
-        &ptopo,
-        psrc,
-        &AlwaysAwake,
-        &ProtocolModel,
-        &pcfg,
-        &mut cache,
-    );
+    let serial = Portfolio::with_config(pcfg.clone(), 1);
+    let cold = serial.solve(&ptopo, psrc, &AlwaysAwake, &ProtocolModel, Some(&mut cache));
+    let _ = serial.solve(&ptopo, psrc, &AlwaysAwake, &ProtocolModel, Some(&mut cache));
     let victim = cold
         .schedule
         .entries
@@ -889,7 +881,7 @@ fn emit_obs_baseline(path: &str) {
 
     // Exporter validation on the accumulated recorder.
     let chrome = export::chrome_trace(&rec);
-    let chrome_valid = export::validate_json(&chrome).is_ok();
+    let chrome_valid = Json::parse(&chrome).is_ok();
     check(
         "Chrome trace export is valid JSON",
         chrome_valid,
@@ -935,7 +927,7 @@ fn emit_obs_baseline(path: &str) {
 /// campaign (fault script + injected panics) with its p99 reschedule
 /// latency. `--serve-max-nodes N` caps the repair-pin axis (CI uses 1k).
 fn emit_serve_baseline(path: &str, max_nodes: usize) {
-    use wsn_anytime::{solve_anytime_cached, ScheduleCache};
+    use wsn_anytime::{Portfolio, ScheduleCache};
     use wsn_serve::{run_campaign, ChaosParams, Daemon, DaemonConfig, Json, Request};
     use wsn_sim::{replan_on_drift, simulate_acks, LinkEstimator};
     use wsn_topology::LinkQuality;
@@ -958,7 +950,13 @@ fn emit_serve_baseline(path: &str, max_nodes: usize) {
         };
         let mut cache = ScheduleCache::new();
         let t0 = std::time::Instant::now();
-        let base = solve_anytime_cached(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg, &mut cache);
+        let base = Portfolio::with_config(cfg, 1).solve(
+            &topo,
+            src,
+            &AlwaysAwake,
+            &ProtocolModel,
+            Some(&mut cache),
+        );
         let cold_us = t0.elapsed().as_micros().max(1);
 
         let assumed = LinkQuality::uniform(&topo, 0.99);

@@ -32,10 +32,6 @@ pub struct FigureOpts {
     pub seed: u64,
     /// Worker threads.
     pub threads: usize,
-    /// Portfolio width of the anytime tier (`--search-threads`; 1 keeps
-    /// the serial chain, wider portfolios never lose latency under the
-    /// sweep's iteration budgets).
-    pub search_threads: usize,
     /// Optional CSV output path.
     pub csv: Option<String>,
 }
@@ -46,7 +42,6 @@ impl Default for FigureOpts {
             instances: 25,
             seed: 20120910, // ICPP 2012 presentation date flavour
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            search_threads: 1,
             csv: None,
         }
     }
@@ -82,13 +77,6 @@ impl FigureOpts {
                         .expect("--threads needs a number");
                     i += 2;
                 }
-                "--search-threads" => {
-                    opts.search_threads = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--search-threads needs a number");
-                    i += 2;
-                }
                 "--csv" => {
                     opts.csv = Some(args.get(i + 1).expect("--csv needs a path").clone());
                     i += 2;
@@ -104,7 +92,6 @@ impl FigureOpts {
     pub fn sweep(&self, regime: Regime) -> Sweep {
         let mut sweep = Sweep::paper_grid(regime, self.instances, self.seed);
         sweep.threads = self.threads;
-        sweep.search_threads = self.search_threads.max(1);
         let budget = AdaptiveBudget::default();
         sweep.search = search_for(regime);
         sweep.search_overrides = sweep
@@ -283,14 +270,12 @@ mod tests {
             instances: 3,
             seed: 1,
             threads: 2,
-            search_threads: 4,
             csv: None,
         };
         let s = o.sweep(Regime::Sync);
         assert_eq!(s.instances, 3);
         assert_eq!(s.master_seed, 1);
         assert_eq!(s.threads, 2);
-        assert_eq!(s.search_threads, 4);
         assert_eq!(s.node_counts, vec![50, 100, 150, 200, 250, 300]);
     }
 
@@ -334,7 +319,6 @@ mod tests {
             instances: 1,
             seed: 1,
             threads: 1,
-            search_threads: 1,
             csv: None,
         };
         let s = o.sweep(Regime::Duty { rate: 50 });

@@ -1,9 +1,9 @@
 //! Exporters: Chrome trace-event JSON and Prometheus text exposition.
 //!
 //! Both are produced by string formatting only — no serde, matching the
-//! workspace's registry-free constraint. A small recursive-descent
-//! [`validate_json`] is provided so tests (and the claims binary) can check
-//! the Chrome export without external parsers.
+//! workspace's registry-free constraint. This crate is a leaf and carries
+//! no parser; the workspace's tests and the claims binary validate the
+//! Chrome export with `wsn_serve::Json`.
 
 use crate::spans::EventKind;
 use crate::Recorder;
@@ -116,199 +116,9 @@ pub fn prometheus(rec: &Recorder) -> String {
     out
 }
 
-/// Minimal JSON validator (objects, arrays, strings, numbers, literals).
-/// Returns `Err` with a byte offset + message on the first syntax error.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing garbage at byte {i}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    if *i >= b.len() {
-        return Err(format!("unexpected end at byte {i}"));
-    }
-    match b[*i] {
-        b'{' => parse_object(b, i),
-        b'[' => parse_array(b, i),
-        b'"' => parse_string(b, i),
-        b't' => parse_lit(b, i, b"true"),
-        b'f' => parse_lit(b, i, b"false"),
-        b'n' => parse_lit(b, i, b"null"),
-        b'-' | b'0'..=b'9' => parse_number(b, i),
-        c => Err(format!("unexpected byte {c:#x} at {i}")),
-    }
-}
-
-fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // '{'
-    skip_ws(b, i);
-    if *i < b.len() && b[*i] == b'}' {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        if *i >= b.len() || b[*i] != b'"' {
-            return Err(format!("expected object key at byte {i}"));
-        }
-        parse_string(b, i)?;
-        skip_ws(b, i);
-        if *i >= b.len() || b[*i] != b':' {
-            return Err(format!("expected ':' at byte {i}"));
-        }
-        *i += 1;
-        skip_ws(b, i);
-        parse_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // '['
-    skip_ws(b, i);
-    if *i < b.len() && b[*i] == b']' {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        parse_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {i}")),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // '"'
-    while *i < b.len() {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        if *i + 4 >= b.len() || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {i}"));
-                        }
-                        *i += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-            }
-            c if c < 0x20 => return Err(format!("raw control byte in string at {i}")),
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let start = *i;
-    if b[*i] == b'-' {
-        *i += 1;
-    }
-    let digits = |b: &[u8], i: &mut usize| {
-        let s = *i;
-        while *i < b.len() && b[*i].is_ascii_digit() {
-            *i += 1;
-        }
-        *i > s
-    };
-    if !digits(b, i) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if *i < b.len() && b[*i] == b'.' {
-        *i += 1;
-        if !digits(b, i) {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if *i < b.len() && matches!(b[*i], b'e' | b'E') {
-        *i += 1;
-        if *i < b.len() && matches!(b[*i], b'+' | b'-') {
-            *i += 1;
-        }
-        if !digits(b, i) {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn parse_lit(b: &[u8], i: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *i + lit.len() && &b[*i..*i + lit.len()] == lit {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validator_accepts_good_json() {
-        for s in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e-3",
-            "\"a\\u00e9b\"",
-            "{\"a\":[1,2,{\"b\":null}],\"c\":true}",
-        ] {
-            assert!(validate_json(s).is_ok(), "{s}");
-        }
-    }
-
-    #[test]
-    fn validator_rejects_bad_json() {
-        for s in [
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "01x",
-            "\"unterminated",
-            "{}extra",
-            "",
-        ] {
-            assert!(validate_json(s).is_err(), "{s}");
-        }
-    }
 
     #[test]
     fn sanitize_prometheus_names() {

@@ -481,7 +481,6 @@ mod tests {
         assert!(prom.contains("fam_lat_us_count 1"));
 
         let chrome = export::chrome_trace(&rec);
-        export::validate_json(&chrome).expect("chrome trace is valid JSON");
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("\"ph\":\"i\""));
         assert!(chrome.contains("\"droppedEvents\":0"));

@@ -376,6 +376,10 @@ mod tests {
         assert_eq!(v.get("neg").unwrap().as_f64(), Some(-2.0));
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("x"), Some(&Json::Null));
+        assert_eq!(Json::parse("-1.5e-3").unwrap().as_f64(), Some(-1.5e-3));
+        for ok in ["{}", "[]", "null", r#"{"a":[1,2,{"b":null}],"c":true}"#] {
+            assert!(Json::parse(ok).is_ok(), "{ok:?} must parse");
+        }
         let dead: Vec<u64> = v
             .get("dead")
             .unwrap()
@@ -398,6 +402,8 @@ mod tests {
         assert_eq!(v, back);
         // Control characters must be escaped on output.
         assert_eq!(Json::str("a\u{1}b").to_string(), "\"a\\u0001b\"");
+        // A \u escape decodes to the code point it names.
+        assert_eq!(Json::parse(r#""a\u00e9b""#).unwrap().as_str(), Some("aéb"));
     }
 
     #[test]
@@ -412,6 +418,11 @@ mod tests {
             "\"\\u12",
             "{\"a\":1}x",
             "nan",
+            "[1,]",
+            "{\"a\":}",
+            "01x",
+            "\"unterminated",
+            "{}extra",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }

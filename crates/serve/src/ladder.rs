@@ -6,10 +6,14 @@
 //!
 //! | rung | deadline | solver |
 //! |---|---|---|
-//! | `Portfolio` | ≥ 200 ms | [`Portfolio`] race, wall-clock half the budget |
-//! | `Serial` | ≥ 50 ms | serial [`solve_anytime_cached`], wall-clock half the budget |
-//! | `Warm` | ≥ 10 ms | cached warm-start, small fixed iteration budget |
+//! | `Portfolio` | ≥ 200 ms | two-chain [`Portfolio`] race, wall-clock half the budget |
+//! | `Serial` | ≥ 50 ms | one-chain [`Portfolio`] (the serial chain), wall-clock half the budget |
+//! | `Warm` | ≥ 10 ms | one chain, small fixed iteration budget |
 //! | `Greedy` | < 10 ms | greedy legalizer only (`Budget::Iterations(0)`) |
+//!
+//! Every rung solves through [`Portfolio::solve`] with the shard's
+//! [`ScheduleCache`], so a held topology warm-starts from its previous
+//! incumbent on whichever rung it lands.
 //!
 //! The rung is a function of the *requested* deadline alone, so the
 //! quality tag is monotone in the deadline by construction (the ladder
@@ -20,8 +24,8 @@
 //! bottom rung serves a valid schedule.
 
 use wsn_anytime::{
-    reschedule, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta, Portfolio,
-    RepairOutcome, ScheduleCache,
+    reschedule, AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta, Portfolio, RepairOutcome,
+    ScheduleCache,
 };
 use wsn_dutycycle::WakeSchedule;
 use wsn_phy::ConflictModel;
@@ -128,12 +132,8 @@ where
         budget: budget_for(tier, remaining_ms),
         ..base.clone()
     };
-    let out = match tier {
-        Tier::Portfolio => {
-            Portfolio::with_config(cfg, 2).solve_cached(topo, source, wake, model, cache)
-        }
-        _ => solve_anytime_cached(topo, source, wake, model, &cfg, cache),
-    };
+    let chains = if tier == Tier::Portfolio { 2 } else { 1 };
+    let out = Portfolio::with_config(cfg, chains).solve(topo, source, wake, model, Some(cache));
     out.schedule
         .verify_with_model(topo, wake, model)
         .expect("ladder produced an invalid schedule");
@@ -230,8 +230,13 @@ mod tests {
             budget: Budget::Iterations(20_000),
             ..base.clone()
         };
-        let strong =
-            solve_anytime_cached(&topo, src, &AlwaysAwake, &ProtocolModel, &good, &mut cache);
+        let strong = Portfolio::with_config(good, 1).solve(
+            &topo,
+            src,
+            &AlwaysAwake,
+            &ProtocolModel,
+            Some(&mut cache),
+        );
         let (warm, tier) = solve_with_deadline(
             &topo,
             src,

@@ -37,6 +37,12 @@ use crate::json::Json;
 use crate::ladder::{reschedule_with_deadline, solve_with_deadline, Tier};
 use crate::proto::{self, Request};
 
+/// Largest topology a `create` may ask for. The dense topology costs
+/// about n²/4 bytes (≈ 2.5 GB here), and a failed allocation aborts the
+/// daemon, which `catch_unwind` cannot contain; 100k is the largest scale
+/// the benches serve.
+pub const MAX_NODES: usize = 100_000;
+
 /// Everything needed to (re)build a shard cold — kept by the worker so a
 /// panic can quarantine-and-restart without the daemon's help.
 #[derive(Clone, Debug)]
@@ -70,8 +76,8 @@ impl ShardSpec {
         channels: u32,
         epsilon: f64,
     ) -> Result<ShardSpec, String> {
-        if nodes < 2 {
-            return Err("nodes must be >= 2".into());
+        if !(2..=MAX_NODES).contains(&nodes) {
+            return Err(format!("nodes must be in 2..={MAX_NODES}"));
         }
         if !matches!(deployment, "paper" | "scaled") {
             return Err(format!("unknown deployment {deployment:?}"));
@@ -568,6 +574,15 @@ mod tests {
 
     fn spec(n: usize) -> ShardSpec {
         ShardSpec::from_create("t", n, 7, "paper", "protocol", 1, 0.0).unwrap()
+    }
+
+    #[test]
+    fn create_rejects_node_counts_that_would_exhaust_memory() {
+        let create = |n| ShardSpec::from_create("t", n, 7, "scaled", "protocol", 1, 0.0);
+        assert!(create(1).is_err());
+        assert!(create(100_000).is_ok());
+        assert!(create(100_001).is_err());
+        assert!(create(1_000_000).is_err());
     }
 
     #[test]

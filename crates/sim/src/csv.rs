@@ -8,17 +8,15 @@ use crate::{Regime, SweepResult};
 use std::fmt::Write as _;
 
 /// Renders a sweep as CSV. Columns:
-/// `regime,nodes,density,series,mean,std,min,max,count,coverage,states,cache_hits,cache_misses`
+/// `regime,nodes,density,series,mean,std,min,max,count,coverage,states`
 /// — `coverage` is the mean lossy-replay coverage of the series
-/// (first-class reliability metric), `states` the mean search states per
-/// run, and the cache columns the series' warm-start traffic totals. The
-/// trailing columns are empty where they do not apply (analytic-bound
+/// (first-class reliability metric) and `states` the mean search states
+/// per run. The trailing columns are empty where they do not apply (analytic-bound
 /// rows have no schedule to replay; non-search algorithms explore no
 /// states).
 pub fn sweep_to_csv(result: &SweepResult) -> String {
-    let mut out = String::from(
-        "regime,nodes,density,series,mean,std,min,max,count,coverage,states,cache_hits,cache_misses\n",
-    );
+    let mut out =
+        String::from("regime,nodes,density,series,mean,std,min,max,count,coverage,states\n");
     let regime = regime_label(result.regime);
     for p in &result.points {
         for a in &p.per_algorithm {
@@ -29,7 +27,7 @@ pub fn sweep_to_csv(result: &SweepResult) -> String {
             };
             let _ = writeln!(
                 out,
-                "{},{},{:.4},{},{:.3},{:.3},{},{},{},{:.4},{},{},{}",
+                "{},{},{:.4},{},{:.3},{:.3},{},{},{},{:.4},{}",
                 regime,
                 p.nodes,
                 p.density,
@@ -40,9 +38,7 @@ pub fn sweep_to_csv(result: &SweepResult) -> String {
                 a.latency.max(),
                 a.latency.count(),
                 a.coverage.mean(),
-                states,
-                a.cache_hits,
-                a.cache_misses
+                states
             );
         }
         for (name, series) in [
@@ -51,7 +47,7 @@ pub fn sweep_to_csv(result: &SweepResult) -> String {
         ] {
             let _ = writeln!(
                 out,
-                "{},{},{:.4},{},{:.3},{:.3},{},{},{},,,,",
+                "{},{},{:.4},{},{:.3},{:.3},{},{},{},,",
                 regime,
                 p.nodes,
                 p.density,
@@ -134,7 +130,6 @@ mod tests {
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
             threads: 1,
-            search_threads: 1,
         }
         .run()
     }
@@ -145,7 +140,7 @@ mod tests {
         let lines: Vec<&str> = csv.trim_end().lines().collect();
         assert_eq!(
             lines[0],
-            "regime,nodes,density,series,mean,std,min,max,count,coverage,states,cache_hits,cache_misses"
+            "regime,nodes,density,series,mean,std,min,max,count,coverage,states"
         );
         // 1 point × (2 algorithms + 2 analytic series) = 4 data rows.
         assert_eq!(lines.len(), 1 + 4);
@@ -153,17 +148,16 @@ mod tests {
         assert!(csv.contains("OPT-analysis"));
         // Algorithm rows carry a coverage value, analytic rows leave the
         // trailing columns empty.
-        assert_eq!(lines[1].split(',').count(), 13);
+        assert_eq!(lines[1].split(',').count(), 11);
         let cov: f64 = lines[1].split(',').nth(9).unwrap().parse().unwrap();
         assert!((0.0..=1.0).contains(&cov));
-        assert!(lines[3].ends_with(",,,,"));
-        // Neither sample algorithm runs a search or touches the cache.
+        assert!(lines[3].ends_with(",,"));
+        // Neither sample algorithm runs a search.
         assert_eq!(lines[1].split(',').nth(10), Some(""));
-        assert_eq!(lines[1].split(',').nth(11), Some("0"));
     }
 
     #[test]
-    fn search_and_cache_columns_populate_for_search_algorithms() {
+    fn search_column_populates_for_search_algorithms() {
         let r = Sweep {
             node_counts: vec![50],
             instances: 2,
@@ -174,7 +168,6 @@ mod tests {
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
             threads: 1,
-            search_threads: 1,
         }
         .run();
         let csv = sweep_to_csv(&r);
@@ -186,14 +179,10 @@ mod tests {
                 .map(str::to_string)
                 .collect::<Vec<_>>()
         };
-        // G-OPT explores states but never touches the warm-start cache.
+        // G-OPT explores states; the anytime tier reports none.
         let gopt = row("G-OPT");
         assert!(gopt[10].parse::<f64>().unwrap() > 0.0);
-        assert_eq!(gopt[11], "0");
-        // The anytime tier misses the cache once per fresh instance.
-        let any = row("anytime");
-        assert_eq!(any[10], "");
-        assert_eq!(any[12], "2");
+        assert_eq!(row("anytime")[10], "");
     }
 
     #[test]
@@ -208,7 +197,6 @@ mod tests {
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
             threads: 1,
-            search_threads: 1,
         }
         .run();
         let csv = traces_to_csv(&r);

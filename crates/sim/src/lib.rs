@@ -32,8 +32,7 @@ mod sweep;
 pub mod csv;
 
 pub use algorithm::{
-    run_instance, run_instance_built, run_instance_exec, run_instance_model, run_instance_with,
-    Algorithm, AnytimeExec, Regime, RunResult, COVERAGE_LOSS, COVERAGE_TRIALS,
+    run_instance, run_instance_with, Algorithm, Regime, RunResult, COVERAGE_LOSS, COVERAGE_TRIALS,
 };
 pub use csv::{sweep_to_csv, sweep_to_table, traces_to_csv};
 pub use energy::{energy_of_schedule, EnergyReport, RadioEnergyModel};

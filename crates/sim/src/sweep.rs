@@ -1,6 +1,6 @@
 //! The density-sweep experiment: Figures 3, 4 and 6.
 
-use crate::algorithm::{run_instance_exec, Algorithm, AnytimeExec, Regime};
+use crate::algorithm::{run_instance_with, Algorithm, Regime};
 use crate::derive_seed;
 use crate::stats::Summary;
 use mlbs_core::{BroadcastState, SearchConfig};
@@ -39,12 +39,6 @@ pub struct Sweep {
     pub search_overrides: Vec<(usize, SearchConfig)>,
     /// Worker threads (1 = sequential; results are identical either way).
     pub threads: usize,
-    /// Portfolio width of the anytime tier: each [`Algorithm::Anytime`]
-    /// solve races this many independently-seeded chains. Unlike
-    /// `threads`, this axis *may* change results — wider portfolios never
-    /// lose latency under the sweep's iteration budgets, and results are
-    /// bit-reproducible at any fixed width.
-    pub search_threads: usize,
 }
 
 impl Sweep {
@@ -60,7 +54,6 @@ impl Sweep {
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            search_threads: 1,
         }
     }
 
@@ -109,7 +102,6 @@ impl Sweep {
         let mut transmissions: HashMap<(usize, Algorithm, usize), Summary> = HashMap::new();
         let mut coverage: HashMap<(usize, Algorithm, usize), Summary> = HashMap::new();
         let mut search_states: HashMap<(usize, Algorithm, usize), Summary> = HashMap::new();
-        let mut cache_traffic: HashMap<(usize, Algorithm, usize), (u64, u64)> = HashMap::new();
         let mut traces: Vec<TraceRow> = Vec::new();
         let mut opt_analysis: HashMap<usize, Summary> = HashMap::new();
         let mut baseline_bound: HashMap<usize, Summary> = HashMap::new();
@@ -139,13 +131,8 @@ impl Sweep {
                 scope.spawn(move || {
                     // One broadcast-state substrate per worker, re-targeted
                     // per instance — scratch sets, candidate buffers and
-                    // the conflict builder live for the whole sweep. The
-                    // anytime exec (portfolio width + warm-start cache)
-                    // rides along; sweep instances have unique topology
-                    // tokens, so the cache never aliases across jobs and
-                    // results stay independent of worker count.
+                    // the conflict builder live for the whole sweep.
                     let mut substrate = BroadcastState::new();
-                    let mut exec = AnytimeExec::with_threads(sweep.search_threads.max(1));
                     loop {
                         let start = next_job.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
                         if start >= jobs.len() {
@@ -154,13 +141,7 @@ impl Sweep {
                         for (k, &(nodes, instance, model_idx)) in
                             jobs.iter().enumerate().skip(start).take(chunk)
                         {
-                            let rec = sweep.run_one(
-                                nodes,
-                                instance,
-                                model_idx,
-                                &mut substrate,
-                                &mut exec,
-                            );
+                            let rec = sweep.run_one(nodes, instance, model_idx, &mut substrate);
                             if res_tx.send((k, rec)).is_err() {
                                 return;
                             }
@@ -193,11 +174,6 @@ impl Sweep {
                         .or_default()
                         .push(stats.states as f64);
                 }
-                let traffic = cache_traffic
-                    .entry((rec.nodes, *alg, rec.model_idx))
-                    .or_default();
-                traffic.0 += r.cache_hits;
-                traffic.1 += r.cache_misses;
                 if let Some(trace) = &r.trace {
                     let series = self.result_label(*alg, rec.model_idx);
                     traces.extend(trace.iter().map(|t| TraceRow {
@@ -240,18 +216,12 @@ impl Sweep {
                 .algorithms
                 .iter()
                 .flat_map(|&alg| (0..self.models.len()).map(move |mi| (alg, mi)))
-                .map(|(alg, mi)| {
-                    let (cache_hits, cache_misses) =
-                        cache_traffic.remove(&(nodes, alg, mi)).unwrap_or_default();
-                    AlgorithmSummary {
-                        name: self.result_label(alg, mi),
-                        latency: latency.remove(&(nodes, alg, mi)).unwrap_or_default(),
-                        transmissions: transmissions.remove(&(nodes, alg, mi)).unwrap_or_default(),
-                        coverage: coverage.remove(&(nodes, alg, mi)).unwrap_or_default(),
-                        search_states: search_states.remove(&(nodes, alg, mi)).unwrap_or_default(),
-                        cache_hits,
-                        cache_misses,
-                    }
+                .map(|(alg, mi)| AlgorithmSummary {
+                    name: self.result_label(alg, mi),
+                    latency: latency.remove(&(nodes, alg, mi)).unwrap_or_default(),
+                    transmissions: transmissions.remove(&(nodes, alg, mi)).unwrap_or_default(),
+                    coverage: coverage.remove(&(nodes, alg, mi)).unwrap_or_default(),
+                    search_states: search_states.remove(&(nodes, alg, mi)).unwrap_or_default(),
                 })
                 .collect();
             points.push(SweepPointResult {
@@ -282,7 +252,6 @@ impl Sweep {
         instance: usize,
         model_idx: usize,
         substrate: &mut BroadcastState,
-        exec: &mut AnytimeExec,
     ) -> InstanceRecord {
         let _job_span = wsn_obs::span_value("sweep.job", nodes as i64);
         let seed = derive_seed(self.master_seed, nodes as u64, instance as u64);
@@ -299,7 +268,7 @@ impl Sweep {
             .map(|&alg| {
                 (
                     alg,
-                    run_instance_exec(
+                    run_instance_with(
                         &topo,
                         source,
                         self.regime,
@@ -308,7 +277,6 @@ impl Sweep {
                         search,
                         &model,
                         substrate,
-                        exec,
                     ),
                 )
             })
@@ -368,11 +336,6 @@ pub struct AlgorithmSummary {
     /// Search states explored per run (empty for non-search algorithms —
     /// the per-run [`mlbs_core::SearchStats`] promoted to the aggregate).
     pub search_states: Summary,
-    /// Warm-start cache hits across this series' runs (anytime tier only;
-    /// 0 elsewhere).
-    pub cache_hits: u64,
-    /// Warm-start cache misses across this series' runs.
-    pub cache_misses: u64,
 }
 
 /// Aggregates for one node count.
@@ -480,7 +443,6 @@ mod tests {
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
             threads,
-            search_threads: 1,
         }
         .run()
     }
@@ -548,35 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn search_threads_axis_never_loses_latency() {
-        // The portfolio axis: anytime results at width 2 must be ≤ width 1
-        // per sweep point (worker 0 runs the unsalted serial chain under a
-        // deterministic iteration budget, so this is a theorem, not a
-        // trend), and each width must reproduce bit-identically.
-        let sweep_at = |search_threads: usize| {
-            Sweep {
-                node_counts: vec![60],
-                instances: 2,
-                algorithms: vec![Algorithm::Anytime],
-                regime: Regime::Sync,
-                models: vec![PhyModelSpec::protocol()],
-                master_seed: 99,
-                search: SearchConfig::default(),
-                search_overrides: Vec::new(),
-                threads: 2,
-                search_threads,
-            }
-            .run()
-        };
-        let serial = sweep_at(1);
-        let wide = sweep_at(2);
-        let wide_again = sweep_at(2);
-        let mean = |r: &SweepResult| r.mean_latency(60, "anytime").unwrap();
-        assert!(mean(&wide) <= mean(&serial), "portfolio lost to serial");
-        assert_eq!(mean(&wide), mean(&wide_again), "width-2 nondeterministic");
-    }
-
-    #[test]
     fn gopt_beats_layered_on_average() {
         let r = tiny_sweep(2);
         for p in &r.points {
@@ -622,7 +555,6 @@ mod tests {
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
             threads: 2,
-            search_threads: 1,
         }
         .run();
         let p = &r.points[0];

@@ -1,8 +1,8 @@
 //! Network-edge detection: convex hull seeds plus angular-gap boundary
-//! construction (the paper's references [3] and [6]).
+//! construction (the paper's references \[3\] and \[6\]).
 //!
 //! Algorithm 2 step 1 "constitutes the edge of the networks" by combining
-//! the convex hull with a boundary-construction walk. Reference [6]
+//! the convex hull with a boundary-construction walk. Reference \[6\]
 //! (Goldenberg et al.) is a mobility-control paper, so the construction is
 //! under-specified; we substitute the standard angular-gap criterion used
 //! throughout the WSN hole-detection literature (documented in DESIGN.md):

@@ -50,7 +50,7 @@
 //! | [`baselines`] | `wsn-baselines` | 26-/17-approximation, CDS, flooding |
 //! | [`distributed`] | `wsn-distributed` | localized scheduling, distributed E-model (§VII) |
 //! | [`sim`] | `wsn-sim` | experiment sweeps, statistics, CSV |
-//! | [`bench`] | `wsn-bench` | figure/table regeneration harness |
+//! | [`bench`](mod@bench) | `wsn-bench` | figure/table regeneration harness |
 //! | [`obs`] | `wsn-obs` | counters/histograms/spans, Chrome-trace + Prometheus export |
 //! | [`serve`] | `wsn-serve` | fault-tolerant scheduler daemon: shards, deadline ladder, chaos harness |
 //!
@@ -89,8 +89,8 @@
 //! Schedules carry per-sender channel assignments, validated group by
 //! group through the model's reception rule
 //! (`Schedule::verify_with_model`). The `*_model` entry points
-//! (`solve_opt_model`, `run_pipeline_model`, `run_instance_model`) thread
-//! a model through, `sim::Sweep` grows a model/channel axis
+//! (`solve_opt_model`, `run_pipeline_model`) and `sim::run_instance_with`
+//! thread a model through, `sim::Sweep` grows a model/channel axis
 //! ([`phy::PhyModelSpec`]), and the `claims` binary's `--phy-bench-only`
 //! flag emits `BENCH_phy.json` comparing OPT/G-OPT latency across
 //! protocol vs SINR vs K ∈ {1, 2, 4} channels. The incremental conflict
@@ -125,11 +125,13 @@
 //!   instance from their previous incumbent, keyed on `(topology token,
 //!   model fingerprint, source)`.
 //!
-//! Portfolio width is a sweep axis (`sim::Sweep::search_threads`, wired
-//! through [`sim::AnytimeExec`] and the figure binaries'
-//! `--search-threads` flag), and `claims --parallel-bench-only` emits
-//! `BENCH_parallel.json` recording quality-at-budget across 1/2/4/8
-//! threads and the warm-start-vs-cold wall-time ratio.
+//! Both enter through one call, `Portfolio::solve(…, cache)`: the serving
+//! daemon's ladder runs every rung through it with the shard's cache. The
+//! sweep runner's anytime arm calls [`anytime::solve_anytime`] directly,
+//! because sweep instances are freshly sampled and never repeat.
+//! `claims --parallel-bench-only` emits `BENCH_parallel.json` recording
+//! quality-at-budget across 1/2/4/8 threads and the warm-start-vs-cold
+//! wall-time ratio.
 //!
 //! ## The reliability tier
 //!
@@ -211,9 +213,9 @@ pub mod prelude {
         ReliabilityReport, Schedule, ScheduleEntry, ScheduleError, SearchConfig, SearchOutcome,
     };
     pub use wsn_anytime::{
-        reschedule, reschedule_cached, solve_anytime, solve_anytime_cached, solve_anytime_reliable,
-        AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta, Portfolio, ReliableOutcome,
-        RepairOutcome, ScheduleCache, TracePoint,
+        reschedule, reschedule_cached, solve_anytime, solve_anytime_reliable, AnytimeConfig,
+        AnytimeOutcome, Budget, ChurnDelta, Portfolio, ReliableOutcome, RepairOutcome,
+        ScheduleCache, TracePoint,
     };
     pub use wsn_baselines::{
         flood_once, schedule_17_approx, schedule_26_approx, schedule_cds_layered, schedule_layered,
@@ -236,9 +238,8 @@ pub mod prelude {
     pub use wsn_serve::{Daemon, DaemonConfig, Request, ShardSpec};
     pub use wsn_sim::{
         mean_coverage_quality, replan_on_drift, replay_faulty, replay_lossy, replay_lossy_quality,
-        run_instance, run_instance_exec, run_instance_model, run_instance_with, simulate_acks,
-        Algorithm, AnytimeExec, DriftReplan, FaultParams, FaultScript, LinkEstimator, Regime,
-        Summary, Sweep,
+        run_instance, run_instance_with, simulate_acks, Algorithm, DriftReplan, FaultParams,
+        FaultScript, LinkEstimator, Regime, Summary, Sweep,
     };
     pub use wsn_topology::{
         deploy::SyntheticDeployment, fixtures, metrics, LinkQuality, LinkQualityParams, NodeId,

@@ -19,6 +19,7 @@
 
 use mlbs::obs::{export, EventKind, Recorder, TraceEvent};
 use mlbs::prelude::*;
+use mlbs::serve::Json;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -156,13 +157,13 @@ fn chrome_trace_of_portfolio_run_is_valid_and_nested() {
     mlbs::obs::install(rec.clone());
     let (topo, src) = SyntheticDeployment::paper(80).sample(11);
     let port = Portfolio::with_config(anytime_cfg(0x0B5_0003), 2);
-    let out = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel);
+    let out = port.solve(&topo, src, &AlwaysAwake, &ProtocolModel, None);
     mlbs::obs::uninstall();
     assert!(out.latency >= 1);
 
     // The export parses as JSON and carries both event phases.
     let chrome = export::chrome_trace(&rec);
-    export::validate_json(&chrome).expect("chrome trace must be valid JSON");
+    Json::parse(&chrome).expect("chrome trace must be valid JSON");
     assert!(chrome.contains("\"ph\":\"X\""), "no span events exported");
     assert!(chrome.contains("anytime.chain"));
     assert!(chrome.contains("portfolio.solve"));
@@ -190,6 +191,22 @@ fn chrome_trace_of_portfolio_run_is_valid_and_nested() {
     let prom = export::prometheus(&rec);
     assert!(prom.contains("portfolio_solves_total"));
     assert!(prom.contains("anytime_wall_us_count"));
+}
+
+#[test]
+fn chrome_trace_of_span_and_instant_parses() {
+    let rec = Recorder::new();
+    drop(rec.span("fam.span"));
+    rec.instant("fam.mark", Some(7));
+    let chrome = Json::parse(&export::chrome_trace(&rec)).expect("chrome trace is valid JSON");
+    let phases: Vec<&str> = chrome
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .map(|e| e.get("ph").and_then(Json::as_str).expect("ph"))
+        .collect();
+    assert_eq!(phases, ["X", "i"]);
 }
 
 /// A chain that stalls on its incumbent rewinds the frozen structure

@@ -1,7 +1,7 @@
 //! Warm-start schedule cache: remember the best schedule per
 //! `(topology token, model fingerprint, source)` and feed it back to the
 //! legalizer as hints on the next solve of the same instance. Pass one to
-//! [`Portfolio::solve`](crate::Portfolio::solve).
+//! [`solve_anytime_cached`](crate::solve_anytime_cached).
 //!
 //! The anytime driver's cold start pays a full greedy construction plus
 //! the whole climb back to the incumbent; a churn re-run or a repeated

@@ -7,18 +7,17 @@
 //! number, a TabuCol squash-repair on an odd one. A kick and an acceptance
 //! both reset the stall counter, so with the default of 3 stalls the kicks
 //! from a clean start land on passes 4, 8, 12, …: always even, always a
-//! restart. A squash fires only after an acceptance on an odd pass (or a
-//! portfolio adoption before an even one) shifts that phase.
+//! restart. A squash fires only after an acceptance on an odd pass shifts
+//! that phase.
 //!
 //! The incumbent's [`PartialSchedule`] is frozen once and kept while the
 //! incumbent stands; each compress or squash pass rewinds it
 //! ([`PartialSchedule::rewind`]) instead of freezing it again.
 //!
-//! [`solve_anytime`] runs one search chain. The same chain body
-//! ([`run_chain`]) also powers the parallel [`Portfolio`](crate::Portfolio)
-//! — a chain can start from a warm schedule (cache hits) and, under
-//! wall-clock budgets, exchange incumbents with sibling chains through a
-//! [`SharedBest`](crate::portfolio::SharedBest).
+//! There is one search chain ([`run_chain`]). [`solve_anytime`] runs it
+//! cold; [`solve_anytime_cached`] warm-starts it from a
+//! [`ScheduleCache`] hit and folds the result back into the cache; the
+//! repair tier runs it under a dead-node mask.
 
 use mlbs_core::Schedule;
 use rand::rngs::StdRng;
@@ -30,9 +29,9 @@ use wsn_interference::ConflictGraphBuilder;
 use wsn_phy::ConflictModel;
 use wsn_topology::{metrics, NodeId, Topology};
 
+use crate::cache::ScheduleCache;
 use crate::legalize::{Hints, Legalizer};
 use crate::partial::{PartialSchedule, StepOutcome};
-use crate::portfolio::SharedBest;
 
 /// When the anytime search stops.
 ///
@@ -198,11 +197,9 @@ impl Clock {
     }
 }
 
-/// Per-chain wiring for [`run_chain`]: how one search chain plugs into a
-/// portfolio (or doesn't).
+/// Per-chain wiring for [`run_chain`]: where the chain starts and which
+/// nodes it schedules.
 pub(crate) struct ChainCtx<'a> {
-    /// Shared incumbent exchange; `None` runs the chain standalone.
-    pub(crate) shared: Option<&'a SharedBest>,
     /// Warm-start schedule fed to the first legalization as hints.
     pub(crate) warm: Option<&'a Schedule>,
     /// Dead-node mask (churn repair): masked nodes never transmit, are
@@ -212,19 +209,14 @@ pub(crate) struct ChainCtx<'a> {
 }
 
 impl ChainCtx<'_> {
-    /// A standalone chain: no sharing, cold start.
+    /// A cold chain over every node.
     pub(crate) fn standalone() -> ChainCtx<'static> {
         ChainCtx {
-            shared: None,
             warm: None,
             dead: None,
         }
     }
 }
-
-/// Priority demotion applied to elite-signature nodes during biased
-/// restarts (portfolio diversity).
-const ELITE_BIAS_PENALTY: u32 = 2;
 
 /// Slot-keyed legalizer hints reproducing `schedule`'s sender placement.
 fn hints_of(schedule: &Schedule) -> Hints {
@@ -268,11 +260,35 @@ pub fn solve_anytime<S: WakeSchedule, M: ConflictModel>(
     run_chain(topo, source, wake, model, config, ChainCtx::standalone())
 }
 
-/// One search chain — the body behind [`solve_anytime`] and every
-/// [`Portfolio`](crate::Portfolio) worker. With `ctx.shared == None` and
-/// `ctx.warm == None` this is bit-identical to the historical serial
-/// driver under iteration budgets (the sharing hooks and the warm seed are
-/// the only additions, and both are inert when absent).
+/// [`solve_anytime`] through a warm-start cache: a hit seeds the chain's
+/// first legalization with the previous incumbent for this instance, and
+/// the result is folded back into the cache either way. With an empty
+/// cache this is bit-identical to [`solve_anytime`].
+///
+/// # Panics
+///
+/// Panics when the topology is disconnected.
+pub fn solve_anytime_cached<S: WakeSchedule, M: ConflictModel>(
+    cache: &mut ScheduleCache,
+    topo: &Topology,
+    source: NodeId,
+    wake: &S,
+    model: &M,
+    config: &AnytimeConfig,
+) -> AnytimeOutcome {
+    let warm = cache.lookup(topo, model, source);
+    let ctx = ChainCtx {
+        warm: warm.as_ref(),
+        dead: None,
+    };
+    let out = run_chain(topo, source, wake, model, config, ctx);
+    cache.observe(topo, model, source, &out.schedule);
+    out
+}
+
+/// One search chain: the body behind [`solve_anytime`],
+/// [`solve_anytime_cached`] and the repair tier. With `ctx.warm == None`
+/// and `ctx.dead == None` it is the cold serial driver.
 pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     topo: &Topology,
     source: NodeId,
@@ -300,8 +316,8 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
             .unwrap_or(0),
     );
 
-    // One span per chain; under a portfolio each worker thread gets its
-    // own tid, so the Chrome export shows the workers side by side.
+    // One span per chain; chains on different threads get their own tids,
+    // so the Chrome export shows them side by side.
     let mut chain_span = wsn_obs::span("anytime.chain");
     let mut clock = Clock {
         budget: config.budget,
@@ -323,7 +339,6 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         seed_hints,
         config.start_from,
         0,
-        None,
         ctx.dead,
         &mut rng,
     );
@@ -338,9 +353,6 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     let mut detail = Vec::new();
     push_detail(&mut detail, &clock, best.latency(), TraceKind::Incumbent);
     wsn_obs::event_value("anytime.incumbent", best.latency() as i64);
-    if let Some(shared) = ctx.shared {
-        shared.offer(&best, topo.len());
-    }
     let mut passes = 0u64;
     let mut restarts = 0u64;
     let mut stalls = 0u32;
@@ -365,34 +377,16 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         }
         let pass_started_ms = clock.elapsed_ms();
 
-        // Adopt a better incumbent published by a sibling chain.
-        if let Some(shared) = ctx.shared {
-            if let Some(elite) = shared.adopt_if_better(best.latency()) {
-                best = elite;
-                frozen = None;
-                trace.push(TracePoint {
-                    elapsed_ms: clock.elapsed_ms(),
-                    moves: clock.moves,
-                    latency: best.latency(),
-                });
-                push_detail(&mut detail, &clock, best.latency(), TraceKind::Incumbent);
-                wsn_obs::event_value("anytime.adopt", best.latency() as i64);
-                stalls = 0;
-            }
-        }
-
         passes += 1;
         let _pass_span = wsn_obs::span("anytime.pass");
         let kick = stalls >= config.stalls_before_kick;
         let restarted = kick && passes.is_multiple_of(2);
         let candidate = if restarted {
             // Kick A: randomized greedy restart (fresh construction with
-            // jittered priorities), steered away from the shared elite's
-            // early-sender signature when running in a portfolio.
+            // jittered priorities).
             restarts += 1;
             wsn_obs::event("anytime.restart");
             clock.moves += topo.len() as u64 / 64 + 1;
-            let bias_sig = ctx.shared.and_then(SharedBest::elite_signature);
             Some(legalizer.legalize(
                 topo,
                 source,
@@ -401,7 +395,6 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                 &no_hints,
                 config.start_from,
                 config.jitter,
-                bias_sig.as_ref().map(|sig| (sig, ELITE_BIAS_PENALTY)),
                 ctx.dead,
                 &mut rng,
             ))
@@ -472,7 +465,6 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                     &hints,
                     config.start_from,
                     0,
-                    None,
                     ctx.dead,
                     &mut rng,
                 )
@@ -501,9 +493,6 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                     });
                     push_detail(&mut detail, &clock, best.latency(), TraceKind::Incumbent);
                     wsn_obs::event_value("anytime.incumbent", best.latency() as i64);
-                    if let Some(shared) = ctx.shared {
-                        shared.offer(&best, topo.len());
-                    }
                     stalls = 0;
                 } else {
                     stalls += 1;

@@ -68,10 +68,7 @@ impl Legalizer {
     /// their hinted slots (silently skipped when stale — not yet informed,
     /// asleep, already transmitted, or conflicting); the frontier fills the
     /// rest greedily by descending uninformed-degree, plus `jitter` random
-    /// priority noise when diversifying. `bias`, when given, demotes the
-    /// priority of nodes in the set by the penalty — the portfolio uses it
-    /// to steer restarts away from the shared elite's early-sender
-    /// signature so parallel chains explore different basins.
+    /// priority noise when diversifying.
     ///
     /// `dead`, when given, removes those nodes from the broadcast: they
     /// never transmit, are owed no coverage, and don't witness conflicts —
@@ -93,7 +90,6 @@ impl Legalizer {
         hints: &Hints,
         start_from: Slot,
         jitter: u32,
-        bias: Option<(&NodeSet, u32)>,
         dead: Option<&NodeSet>,
         rng: &mut StdRng,
     ) -> Schedule {
@@ -134,13 +130,7 @@ impl Legalizer {
                     } else {
                         0
                     };
-                    let mut priority = self.useful[u.idx()] + noise;
-                    if let Some((sig, penalty)) = bias {
-                        if sig.contains(u.idx()) {
-                            priority = priority.saturating_sub(penalty);
-                        }
-                    }
-                    self.order.push((priority, u));
+                    self.order.push((self.useful[u.idx()] + noise, u));
                 }
             }
             self.order

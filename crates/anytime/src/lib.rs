@@ -29,27 +29,23 @@
 //! relay count; since passes rewind instead of re-freezing, that charge
 //! is a budget contract kept for reproducibility, not work done.
 //!
-//! Two multipliers sit on top of the single chain: [`Portfolio`] races N
-//! independently-seeded chains on scoped threads (wall-clock chains
-//! exchange incumbents through a lock-light shared best; iteration-budget
-//! portfolios stay bit-reproducible and never lose to the serial driver),
-//! and [`ScheduleCache`] warm-starts repeat solves of a held instance from
-//! their previous incumbent (pass one to [`Portfolio::solve`]).
+//! There is one search chain. [`solve_anytime_cached`] runs it through a
+//! [`ScheduleCache`], which warm-starts repeat solves of a held instance
+//! from their previous incumbent.
 
 mod cache;
 mod driver;
 mod legalize;
 mod partial;
-mod portfolio;
 mod reliable;
 mod repair;
 
 pub use cache::ScheduleCache;
 pub use driver::{
-    solve_anytime, AnytimeConfig, AnytimeOutcome, Budget, DetailPoint, TraceKind, TracePoint,
+    solve_anytime, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, DetailPoint,
+    TraceKind, TracePoint,
 };
 pub use partial::{PartialSchedule, StepOutcome};
-pub use portfolio::Portfolio;
 pub use reliable::{
     plan_repeats, solve_anytime_reliable, ReliableOutcome, RepeatLedger, MAX_REPEAT,
 };

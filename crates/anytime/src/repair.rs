@@ -248,7 +248,6 @@ pub fn reschedule<S: WakeSchedule, M: ConflictModel>(
         model,
         config,
         ChainCtx {
-            shared: None,
             warm: Some(&filtered),
             dead: Some(&mask),
         },
@@ -270,7 +269,6 @@ pub fn reschedule<S: WakeSchedule, M: ConflictModel>(
         model,
         &cold_cfg,
         ChainCtx {
-            shared: None,
             warm: None,
             dead: Some(&mask),
         },
@@ -430,12 +428,13 @@ mod tests {
     fn cached_repair_uses_the_incumbent() {
         let (topo, src) = deploy::SyntheticDeployment::paper(120).sample(8);
         let mut cache = ScheduleCache::new();
-        crate::Portfolio::with_config(cfg(2_000), 1).solve(
+        crate::solve_anytime_cached(
+            &mut cache,
             &topo,
             src,
             &AlwaysAwake,
             &ProtocolModel,
-            Some(&mut cache),
+            &cfg(2_000),
         );
         let victim = NodeId(if src.0 == 0 { 1 } else { 0 });
         let rep = reschedule_cached(

@@ -1,13 +1,15 @@
 //! Regression pins for the serial search chain.
 //!
-//! The portfolio refactor routed `solve_anytime` through the shared chain
-//! body (`run_chain`); these pins freeze the chain's iteration-budget
-//! behavior against values recorded from the pre-portfolio driver, so any
-//! future edit that silently perturbs the serial path — an extra RNG
-//! draw, a changed deadline cadence, a reordered accept test — fails
-//! loudly instead of drifting the recorded baselines.
+//! Every anytime entry runs the same chain body (`run_chain`); these pins
+//! freeze the chain's iteration-budget behavior against values recorded
+//! from the original serial driver, so any future edit that silently
+//! perturbs the serial path — an extra RNG draw, a changed deadline
+//! cadence, a reordered accept test — fails loudly instead of drifting the
+//! recorded baselines.
 
-use wsn_anytime::{solve_anytime, AnytimeConfig, AnytimeOutcome, Budget, Portfolio};
+use wsn_anytime::{
+    solve_anytime, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, ScheduleCache,
+};
 use wsn_dutycycle::AlwaysAwake;
 use wsn_phy::ProtocolModel;
 use wsn_topology::deploy;
@@ -62,7 +64,7 @@ fn serial_chain_is_bit_identical_to_pr5_driver() {
 }
 
 #[test]
-fn single_thread_portfolio_is_the_serial_chain() {
+fn cold_cached_solve_is_the_serial_chain() {
     for ((n, seed, budget), _) in PINS {
         let (topo, src) = deploy::SyntheticDeployment::paper(n).sample(seed);
         let cfg = AnytimeConfig {
@@ -70,19 +72,20 @@ fn single_thread_portfolio_is_the_serial_chain() {
             ..AnytimeConfig::default()
         };
         let serial = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        let port =
-            Portfolio::with_config(cfg, 1).solve(&topo, src, &AlwaysAwake, &ProtocolModel, None);
-        assert_eq!(port.latency, serial.latency);
-        assert_eq!(port.moves, serial.moves);
-        assert_eq!(port.passes, serial.passes);
-        assert_eq!(port.restarts, serial.restarts);
-        assert_eq!(schedule_sig(&port), schedule_sig(&serial), "n={n}");
+        let mut cache = ScheduleCache::new();
+        let cold = solve_anytime_cached(&mut cache, &topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cold.latency, serial.latency);
+        assert_eq!(cold.moves, serial.moves);
+        assert_eq!(cold.passes, serial.passes);
+        assert_eq!(cold.restarts, serial.restarts);
+        assert_eq!(schedule_sig(&cold), schedule_sig(&serial), "n={n}");
         // Traces carry wall-clock stamps; compare the deterministic parts.
         let lat = |t: &[wsn_anytime::TracePoint]| t.iter().map(|p| p.latency).collect::<Vec<_>>();
-        assert_eq!(lat(&port.trace), lat(&serial.trace));
+        assert_eq!(lat(&cold.trace), lat(&serial.trace));
         let det = |d: &[wsn_anytime::DetailPoint]| {
             d.iter().map(|p| (p.latency, p.kind)).collect::<Vec<_>>()
         };
-        assert_eq!(det(&port.detail), det(&serial.detail));
+        assert_eq!(det(&cold.detail), det(&serial.detail));
     }
 }

@@ -391,152 +391,6 @@ fn emit_anytime_baseline(path: &str, max_nodes: usize) {
     }
 }
 
-/// Emits `BENCH_parallel.json`: the parallel scheduling engine's
-/// quality record — portfolio anytime quality-at-budget at 1/2/4/8 chains
-/// under the scale-matched wall-clock budgets, and the warm-start cache's
-/// cold-vs-warm wall ratio. `hardware_threads` records the machine's
-/// actual parallelism: the portfolio check WARNs instead of asserting when
-/// the hardware cannot run four chains at once.
-fn emit_parallel_baseline(path: &str, max_nodes: usize) {
-    use wsn_anytime::Portfolio;
-
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-
-    // Portfolio quality-at-budget: latency and billed wall time at
-    // 1/2/4/8 chains under the scale-matched wall-clock budgets.
-    let scales: &[(usize, u64)] = &[(1_000, 2_000), (10_000, 5_000), (100_000, 10_000)];
-    let mut port_rows = Vec::new();
-    for &(n, budget_ms) in scales.iter().filter(|&&(n, _)| n <= max_nodes) {
-        let (topo, src) = SyntheticDeployment::scaled(n).sample(7);
-        let mut runs = Vec::new();
-        let mut serial_latency = None;
-        let mut best_latency = u64::MAX;
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = AnytimeConfig {
-                budget: Budget::WallClockMs(budget_ms),
-                ..AnytimeConfig::default()
-            };
-            let t0 = std::time::Instant::now();
-            let out = Portfolio::with_config(cfg, threads).solve(
-                &topo,
-                src,
-                &AlwaysAwake,
-                &ProtocolModel,
-                None,
-            );
-            let wall_us = t0.elapsed().as_micros();
-            out.schedule
-                .verify(&topo, &AlwaysAwake)
-                .expect("portfolio schedule must verify");
-            if threads == 1 {
-                serial_latency = Some(out.latency);
-                if n == 10_000 {
-                    // The PR 5 gap this PR closes: at bench scale the
-                    // improving-bound trace must be richer than a single
-                    // seed entry, and the detail trace richer still.
-                    check(
-                        "improving-bound trace is non-trivial at 10k nodes",
-                        (out.trace.len() >= 2 || out.proved_optimal)
-                            && out.detail.len() > out.trace.len(),
-                        format!(
-                            "{} incumbents, {} detail points over {} moves",
-                            out.trace.len(),
-                            out.detail.len(),
-                            out.moves
-                        ),
-                    );
-                }
-            }
-            if threads == 4 {
-                let serial = serial_latency.expect("threads=1 runs first");
-                check(
-                    &format!("portfolio-4 does not lose to serial at {n} nodes"),
-                    out.latency <= serial || hardware_threads < 4,
-                    format!(
-                        "portfolio {} vs serial {serial} within {budget_ms}ms \
-                         ({hardware_threads} hardware threads)",
-                        out.latency
-                    ),
-                );
-            }
-            best_latency = best_latency.min(out.latency);
-            runs.push(format!(
-                "      {{\"threads\": {threads}, \"latency\": {}, \"wall_us\": {wall_us}, \
-                 \"moves\": {}, \"restarts\": {}, \"trace_points\": {}}}",
-                out.latency,
-                out.moves,
-                out.restarts,
-                out.trace.len()
-            ));
-        }
-        port_rows.push(format!(
-            "    {{\"nodes\": {n}, \"budget_ms\": {budget_ms}, \"runs\": [\n{}\n    ]}}",
-            runs.join(",\n")
-        ));
-    }
-
-    // Warm-start cache: a hit must reach the previous incumbent in a
-    // small fraction of the cold wall time.
-    let warm_json = {
-        use wsn_anytime::ScheduleCache;
-        let n = 10_000.min(max_nodes.max(1_000));
-        let (topo, src) = SyntheticDeployment::scaled(n).sample(7);
-        let mut cache = ScheduleCache::new();
-        let cold_cfg = AnytimeConfig {
-            budget: Budget::WallClockMs(2_000),
-            ..AnytimeConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let cold = Portfolio::with_config(cold_cfg, 1).solve(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            Some(&mut cache),
-        );
-        let cold_us = t0.elapsed().as_micros();
-        let warm_cfg = AnytimeConfig {
-            budget: Budget::Iterations(0),
-            ..AnytimeConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let warm = Portfolio::with_config(warm_cfg, 1).solve(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            Some(&mut cache),
-        );
-        let warm_us = t0.elapsed().as_micros();
-        let fraction = warm_us as f64 / cold_us.max(1) as f64;
-        check(
-            &format!("warm-start hit reaches the incumbent in <10% of cold wall at {n} nodes"),
-            warm.latency <= cold.latency && fraction < 0.10,
-            format!(
-                "warm {} in {warm_us}us vs cold {} in {cold_us}us ({:.1}%)",
-                warm.latency,
-                cold.latency,
-                fraction * 100.0
-            ),
-        );
-        format!(
-            "{{\"nodes\": {n}, \"cold_latency\": {}, \"cold_us\": {cold_us}, \
-             \"warm_latency\": {}, \"warm_us\": {warm_us}, \"warm_fraction\": {fraction:.4}}}",
-            cold.latency, warm.latency
-        )
-    };
-
-    let json = format!(
-        "{{\n  \"bench\": \"parallel\",\n  \"hardware_threads\": {hardware_threads},\n  \
-         \"portfolio\": [\n{}\n  ],\n  \"warm_cache\": {warm_json}\n}}\n",
-        port_rows.join(",\n")
-    );
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("[claims] wrote {path}"),
-        Err(e) => eprintln!("[claims] could not write {path}: {e}"),
-    }
-}
-
 /// Emits `BENCH_reliability.json`: the ε-reliability pins. For each scale
 /// the lossy pin regime (distance-correlated loss, mild enough that two
 /// repeats per hop carry the probability mass) is replayed against three
@@ -713,11 +567,11 @@ fn emit_reliability_baseline(path: &str, max_nodes: usize) {
 ///    the 10k-node anytime pin must stay within 10% (best-of-5 alternating
 ///    walls; the instrumentation is per-pass/per-solve, never per-move).
 ///
-/// Alongside, it exercises the full metric surface (searcher, portfolio,
-/// cache, repair families) and validates both exporters: the Chrome trace
+/// Alongside, it exercises the full metric surface (searcher, cache,
+/// repair families) and validates both exporters: the Chrome trace
 /// parses as JSON, the Prometheus exposition carries every family.
 fn emit_obs_baseline(path: &str) {
-    use wsn_anytime::{reschedule, ChurnDelta, Portfolio, ScheduleCache};
+    use wsn_anytime::{reschedule, solve_anytime_cached, ChurnDelta, ScheduleCache};
     use wsn_obs::{export, Recorder};
     use wsn_serve::Json;
 
@@ -841,26 +695,31 @@ fn emit_obs_baseline(path: &str) {
     );
 
     // Exercise the remaining metric families on paper-scale instances
-    // (the recorder is still installed): searcher.* via G-OPT, portfolio.*
-    // via a 2-chain solve, cache.* via a warm-start miss + hit, repair.*
-    // via a single-death reschedule.
+    // (the recorder is still installed): searcher.* via G-OPT, cache.* via
+    // a warm-start miss + hit, repair.* via a single-death reschedule.
     let (ptopo, psrc) = SyntheticDeployment::paper(120).sample(5);
     let _ = mlbs_core::solve_gopt(&ptopo, psrc, &AlwaysAwake, &SearchConfig::default());
     let pcfg = AnytimeConfig {
         budget: Budget::Iterations(2_000),
         ..AnytimeConfig::default()
     };
-    let _ = Portfolio::with_config(pcfg.clone(), 2).solve(
+    let mut cache = ScheduleCache::new();
+    let cold = solve_anytime_cached(
+        &mut cache,
         &ptopo,
         psrc,
         &AlwaysAwake,
         &ProtocolModel,
-        None,
+        &pcfg,
     );
-    let mut cache = ScheduleCache::new();
-    let serial = Portfolio::with_config(pcfg.clone(), 1);
-    let cold = serial.solve(&ptopo, psrc, &AlwaysAwake, &ProtocolModel, Some(&mut cache));
-    let _ = serial.solve(&ptopo, psrc, &AlwaysAwake, &ProtocolModel, Some(&mut cache));
+    let _ = solve_anytime_cached(
+        &mut cache,
+        &ptopo,
+        psrc,
+        &AlwaysAwake,
+        &ProtocolModel,
+        &pcfg,
+    );
     let victim = cold
         .schedule
         .entries
@@ -890,7 +749,6 @@ fn emit_obs_baseline(path: &str) {
     let prom = export::prometheus(&rec);
     let families = [
         ("searcher", "searcher_gopt_solves_total"),
-        ("portfolio", "portfolio_solves_total"),
         ("cache", "cache_hits_total"),
         ("repair", "repair_reschedules_total"),
     ];
@@ -927,7 +785,7 @@ fn emit_obs_baseline(path: &str) {
 /// campaign (fault script + injected panics) with its p99 reschedule
 /// latency. `--serve-max-nodes N` caps the repair-pin axis (CI uses 1k).
 fn emit_serve_baseline(path: &str, max_nodes: usize) {
-    use wsn_anytime::{Portfolio, ScheduleCache};
+    use wsn_anytime::{solve_anytime_cached, ScheduleCache};
     use wsn_serve::{run_campaign, ChaosParams, Daemon, DaemonConfig, Json, Request};
     use wsn_sim::{replan_on_drift, simulate_acks, LinkEstimator};
     use wsn_topology::LinkQuality;
@@ -950,13 +808,7 @@ fn emit_serve_baseline(path: &str, max_nodes: usize) {
         };
         let mut cache = ScheduleCache::new();
         let t0 = std::time::Instant::now();
-        let base = Portfolio::with_config(cfg, 1).solve(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            Some(&mut cache),
-        );
+        let base = solve_anytime_cached(&mut cache, &topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
         let cold_us = t0.elapsed().as_micros().max(1);
 
         let assumed = LinkQuality::uniform(&topo, 0.99);
@@ -1032,8 +884,8 @@ fn emit_serve_baseline(path: &str, max_nodes: usize) {
         deadline_ms: 250,
     });
     check(
-        "a generous deadline lands on the portfolio tier",
-        ok(&warm) && warm.get("tier").and_then(Json::as_str) == Some("portfolio"),
+        "a generous deadline lands on the serial tier",
+        ok(&warm) && warm.get("tier").and_then(Json::as_str) == Some("serial"),
         format!("{warm}"),
     );
 
@@ -1240,22 +1092,6 @@ fn main() {
             }
         }
         emit_serve_baseline("BENCH_serve.json", max_nodes);
-        return;
-    }
-    if std::env::args().any(|a| a == "--parallel-bench-only") {
-        // Parallel-engine quick-look: BENCH_parallel.json alone.
-        // `--parallel-max-nodes N` caps the scale axis (CI uses 10k).
-        let mut max_nodes = 100_000usize;
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            if a == "--parallel-max-nodes" {
-                max_nodes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--parallel-max-nodes needs a number");
-            }
-        }
-        emit_parallel_baseline("BENCH_parallel.json", max_nodes);
         return;
     }
     emit_substrate_baseline("BENCH_substrate.json");

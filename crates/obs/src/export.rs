@@ -9,7 +9,7 @@ use crate::spans::EventKind;
 use crate::Recorder;
 use std::fmt::Write as _;
 
-/// Metric names are dotted (`portfolio.restarts`); Prometheus wants
+/// Metric names are dotted (`anytime.restarts`); Prometheus wants
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`, so dots (and any other stray byte) become
 /// underscores.
 pub fn sanitize(name: &str) -> String {

@@ -7,7 +7,7 @@
 //! - **Histograms** — log-linear buckets (16 sub-buckets per octave) for
 //!   wall-time and latency distributions with p50/p90/p99 extraction.
 //! - **Spans / events** — a bounded ring buffer of timeline entries with
-//!   per-thread ids, exportable as a Chrome trace of portfolio workers,
+//!   per-thread ids, exportable as a Chrome trace of search chains,
 //!   restart kicks, and repair races.
 //!
 //! Instrumentation sites call the free functions ([`counter_add`],

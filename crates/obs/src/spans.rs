@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default ring capacity; ~65k events is a few MB and plenty for a full
-/// portfolio run at pass-level granularity.
+/// anytime run at pass-level granularity.
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
 /// What a [`TraceEvent`] records.

@@ -2,16 +2,15 @@
 //!
 //! The daemon's serving contract is "always answer with a valid,
 //! verified schedule" — a deadline never times out with nothing. What
-//! shrinks with the deadline is *quality*, down four rungs:
+//! shrinks with the deadline is *quality*, down three rungs:
 //!
 //! | rung | deadline | solver |
 //! |---|---|---|
-//! | `Portfolio` | ≥ 200 ms | two-chain [`Portfolio`] race, wall-clock half the budget |
-//! | `Serial` | ≥ 50 ms | one-chain [`Portfolio`] (the serial chain), wall-clock half the budget |
-//! | `Warm` | ≥ 10 ms | one chain, small fixed iteration budget |
+//! | `Serial` | ≥ 50 ms | the anytime chain, wall-clock half the budget |
+//! | `Warm` | ≥ 10 ms | the anytime chain, small fixed iteration budget |
 //! | `Greedy` | < 10 ms | greedy legalizer only (`Budget::Iterations(0)`) |
 //!
-//! Every rung solves through [`Portfolio::solve`] with the shard's
+//! Every rung solves through [`solve_anytime_cached`] with the shard's
 //! [`ScheduleCache`], so a held topology warm-starts from its previous
 //! incumbent on whichever rung it lands.
 //!
@@ -24,16 +23,14 @@
 //! bottom rung serves a valid schedule.
 
 use wsn_anytime::{
-    reschedule, AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta, Portfolio, RepairOutcome,
-    ScheduleCache,
+    reschedule, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta,
+    RepairOutcome, ScheduleCache,
 };
 use wsn_dutycycle::WakeSchedule;
 use wsn_phy::ConflictModel;
 use wsn_topology::{NodeId, Topology};
 
-/// Deadline thresholds of the ladder, in ms (see module docs).
-pub const PORTFOLIO_MS: u64 = 200;
-/// Serial-anytime rung threshold.
+/// Serial-anytime rung threshold, in ms (see module docs).
 pub const SERIAL_MS: u64 = 50;
 /// Cached warm-start rung threshold.
 pub const WARM_MS: u64 = 10;
@@ -41,7 +38,8 @@ pub const WARM_MS: u64 = 10;
 /// Iteration budget of the `Warm` rung (bounded work, warm-started).
 const WARM_ITERS: u64 = 2_000;
 
-/// Quality tag of a served schedule — which rung produced it.
+/// Quality tag of a served schedule — which rung produced it. The derived
+/// order ranks quality: a later variant is a better rung.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
     /// Greedy legalizer only.
@@ -50,8 +48,6 @@ pub enum Tier {
     Warm,
     /// Serial anytime search on a wall-clock budget.
     Serial,
-    /// Multi-chain portfolio race on a wall-clock budget.
-    Portfolio,
 }
 
 impl Tier {
@@ -61,17 +57,6 @@ impl Tier {
             Tier::Greedy => "greedy",
             Tier::Warm => "warm",
             Tier::Serial => "serial",
-            Tier::Portfolio => "portfolio",
-        }
-    }
-
-    /// Monotone rank (higher = better quality).
-    pub fn rank(self) -> u8 {
-        match self {
-            Tier::Greedy => 0,
-            Tier::Warm => 1,
-            Tier::Serial => 2,
-            Tier::Portfolio => 3,
         }
     }
 
@@ -80,16 +65,13 @@ impl Tier {
             Tier::Greedy => "serve.tier.greedy",
             Tier::Warm => "serve.tier.warm",
             Tier::Serial => "serve.tier.serial",
-            Tier::Portfolio => "serve.tier.portfolio",
         }
     }
 }
 
 /// The rung a requested deadline buys.
 pub fn tier_for_deadline(deadline_ms: u64) -> Tier {
-    if deadline_ms >= PORTFOLIO_MS {
-        Tier::Portfolio
-    } else if deadline_ms >= SERIAL_MS {
+    if deadline_ms >= SERIAL_MS {
         Tier::Serial
     } else if deadline_ms >= WARM_MS {
         Tier::Warm
@@ -102,7 +84,7 @@ fn budget_for(tier: Tier, remaining_ms: u64) -> Budget {
     match tier {
         // Half the remaining budget for search; the other half is
         // headroom for legalization, verification, and reply framing.
-        Tier::Portfolio | Tier::Serial => Budget::WallClockMs((remaining_ms / 2).max(1)),
+        Tier::Serial => Budget::WallClockMs((remaining_ms / 2).max(1)),
         Tier::Warm => Budget::Iterations(WARM_ITERS),
         Tier::Greedy => Budget::Iterations(0),
     }
@@ -124,7 +106,7 @@ pub fn solve_with_deadline<S, M>(
     remaining_ms: u64,
 ) -> (AnytimeOutcome, Tier)
 where
-    S: WakeSchedule + Sync,
+    S: WakeSchedule,
     M: ConflictModel,
 {
     let tier = tier_for_deadline(deadline_ms);
@@ -132,8 +114,7 @@ where
         budget: budget_for(tier, remaining_ms),
         ..base.clone()
     };
-    let chains = if tier == Tier::Portfolio { 2 } else { 1 };
-    let out = Portfolio::with_config(cfg, chains).solve(topo, source, wake, model, Some(cache));
+    let out = solve_anytime_cached(cache, topo, source, wake, model, &cfg);
     out.schedule
         .verify_with_model(topo, wake, model)
         .expect("ladder produced an invalid schedule");
@@ -158,18 +139,12 @@ pub fn reschedule_with_deadline<S, M>(
     remaining_ms: u64,
 ) -> (RepairOutcome, Tier)
 where
-    S: WakeSchedule + Sync,
+    S: WakeSchedule,
     M: ConflictModel,
 {
     let tier = tier_for_deadline(deadline_ms);
-    // Repair chains are serial (the warm replay dominates); the portfolio
-    // rung maps onto a wall-clock repair budget instead of a chain race.
     let cfg = AnytimeConfig {
-        budget: match tier {
-            Tier::Portfolio | Tier::Serial => Budget::WallClockMs((remaining_ms / 2).max(1)),
-            Tier::Warm => Budget::Iterations(WARM_ITERS),
-            Tier::Greedy => Budget::Iterations(0),
-        },
+        budget: budget_for(tier, remaining_ms),
         ..base.clone()
     };
     let rep = reschedule(topo, source, wake, model, old, delta, &cfg);
@@ -193,11 +168,13 @@ mod tests {
         let mut last = Tier::Greedy;
         for d in 0..400 {
             let t = tier_for_deadline(d);
-            assert!(t.rank() >= last.rank(), "rank dropped at {d} ms");
+            assert!(t >= last, "rank dropped at {d} ms");
             last = t;
         }
         assert_eq!(tier_for_deadline(0), Tier::Greedy);
-        assert_eq!(tier_for_deadline(PORTFOLIO_MS), Tier::Portfolio);
+        for d in [SERIAL_MS, 200, 399] {
+            assert_eq!(tier_for_deadline(d), Tier::Serial, "{d} ms");
+        }
     }
 
     #[test]
@@ -230,13 +207,8 @@ mod tests {
             budget: Budget::Iterations(20_000),
             ..base.clone()
         };
-        let strong = Portfolio::with_config(good, 1).solve(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            Some(&mut cache),
-        );
+        let strong =
+            solve_anytime_cached(&mut cache, &topo, src, &AlwaysAwake, &ProtocolModel, &good);
         let (warm, tier) = solve_with_deadline(
             &topo,
             src,

@@ -2,8 +2,7 @@
 //! anytime tier.
 //!
 //! PRs 5–8 built the parts — [`ScheduleCache`](wsn_anytime::ScheduleCache)
-//! warm-starts, [`Portfolio`](wsn_anytime::Portfolio) races,
-//! [`reschedule`](wsn_anytime::reschedule) incremental repair, the
+//! warm-starts, [`reschedule`](wsn_anytime::reschedule) incremental repair, the
 //! TWCC-shaped [`LinkEstimator`](wsn_sim::LinkEstimator), and the
 //! `wsn_obs` recorder — and this crate is the long-running process that
 //! owns them while the network churns underneath:
@@ -14,7 +13,7 @@
 //!   isolation (`catch_unwind` → quarantine the cache → restart cold →
 //!   `serve.shard_restarts`).
 //! * **Deadline budgets and the degradation ladder** ([`ladder`]):
-//!   portfolio → serial anytime → cached warm-start → greedy legalizer.
+//!   serial anytime → cached warm-start → greedy legalizer.
 //!   Every deadline — including ~0 ms — is answered with a *valid,
 //!   verified* schedule plus a quality tag ([`Tier`]); nothing ever
 //!   times out with no answer.

@@ -6,12 +6,11 @@ use proptest::prelude::*;
 use wsn_dutycycle::AlwaysAwake;
 use wsn_serve::{Json, Request, ShardSpec, ShardState, Tier};
 
-fn rank(resp: &Json) -> u8 {
+fn tier(resp: &Json) -> Tier {
     match resp.get("tier").and_then(Json::as_str) {
-        Some("greedy") => Tier::Greedy.rank(),
-        Some("warm") => Tier::Warm.rank(),
-        Some("serial") => Tier::Serial.rank(),
-        Some("portfolio") => Tier::Portfolio.rank(),
+        Some("greedy") => Tier::Greedy,
+        Some("warm") => Tier::Warm,
+        Some("serial") => Tier::Serial,
         other => panic!("missing tier tag: {other:?}"),
     }
 }
@@ -55,7 +54,7 @@ proptest! {
         prop_assert!(s_hi.verify_with_model(&state.topo, &AlwaysAwake, &state.model).is_ok());
 
         prop_assert!(
-            rank(&r_lo) <= rank(&r_hi),
+            tier(&r_lo) <= tier(&r_hi),
             "tag not monotone: {} ms -> {:?}, {} ms -> {:?}",
             lo, r_lo.get("tier"), hi, r_hi.get("tier")
         );

@@ -394,7 +394,7 @@ mod tests {
 
     #[test]
     fn drift_replan_routes_through_the_cache_and_stays_incremental() {
-        use wsn_anytime::{AnytimeConfig, Budget, Portfolio, ScheduleCache};
+        use wsn_anytime::{solve_anytime_cached, AnytimeConfig, Budget, ScheduleCache};
         use wsn_dutycycle::AlwaysAwake;
         use wsn_phy::ProtocolModel;
         let (topo, src) = SyntheticDeployment::paper(150).sample(10);
@@ -405,13 +405,7 @@ mod tests {
             ..AnytimeConfig::default()
         };
         let mut cache = ScheduleCache::new();
-        let base = Portfolio::with_config(cfg, 1).solve(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            Some(&mut cache),
-        );
+        let base = solve_anytime_cached(&mut cache, &topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
         let mut est = LinkEstimator::new(&topo, 64);
         simulate_acks(&topo, &base.schedule, &truth, &mut est, 80, 11);
         let repair_cfg = AnytimeConfig {

@@ -46,7 +46,7 @@
 //! | [`phy`] | `wsn-phy` | pluggable conflict models: protocol, pairwise SINR, multi-channel |
 //! | [`interference`] | `wsn-interference` | conflict predicates, incremental conflict graphs, collision resolution |
 //! | [`coloring`] | `wsn-coloring` | greedy scheme, Eq. (1) validity, enumeration, broadcast-state substrate |
-//! | [`anytime`] | `wsn-anytime` | tabu/PARTIALCOL anytime local search, portfolio parallel search, warm-start cache |
+//! | [`anytime`] | `wsn-anytime` | tabu/PARTIALCOL anytime local search, warm-start cache |
 //! | [`baselines`] | `wsn-baselines` | 26-/17-approximation, CDS, flooding |
 //! | [`distributed`] | `wsn-distributed` | localized scheduling, distributed E-model (§VII) |
 //! | [`sim`] | `wsn-sim` | experiment sweeps, statistics, CSV |
@@ -111,27 +111,16 @@
 //! node networks schedule within seconds ([`sim::Algorithm::Anytime`],
 //! `claims --anytime-bench-only` → `BENCH_anytime.json`).
 //!
-//! ## The parallel scheduling engine
+//! ## The warm-start cache
 //!
-//! Two thread-parallel multipliers sit on the anytime tier, both built on
-//! scoped `std::thread` with deterministic contracts:
-//!
-//! * [`anytime::Portfolio`] races N independently-seeded search chains;
-//!   wall-clock portfolios exchange incumbents through a lock-light shared
-//!   best and bias restarts away from the elite's early-sender signature,
-//!   while iteration-budget portfolios stay bit-reproducible and provably
-//!   never lose to the serial chain (worker 0 runs the unsalted seed).
-//! * [`anytime::ScheduleCache`] warm-starts repeat solves of a held
-//!   instance from their previous incumbent, keyed on `(topology token,
-//!   model fingerprint, source)`.
-//!
-//! Both enter through one call, `Portfolio::solve(…, cache)`: the serving
-//! daemon's ladder runs every rung through it with the shard's cache. The
-//! sweep runner's anytime arm calls [`anytime::solve_anytime`] directly,
-//! because sweep instances are freshly sampled and never repeat.
-//! `claims --parallel-bench-only` emits `BENCH_parallel.json` recording
-//! quality-at-budget across 1/2/4/8 threads and the warm-start-vs-cold
-//! wall-time ratio.
+//! The anytime tier runs one search chain. [`anytime::ScheduleCache`]
+//! warm-starts repeat solves of a held instance from their previous
+//! incumbent, keyed on `(topology token, model fingerprint, source)`;
+//! [`anytime::solve_anytime_cached`] runs the chain through it, and the
+//! serving daemon's ladder runs every rung through it with the shard's
+//! cache. The sweep runner's anytime arm calls [`anytime::solve_anytime`]
+//! directly, because sweep instances are freshly sampled and never
+//! repeat.
 //!
 //! ## The reliability tier
 //!
@@ -169,8 +158,8 @@
 //! [`sim::LinkEstimator`] — so solve / churn-reschedule / quality-update
 //! requests skip construction entirely. Every request carries a deadline
 //! budget mapped onto [`anytime::Budget::WallClockMs`], and a
-//! degradation ladder (portfolio → serial anytime → cached warm-start →
-//! greedy legalizer) guarantees *some* verified schedule is always
+//! degradation ladder (serial anytime → cached warm-start → greedy
+//! legalizer) guarantees *some* verified schedule is always
 //! returned, tagged with the quality tier that produced it — the tag is
 //! monotone in the deadline by construction. Bounded per-shard queues
 //! shed oldest-deadline-first with explicit `overloaded` + retry-after
@@ -213,8 +202,8 @@ pub mod prelude {
         ReliabilityReport, Schedule, ScheduleEntry, ScheduleError, SearchConfig, SearchOutcome,
     };
     pub use wsn_anytime::{
-        reschedule, reschedule_cached, solve_anytime, solve_anytime_reliable, AnytimeConfig,
-        AnytimeOutcome, Budget, ChurnDelta, Portfolio, ReliableOutcome, RepairOutcome,
+        reschedule, reschedule_cached, solve_anytime, solve_anytime_cached, solve_anytime_reliable,
+        AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta, ReliableOutcome, RepairOutcome,
         ScheduleCache, TracePoint,
     };
     pub use wsn_baselines::{

@@ -7,6 +7,31 @@
 //! `26·d` for the synchronous 26-approximation of \[2\] and `17·k·d` for
 //! the duty-cycle 17-approximation of \[12\], with `k` the maximum wait
 //! between any pair of neighbors.
+//!
+//! It also holds the admissible lower bounds the exact searches prune with.
+//! From a state `(W, t)` — informed set `W`, every member free to send from
+//! slot `t` on — no schedule completes before:
+//!
+//! * [`remaining_hops_profile`]: the farthest uninformed node in hops. Each
+//!   slot extends the informed set by at most one hop.
+//! * [`FloodBound`]: the completion slot of a conflict-free flood under the
+//!   same wake schedule. Every informed node sends at its first sending
+//!   slot `wake.next_send(u, ready)`; a node reached in slot `s` is ready
+//!   at `s + 1`. A Dijkstra over these send slots gives each node's
+//!   earliest arrival, and the bound is the latest arrival `− t + 1`.
+//!
+//! The flood bound is sound because `next_send` is FIFO: it returns the
+//! first sending slot at or after `from`, so it never decreases as `from`
+//! grows. Take any schedule from `(W, t)` and a node
+//! `v` it first informs in slot `s`, through sender `u`. By induction over
+//! `s`, `u` became ready no earlier than in the flood. The sender is awake
+//! in `s`, so `s ≥ next_send(u, ready)`, and by FIFO that is no earlier
+//! than the slot the flood sends `u` in, which is when the flood reaches
+//! `v` at the latest. Conflicts only remove senders, so no schedule
+//! informs any node before the flood does. Under
+//! [`wsn_dutycycle::AlwaysAwake`] the flood advances one hop per slot and
+//! the two bounds coincide; under a duty cycle the flood also counts the
+//! waits for wake-ups.
 
 use wsn_bitset::NodeSet;
 use wsn_dutycycle::{Slot, WakeSchedule};
@@ -50,15 +75,10 @@ pub fn max_neighbor_wait<S: WakeSchedule>(topo: &Topology, wake: &S) -> Slot {
 /// set `W`: the farthest uninformed node in hops. Each slot launches at
 /// most one conflict-free advance, which extends the informed set by at
 /// most one hop, so at least `h` further slots are needed to reach a node
-/// `h` hops away. Used by the branch-and-bound searches.
-pub fn remaining_hops_lower_bound(topo: &Topology, informed: &NodeSet) -> Slot {
-    remaining_hops_profile(topo, informed).0
-}
-
-/// As [`remaining_hops_lower_bound`], additionally returning the per-node
-/// BFS hop distances from `W` that the bound was computed from. The search
-/// reuses the profile to score branch orderings (deep uninformed nodes are
-/// worth informing first) without running a second BFS per state.
+/// `h` hops away. Also returns the per-node BFS hop distances from `W` the
+/// bound was computed from. The search reuses the profile to score branch
+/// orderings (deep uninformed nodes are worth informing first) without
+/// running a second BFS per state.
 pub fn remaining_hops_profile(topo: &Topology, informed: &NodeSet) -> (Slot, Vec<u32>) {
     let dist = metrics::bfs_hops_from_set(topo, informed);
     let mut far = 0;
@@ -76,6 +96,95 @@ pub fn remaining_hops_profile(topo: &Topology, informed: &NodeSet) -> (Slot, Vec
     (far as Slot, dist)
 }
 
+/// The wake-aware flood bound (see the module doc), with the scratch it
+/// reuses across calls so a search allocates nothing per state.
+#[derive(Debug, Default)]
+pub struct FloodBound {
+    /// Bitset words of the nodes informed or already reached.
+    reached: Vec<u64>,
+    /// `buckets[k]` holds the nodes whose first send is in slot `t + k`.
+    buckets: Vec<Vec<u32>>,
+}
+
+impl FloodBound {
+    /// Empty scratch; it grows to the topology on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Lower bound on the remaining delay from `(informed, t)`: the slots
+    /// from `t` through the flood's last first-reception, inclusive — or
+    /// `budget + 1` once the flood proves the remainder exceeds `budget`
+    /// (pass `Slot::MAX` for the uncapped bound). `0` when every node is
+    /// informed.
+    ///
+    /// Send slots are small offsets from `t`, so the Dijkstra runs on a
+    /// bucket queue indexed by offset. Only informed nodes with an
+    /// uninformed neighbor seed it, each node is queued at most once (FIFO
+    /// `next_send` makes its first arrival its earliest), and a send
+    /// informs its whole neighborhood in one word-parallel step.
+    pub fn lower_bound<S: WakeSchedule>(
+        &mut self,
+        topo: &Topology,
+        wake: &S,
+        informed: &NodeSet,
+        t: Slot,
+        budget: Slot,
+    ) -> Slot {
+        let mut remaining = topo.len() - informed.len();
+        if remaining == 0 {
+            return 0;
+        }
+        let FloodBound { reached, buckets } = self;
+        reached.clear();
+        reached.extend_from_slice(informed.words());
+        buckets.iter_mut().for_each(Vec::clear);
+        // A send `budget` or more slots after `t` informs its receivers too
+        // late to matter: the remainder already exceeds the budget.
+        let queue = |buckets: &mut Vec<Vec<u32>>, u: usize, send: Slot| {
+            let k = send - t;
+            if k < budget {
+                let k = k as usize;
+                if k >= buckets.len() {
+                    buckets.resize_with(k + 1, Vec::new);
+                }
+                buckets[k].push(u as u32);
+            }
+        };
+        for u in informed.iter() {
+            if !topo.neighbor_set(NodeId(u as u32)).is_subset(informed) {
+                queue(buckets, u, wake.next_send(u, t));
+            }
+        }
+        let mut k = 0;
+        while k < buckets.len() {
+            let mut i = 0;
+            while i < buckets[k].len() {
+                let u = NodeId(buckets[k][i]);
+                i += 1;
+                let words = topo.neighbor_set(u).words();
+                for (wi, (&nbrs, seen)) in words.iter().zip(reached.iter_mut()).enumerate() {
+                    let mut fresh = nbrs & !*seen;
+                    *seen |= nbrs;
+                    while fresh != 0 {
+                        let v = wi * 64 + fresh.trailing_zeros() as usize;
+                        fresh &= fresh - 1;
+                        remaining -= 1;
+                        if remaining == 0 {
+                            return k as Slot + 1;
+                        }
+                        queue(buckets, v, wake.next_send(v, t + k as Slot + 1));
+                    }
+                }
+            }
+            k += 1;
+        }
+        // The unreached nodes hang off sends dropped past the budget (or
+        // off nothing, on a disconnected topology).
+        budget.saturating_add(1)
+    }
+}
+
 /// Eccentricity of the source, the `d` every bound is phrased in.
 ///
 /// # Panics
@@ -88,7 +197,7 @@ pub fn source_eccentricity(topo: &Topology, source: NodeId) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_dutycycle::{AlwaysAwake, WindowedRandom};
+    use wsn_dutycycle::{AlwaysAwake, ExplicitSchedule, WindowedRandom};
     use wsn_topology::{deploy, fixtures};
 
     #[test]
@@ -121,7 +230,7 @@ mod tests {
         // and the optimum is exactly 2.
         let f = fixtures::fig2a();
         let w = NodeSet::from_indices(5, [f.source.idx()]);
-        assert_eq!(remaining_hops_lower_bound(&f.topo, &w), 2);
+        assert_eq!(remaining_hops_profile(&f.topo, &w).0, 2);
         let out = crate::solve_gopt(
             &f.topo,
             f.source,
@@ -134,7 +243,24 @@ mod tests {
     #[test]
     fn lower_bound_zero_when_one_hop_remains_nowhere() {
         let f = fixtures::fig2a();
-        assert_eq!(remaining_hops_lower_bound(&f.topo, &NodeSet::full(5)), 0);
+        assert_eq!(remaining_hops_profile(&f.topo, &NodeSet::full(5)).0, 0);
+    }
+
+    #[test]
+    fn flood_bound_counts_wake_waits() {
+        // Fig 2(e) under the Table IV wake schedule: the source sends at
+        // slot 2, node "2" wakes at 4 and finishes the broadcast, so the
+        // optimum spans slots 2..=4. The hop bound sees only 2 hops.
+        let f = fixtures::fig2a();
+        let wake = ExplicitSchedule::new(vec![vec![2], vec![4, 13], vec![4], vec![9], vec![9]], 20);
+        let w = NodeSet::from_indices(5, [f.source.idx()]);
+        let mut flood = FloodBound::new();
+        assert_eq!(remaining_hops_profile(&f.topo, &w).0, 2);
+        assert_eq!(flood.lower_bound(&f.topo, &wake, &w, 2, Slot::MAX), 3);
+        // A budget the flood proves too small comes back as budget + 1.
+        assert_eq!(flood.lower_bound(&f.topo, &wake, &w, 2, 1), 2);
+        let out = crate::solve_opt(&f.topo, f.source, &wake, &crate::SearchConfig::default());
+        assert_eq!(out.latency, 3);
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //! * **Upper bound seeding** — the pipeline with the plain greedy selector
 //!   provides an achievable initial budget, so the search only explores
 //!   improving branches.
-//! * **Lower bound** — an uninformed node `h` hops from `W` needs at least
-//!   `h` further slots (one advance per slot); see
-//!   [`crate::bounds::remaining_hops_lower_bound`].
+//! * **Lower bound** — `max(hop, flood)`. An uninformed node `h` hops from
+//!   `W` needs at least `h` further slots (one advance per slot). Under a
+//!   duty cycle the conflict-free flood from `(W, t)` also counts the
+//!   waits for wake-ups: no schedule completes before it does; see
+//!   [`crate::bounds::FloodBound`]. A state whose bound exceeds its budget
+//!   is pruned and memoized as a lower bound, and a branch that meets the
+//!   bound ends the state's branch loop.
 //! * **Branch rules** — greedy classes (G-OPT), or every maximal
 //!   conflict-free sender set plus the maximal extensions of the greedy
 //!   classes (OPT; including the extensions guarantees OPT ≤ G-OPT even
@@ -25,15 +29,26 @@
 //! in `tests/` check optimality against exhaustive search on small
 //! instances.
 //!
-//! # DESIGN: phase folding, dominance pruning, and adaptive caps
+//! # DESIGN: the flood bound, phase folding, dominance pruning, and adaptive caps
 //!
 //! Keying the memo on the raw phase is what makes the duty-cycled regime
 //! hard: `WindowedRandom` has `P = r × windows`, so at `r = 50` the phase
 //! axis alone multiplies the state space by thousands, and the same
-//! informed set reached along two timing paths memoizes twice. Three
+//! informed set reached along two timing paths memoizes twice. Four
 //! mechanisms attack that, all default-compatible with the synchronous
 //! pins:
 //!
+//! * **The wake-aware flood bound** ([`crate::bounds::FloodBound`]). The
+//!   hop bound ignores wake-ups, so on duty instances it sits far below
+//!   the true remainder and the branch loop rarely stops early. The flood
+//!   bound is the completion slot of a conflict-free flood under the same
+//!   wake schedule, and it is often tight: then the first path that meets
+//!   it is proved optimal. It is the one prune G-OPT gets, since G-OPT has
+//!   no dominance pruning (below). It runs only when the period exceeds 1
+//!   (a period-1 schedule is always awake, and there the flood equals the
+//!   hop bound), reuses its scratch across states, and stops as soon as it
+//!   proves the state over budget. No option turns it off: a proven lower
+//!   bound only cuts subtrees that cannot beat the budget.
 //! * **Phase-folded memo keys** ([`SearchConfig::phase_fold`]). The
 //!   remaining delay from `(W, t)` depends on the wake schedule only
 //!   through `can_send(u, t + h)` for nodes `u` in the *relevant set*
@@ -86,7 +101,7 @@
 //! size, so small duty instances complete exactly where the old constant
 //! caps forced a beam.
 
-use crate::bounds::remaining_hops_profile;
+use crate::bounds::{remaining_hops_profile, FloodBound};
 use crate::pipeline::{run_pipeline_model, MaxReceiversSelector, PipelineConfig};
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::trace::{SearchTrace, TraceOption, TraceState};
@@ -548,6 +563,8 @@ struct Searcher<'a, S: WakeSchedule, M: ConflictModel> {
     /// Shared substrate: scratch sets, candidate buffers, and the
     /// incrementally-maintained conflict graph.
     state: &'a mut BroadcastState,
+    /// Scratch for the per-state wake-aware flood bound.
+    flood: FloodBound,
     /// Scratch for branch coverage scoring.
     score_scratch: NodeSet,
     /// Scratch: the uninformed set of the state being branched (channel
@@ -587,6 +604,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
                 && rule == BranchRule::MaximalSets
                 && model.channels() == 1,
             state,
+            flood: FloodBound::new(),
             score_scratch: NodeSet::new(topo.len()),
             unf_scratch: NodeSet::new(topo.len()),
             stats: SearchStats::default(),
@@ -668,6 +686,15 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         let exact = !fell_back
             && !self.stats.state_cap_hit
             && (self.rule == BranchRule::GreedyClasses || self.stats.truncated_enumerations == 0);
+        let latency = schedule.latency();
+        debug_assert!(
+            !exact
+                || self
+                    .flood
+                    .lower_bound(self.topo, self.wake, &w0, t_s, latency)
+                    <= latency,
+            "the flood bound exceeds an exact latency: it is unsound"
+        );
         let conflict = self.state.conflict_stats().since(&conflict_base);
         self.stats.conflict_rows_built = conflict.rows_built;
         self.stats.conflict_rows_reused = conflict.rows_reused;
@@ -675,7 +702,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         self.stats.memo_entries = self.memo.len();
         self.stats.phase_classes = self.folder.as_ref().map_or(0, |f| f.joints.len());
         SearchOutcome {
-            latency: schedule.latency(),
+            latency,
             schedule,
             exact,
             stats: self.stats.clone(),
@@ -871,6 +898,20 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             self.stats.pruned += 1;
             self.record_lower_bound(sid, phase, informed, hop_lb);
             return None;
+        }
+        // Under a duty cycle the conflict-free flood also counts the waits
+        // for wake-ups. A period-1 schedule is always awake, and there the
+        // flood equals the hop bound.
+        if self.wake.period() > 1 {
+            let flood_lb = self
+                .flood
+                .lower_bound(self.topo, self.wake, informed, t, budget);
+            lb = lb.max(flood_lb);
+            if flood_lb > budget {
+                self.stats.pruned += 1;
+                self.record_lower_bound(sid, phase, informed, flood_lb);
+                return None;
+            }
         }
 
         // Superset dominance: a memoized exact result for W' ⊇ W at this

@@ -46,10 +46,8 @@ pub use driver::{
     TraceKind, TracePoint,
 };
 pub use partial::{PartialSchedule, StepOutcome};
-pub use reliable::{
-    plan_repeats, solve_anytime_reliable, ReliableOutcome, RepeatLedger, MAX_REPEAT,
-};
-pub use repair::{reschedule, reschedule_cached, ChurnDelta, RepairOutcome};
+pub use reliable::{plan_repeats, solve_anytime_reliable, ReliableOutcome, MAX_REPEAT};
+pub use repair::{reschedule, ChurnDelta, RepairOutcome};
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@
 //!    first slot — the legalizer's admission conditions, extended to
 //!    repeat slots (a repeat slot where a sender's duty cycle is off
 //!    simply doesn't fire and is excluded from the probability mass).
-//! 2. **Compress** ([`RepeatLedger`]): the per-hop target overprovisions
+//! 2. **Compress** (`RepeatLedger`): the per-hop target overprovisions
 //!    every subtree shallower than the deepest one. The ledger caches the
 //!    serving tree, each node's delivery bound and each entry's demand
 //!    list, so trying to shave one repeat off an entry delta-evaluates
@@ -352,14 +352,12 @@ pub fn plan_repeats<S: WakeSchedule, M: ConflictModel>(
 /// every sender is awake across its entry range (`AlwaysAwake`); the
 /// caller re-checks the result exactly afterwards
 /// ([`solve_anytime_reliable`] escalates on any shortfall).
-pub struct RepeatLedger {
+pub(crate) struct RepeatLedger {
     repeats: Vec<u32>,
     /// Nodes served by each entry.
     served: Vec<Vec<u32>>,
-    parent: Vec<Option<u32>>,
     children: Vec<Vec<u32>>,
     q_in: Vec<f64>,
-    entry_of: Vec<usize>,
     /// Current delivery bound per node under `repeats`.
     p: Vec<f64>,
     target: f64,
@@ -367,7 +365,7 @@ pub struct RepeatLedger {
 
 impl RepeatLedger {
     /// Builds the ledger for a planned schedule.
-    pub fn build<S: WakeSchedule, M: ConflictModel>(
+    pub(crate) fn build<S: WakeSchedule, M: ConflictModel>(
         schedule: &Schedule,
         topo: &Topology,
         wake: &S,
@@ -400,35 +398,18 @@ impl RepeatLedger {
         RepeatLedger {
             repeats,
             served,
-            parent: tree.parent,
             children: tree.children,
             q_in: tree.q_in,
-            entry_of: tree.entry_of,
             p,
             target: 1.0 - epsilon,
         }
-    }
-
-    /// Total occupied slots under the current repeat counts.
-    pub fn expanded_slots(&self) -> u64 {
-        self.repeats.iter().map(|&r| u64::from(r)).sum()
-    }
-
-    /// Weakest delivery bound in the ledger's repeats-space accounting.
-    pub fn min_delivery(&self) -> f64 {
-        self.p.iter().cloned().fold(1.0, f64::min)
-    }
-
-    /// The current repeat counts (parallel to the schedule's entries).
-    pub fn repeats(&self) -> &[u32] {
-        &self.repeats
     }
 
     /// Attempts to shave one repeat off entry `e`: delta-evaluates the
     /// bound over the subtrees hanging off `e`'s deliveries and commits
     /// when every affected node stays at or above the target. Returns
     /// whether the decrement was taken.
-    pub fn try_decrement(&mut self, e: usize) -> bool {
+    fn try_decrement(&mut self, e: usize) -> bool {
         let r = self.repeats[e];
         if r <= 1 {
             return false;
@@ -467,7 +448,7 @@ impl RepeatLedger {
 
     /// Greedy complete trim: one ascending pass, shaving each entry to its
     /// fixpoint. Returns the number of slots removed.
-    pub fn compress(&mut self) -> u64 {
+    pub(crate) fn compress(&mut self) -> u64 {
         let mut removed = 0u64;
         for e in 0..self.repeats.len() {
             while self.try_decrement(e) {
@@ -477,27 +458,14 @@ impl RepeatLedger {
         removed
     }
 
-    /// Repeat demand the ledger currently records for node `w`'s serving
-    /// delivery (`None` for the source / unreached nodes) — the O(1)
-    /// lookup relocation deltas are built from.
-    pub fn demand_of(&self, w: NodeId) -> Option<(usize, u32)> {
-        let ei = *self.entry_of.get(w.idx())?;
-        (ei != usize::MAX).then(|| (ei, self.repeats[ei]))
-    }
-
     /// Writes the ledger's repeat counts back onto `schedule` (collapsing
     /// to the empty all-ones form when no entry repeats).
-    pub fn apply(&self, schedule: &mut Schedule) {
+    pub(crate) fn apply(&self, schedule: &mut Schedule) {
         if self.repeats.iter().all(|&r| r == 1) {
             schedule.repeats = Vec::new();
         } else {
             schedule.repeats = self.repeats.clone();
         }
-    }
-
-    /// The serving parent of `w`, if any (diagnostics / repair hooks).
-    pub fn parent_of(&self, w: NodeId) -> Option<NodeId> {
-        self.parent.get(w.idx()).copied().flatten().map(NodeId)
     }
 }
 

@@ -24,9 +24,7 @@
 //! races the warm chain against one cold greedy construction and keeps the
 //! better — and always verifies under
 //! [`Schedule::verify_covering_with_model`] with the effective mask.
-//! [`reschedule_cached`] pulls the pre-churn incumbent out of a
-//! [`ScheduleCache`] (repaired schedules are deliberately *not* written
-//! back: cache entries must verify on the full topology).
+//! With an empty `old` schedule the repair is a masked cold solve.
 
 use mlbs_core::Schedule;
 use wsn_bitset::NodeSet;
@@ -34,7 +32,6 @@ use wsn_dutycycle::WakeSchedule;
 use wsn_phy::ConflictModel;
 use wsn_topology::{metrics, NodeId, Topology};
 
-use crate::cache::ScheduleCache;
 use crate::driver::{run_chain, AnytimeConfig, AnytimeOutcome, Budget, ChainCtx};
 
 /// A churn event batch: the nodes that died since the schedule was built,
@@ -45,8 +42,8 @@ use crate::driver::{run_chain, AnytimeConfig, AnytimeOutcome, Budget, ChainCtx};
 /// [`degraded_links`](ChurnDelta::degraded_links) when computing the dead
 /// mask: a quality-only delta warm-starts from *every* surviving placement
 /// (the whole old schedule), and the caller re-plans repeats against the
-/// new quality afterwards ([`plan_repeats`](crate::plan_repeats), or
-/// `wsn_sim`'s drift-replan driver which does both in one step). The field
+/// new quality afterwards ([`plan_repeats`](crate::plan_repeats); the
+/// serving shard's `observe` loop does both in one step). The field
 /// exists so a drift-triggered repair can carry the estimator's findings
 /// through the same delta type deaths already use, instead of forcing a
 /// full re-plan.
@@ -316,37 +313,6 @@ pub fn reschedule<S: WakeSchedule, M: ConflictModel>(
     }
 }
 
-/// As [`reschedule`], warm-starting from the pre-churn incumbent a
-/// [`ScheduleCache`] holds for `(topo, model, source)`. On a cache miss
-/// the repair falls back to a cold masked solve (the delta still applies).
-/// Repaired schedules are *not* written back — cache entries must verify
-/// on the full topology, which a masked schedule deliberately does not.
-pub fn reschedule_cached<S: WakeSchedule, M: ConflictModel>(
-    cache: &mut ScheduleCache,
-    topo: &Topology,
-    source: NodeId,
-    wake: &S,
-    model: &M,
-    delta: &ChurnDelta,
-    config: &AnytimeConfig,
-) -> RepairOutcome {
-    match cache.lookup(topo, model, source) {
-        Some(old) => reschedule(topo, source, wake, model, &old, delta, config),
-        None => {
-            // No incumbent to repair: a masked cold solve, reported with an
-            // empty reuse footprint.
-            let empty = Schedule {
-                source,
-                start: config.start_from,
-                entries: Vec::new(),
-                receive_slot: Vec::new(),
-                repeats: Vec::new(),
-            };
-            reschedule(topo, source, wake, model, &empty, delta, config)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,35 +388,6 @@ mod tests {
             .unwrap();
         // Only 0→1 is left to schedule.
         assert_eq!(rep.outcome.schedule.entries.len(), 1);
-    }
-
-    #[test]
-    fn cached_repair_uses_the_incumbent() {
-        let (topo, src) = deploy::SyntheticDeployment::paper(120).sample(8);
-        let mut cache = ScheduleCache::new();
-        crate::solve_anytime_cached(
-            &mut cache,
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            &cfg(2_000),
-        );
-        let victim = NodeId(if src.0 == 0 { 1 } else { 0 });
-        let rep = reschedule_cached(
-            &mut cache,
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            &ChurnDelta::deaths([victim]),
-            &cfg(500),
-        );
-        assert!(rep.reused > 0, "cache hit must seed the repair");
-        rep.outcome
-            .schedule
-            .verify_covering_with_model(&topo, &AlwaysAwake, &ProtocolModel, Some(&rep.mask))
-            .unwrap();
     }
 
     #[test]

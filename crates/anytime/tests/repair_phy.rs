@@ -5,10 +5,9 @@
 //! exact model semantics and never lose to a cold greedy
 //! re-legalization under the same mask.
 
+use mlbs_core::Schedule;
 use proptest::prelude::*;
-use wsn_anytime::{
-    reschedule, reschedule_cached, solve_anytime, AnytimeConfig, Budget, ChurnDelta, ScheduleCache,
-};
+use wsn_anytime::{reschedule, solve_anytime, AnytimeConfig, Budget, ChurnDelta};
 use wsn_dutycycle::AlwaysAwake;
 use wsn_phy::{PhyModelSpec, SinrParams};
 use wsn_topology::deploy::SyntheticDeployment;
@@ -29,23 +28,22 @@ fn churn_set(topo: &Topology, source: NodeId, stride: usize) -> Vec<NodeId> {
 }
 
 /// Cold baseline: a greedy masked re-legalization with no warm start (an
-/// empty cache forces the cold path of `reschedule_cached`).
+/// empty old schedule leaves the repair nothing to reuse).
 fn cold_relegalize<M: wsn_phy::ConflictModel>(
     topo: &Topology,
     source: NodeId,
     model: &M,
     delta: &ChurnDelta,
 ) -> wsn_anytime::RepairOutcome {
-    let mut empty = ScheduleCache::new();
-    reschedule_cached(
-        &mut empty,
-        topo,
+    let cfg = budget(0);
+    let empty = Schedule {
         source,
-        &AlwaysAwake,
-        model,
-        delta,
-        &budget(0),
-    )
+        start: cfg.start_from,
+        entries: Vec::new(),
+        receive_slot: Vec::new(),
+        repeats: Vec::new(),
+    };
+    reschedule(topo, source, &AlwaysAwake, model, &empty, delta, &cfg)
 }
 
 proptest! {

@@ -785,17 +785,18 @@ fn emit_obs_baseline(path: &str) {
 /// campaign (fault script + injected panics) with its p99 reschedule
 /// latency. `--serve-max-nodes N` caps the repair-pin axis (CI uses 1k).
 fn emit_serve_baseline(path: &str, max_nodes: usize) {
-    use wsn_anytime::{solve_anytime_cached, ScheduleCache};
+    use wsn_anytime::{reschedule, solve_anytime_cached, ChurnDelta, ScheduleCache};
     use wsn_serve::{run_campaign, ChaosParams, Daemon, DaemonConfig, Json, Request};
-    use wsn_sim::{replan_on_drift, simulate_acks, LinkEstimator};
+    use wsn_sim::{simulate_acks, LinkEstimator};
     use wsn_topology::LinkQuality;
 
     // --- Drift repair vs cold re-solve at scale. The estimator loop ---
-    // routes drift through `reschedule_cached`; its cost is a warm
-    // legalizer replay. The alternative the daemon would otherwise pay is
-    // a cold re-solve at the serving tier's wall budget (these instances
-    // never prove optimality — see BENCH_anytime — so a cold re-solve
-    // burns its whole budget before answering).
+    // runs as a shard's `observe` does: drift check, fused quality, the
+    // links that moved, then a `reschedule` of the cached incumbent; its
+    // cost is a warm legalizer replay. The alternative the daemon would
+    // otherwise pay is a cold re-solve at the serving tier's wall budget
+    // (these instances never prove optimality — see BENCH_anytime — so a
+    // cold re-solve burns its whole budget before answering).
     let mut repair_rows = Vec::new();
     for (n, budget_ms) in [(1_000usize, 100u64), (10_000, 500)] {
         if n > max_nodes {
@@ -819,30 +820,30 @@ fn emit_serve_baseline(path: &str, max_nodes: usize) {
             budget: Budget::Iterations(0),
             ..AnytimeConfig::default()
         };
+        let (threshold, min_samples) = (0.05, 4);
         let t1 = std::time::Instant::now();
-        let replan = replan_on_drift(
-            &mut cache,
+        let drift = est.drift(&topo, &assumed, min_samples);
+        let quality = est.to_quality(&topo, &assumed, min_samples);
+        let degraded = assumed.moved_links(&topo, &quality, threshold);
+        let degraded_links = degraded.len();
+        let incumbent = cache
+            .lookup(&topo, &ProtocolModel, src)
+            .expect("the cold solve seeded the cache");
+        let rep = reschedule(
             &topo,
             src,
             &AlwaysAwake,
             &ProtocolModel,
-            &base.schedule,
-            &assumed,
-            &est,
-            0.0,
-            0.05,
-            4,
+            &incumbent,
+            &ChurnDelta::degradations(degraded),
             &repair_cfg,
         );
         let repair_us = t1.elapsed().as_micros().max(1);
         let fraction = repair_us as f64 / cold_us as f64;
         check(
             &format!("drift crosses the trigger and replans (n={n})"),
-            replan.replanned && replan.degraded_links > 0,
-            format!(
-                "drift {:.3}, {} degraded links",
-                replan.drift, replan.degraded_links
-            ),
+            drift >= threshold && degraded_links > 0,
+            format!("drift {drift:.3}, {degraded_links} degraded links"),
         );
         check(
             &format!("drift repair wall < 25% of cold re-solve (n={n})"),
@@ -852,15 +853,14 @@ fn emit_serve_baseline(path: &str, max_nodes: usize) {
                 fraction * 100.0
             ),
         );
-        replan
+        rep.outcome
             .schedule
             .verify(&topo, &AlwaysAwake)
             .expect("drift repair must serve a valid schedule");
         repair_rows.push(format!(
             "    {{\"nodes\": {n}, \"cold_budget_ms\": {budget_ms}, \"cold_us\": {cold_us}, \
              \"repair_us\": {repair_us}, \"fraction\": {fraction:.4}, \
-             \"degraded_links\": {}}}",
-            replan.degraded_links
+             \"degraded_links\": {degraded_links}}}"
         ));
     }
 

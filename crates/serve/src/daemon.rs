@@ -81,7 +81,14 @@ impl Daemon {
                 model,
                 channels,
                 epsilon,
-            } => Some(self.create(shard, *nodes, *seed, deployment, model, *channels, *epsilon)),
+            } => Some(
+                match ShardSpec::from_create(
+                    shard, *nodes, *seed, deployment, model, *channels, *epsilon,
+                ) {
+                    Ok(spec) => self.create(spec),
+                    Err(e) => proto::err("bad_request", &e, vec![]),
+                },
+            ),
             _ => None,
         };
         if let Some(resp) = resp_inline {
@@ -135,25 +142,16 @@ impl Daemon {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn create(
-        &self,
-        name: &str,
-        nodes: usize,
-        seed: u64,
-        deployment: &str,
-        model: &str,
-        channels: u32,
-        epsilon: f64,
-    ) -> Json {
-        let spec =
-            match ShardSpec::from_create(name, nodes, seed, deployment, model, channels, epsilon) {
-                Ok(spec) => spec,
-                Err(e) => return proto::err("bad_request", &e, vec![]),
-            };
+    fn create(&self, spec: ShardSpec) -> Json {
+        let reply = Json::obj(vec![
+            ("ok", Json::Bool(true)),
+            ("shard", Json::str(spec.name.clone())),
+            ("nodes", Json::num(spec.nodes as f64)),
+        ]);
+        let name = spec.name.clone();
         let handle = spawn_shard(spec, self.cfg.queue_cap);
         let mut shards = self.shards.lock().unwrap();
-        if let Some(old) = shards.insert(name.to_string(), handle) {
+        if let Some(old) = shards.insert(name, handle) {
             // Replacing a shard retires the old worker cleanly.
             old.queue.close();
             drop(shards);
@@ -163,11 +161,7 @@ impl Daemon {
             drop(shards);
             self.note_shard_count();
         }
-        Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("shard", Json::str(name)),
-            ("nodes", Json::num(nodes as f64)),
-        ])
+        reply
     }
 
     fn metrics(&self) -> Json {
@@ -267,6 +261,34 @@ mod tests {
             assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
             assert_eq!(resp.get("kind").unwrap().as_str(), Some("build_failed"));
         }
+    }
+
+    #[test]
+    fn out_of_range_ids_and_round_counts_are_refused() {
+        let d = Daemon::new(DaemonConfig::default());
+        let (resp, _) = d.handle_line(&create_line("w", 40));
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
+        // 2^32 + 3 must not wrap onto node 3 and kill it.
+        let (resp, _) = d.handle_line(r#"{"op":"churn","shard":"w","dead":[4294967299]}"#);
+        assert_eq!(resp.get("kind").unwrap().as_str(), Some("bad_request"));
+        let (resp, _) = d.handle_line(r#"{"op":"query","shard":"w"}"#);
+        assert_eq!(resp.get("dead").unwrap().as_u64(), Some(0));
+        // 2^32 + 1 channels must not wrap onto one channel.
+        let (resp, _) = d.handle_line(
+            r#"{"op":"create","shard":"c","nodes":40,"seed":3,"channels":4294967297}"#,
+        );
+        assert_eq!(resp.get("kind").unwrap().as_str(), Some("bad_request"));
+        // Rounds are capped at the estimator window; four billion would
+        // wedge the shard thread, so they are refused at once.
+        let (resp, _) = d.handle_line(r#"{"op":"observe","shard":"w","rounds":65}"#);
+        assert_eq!(resp.get("kind").unwrap().as_str(), Some("bad_request"));
+        let resp = d
+            .submit(Request::parse(r#"{"op":"observe","shard":"w","rounds":4000000000}"#).unwrap())
+            .recv_timeout(Duration::from_secs(60))
+            .expect("shard must reply, not hang");
+        assert_eq!(resp.get("kind").unwrap().as_str(), Some("bad_request"));
+        let (resp, _) = d.handle_line(r#"{"op":"observe","shard":"w","rounds":64}"#);
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   isolation (`catch_unwind` → quarantine the cache → restart cold →
 //!   `serve.shard_restarts`).
 //! * **Deadline budgets and the degradation ladder** ([`ladder`]):
-//!   serial anytime → cached warm-start → greedy legalizer.
+//!   serial anytime → cached warm-start → greedy legalizer; one
+//!   function ([`ladder::rung`]) picks the rung and its budget, and the
+//!   shard runs the solver.
 //!   Every deadline — including ~0 ms — is answered with a *valid,
 //!   verified* schedule plus a quality tag ([`Tier`]); nothing ever
 //!   times out with no answer.
@@ -21,9 +23,9 @@
 //!   explicit `Overloaded` responses with `retry_after_ms` backoff hints
 //!   priced from a service-time EWMA.
 //! * **The closed estimator loop** ([`shard::ShardState`]): `observe`
-//!   requests feed ACK evidence; on drift the shard repairs with a
-//!   *quality-only* [`ChurnDelta`](wsn_anytime::ChurnDelta) through the
-//!   warm cache instead of re-planning from scratch.
+//!   requests feed ACK evidence; on drift the shard repairs its incumbent
+//!   with a *quality-only* [`ChurnDelta`](wsn_anytime::ChurnDelta) of the
+//!   links that moved, instead of re-planning from scratch.
 //! * **Protocol** ([`proto`]): jsonl over stdin or 4-byte length-prefixed
 //!   frames over TCP, one JSON object per request/response ([`json`]).
 //! * **Chaos** ([`chaos`]): seeded `FaultScript` campaigns (deaths,

@@ -120,7 +120,11 @@ impl Request {
                     .and_then(Json::as_str)
                     .unwrap_or("protocol")
                     .to_string(),
-                channels: v.get("channels").and_then(Json::as_u64).unwrap_or(1) as u32,
+                channels: v
+                    .get("channels")
+                    .and_then(Json::as_u64)
+                    .map_or(Ok(1), u32::try_from)
+                    .map_err(|_| "bad \"channels\"")?,
                 epsilon: v.get("epsilon").and_then(Json::as_f64).unwrap_or(0.0),
             }),
             "solve" => Ok(Request::Solve {
@@ -133,7 +137,7 @@ impl Request {
                     .and_then(Json::as_arr)
                     .ok_or("missing \"dead\"")?
                     .iter()
-                    .map(|x| x.as_u64().map(|id| NodeId(id as u32)))
+                    .map(node_id)
                     .collect::<Option<Vec<_>>>()
                     .ok_or("bad \"dead\" entry")?;
                 Ok(Request::Churn {
@@ -152,11 +156,7 @@ impl Request {
                             if t.len() != 3 {
                                 return None;
                             }
-                            Some((
-                                NodeId(t[0].as_u64()? as u32),
-                                NodeId(t[1].as_u64()? as u32),
-                                t[2].as_f64()?,
-                            ))
+                            Some((node_id(&t[0])?, node_id(&t[1])?, t[2].as_f64()?))
                         })
                         .collect::<Option<Vec<_>>>()
                         .ok_or("bad \"links\" entry")?,
@@ -165,7 +165,11 @@ impl Request {
                     shard: shard()?,
                     truth: v.get("truth").and_then(Json::as_f64).unwrap_or(1.0),
                     links,
-                    rounds: v.get("rounds").and_then(Json::as_u64).unwrap_or(40) as u32,
+                    rounds: v
+                        .get("rounds")
+                        .and_then(Json::as_u64)
+                        .map_or(Ok(40), u32::try_from)
+                        .map_err(|_| "bad \"rounds\"")?,
                     seed: v.get("seed").and_then(Json::as_u64).unwrap_or(1),
                     deadline_ms: deadline,
                 })
@@ -177,6 +181,12 @@ impl Request {
             other => Err(format!("unknown op {other:?}")),
         }
     }
+}
+
+/// A node id field: `None` unless a non-negative integer that fits a
+/// `u32`, so an out-of-range id can never wrap onto a real node.
+fn node_id(x: &Json) -> Option<NodeId> {
+    x.as_u64().and_then(|id| u32::try_from(id).ok()).map(NodeId)
 }
 
 /// `{"ok":false,"kind":…,"error":…}` plus extras.
@@ -278,6 +288,22 @@ mod tests {
         ));
         assert!(Request::parse(r#"{"op":"nope"}"#).is_err());
         assert!(Request::parse("not json").is_err());
+    }
+
+    #[test]
+    fn ids_and_counts_past_u32_are_refused_not_wrapped() {
+        // 2^32 + 3 and 2^32 + 1 would wrap to node 3 and one channel.
+        for line in [
+            r#"{"op":"churn","shard":"a","dead":[4294967299]}"#,
+            r#"{"op":"observe","shard":"a","links":[[4294967296,1,0.5]]}"#,
+            r#"{"op":"observe","shard":"a","links":[[0,4294967297,0.5]]}"#,
+            r#"{"op":"observe","shard":"a","rounds":4294967296}"#,
+            r#"{"op":"create","shard":"a","nodes":80,"channels":4294967297}"#,
+        ] {
+            assert!(Request::parse(line).is_err(), "{line}");
+        }
+        let r = Request::parse(r#"{"op":"churn","shard":"a","dead":[4294967295]}"#).unwrap();
+        assert!(matches!(r, Request::Churn { dead, .. } if dead == vec![NodeId(u32::MAX)]));
     }
 
     #[test]

@@ -26,7 +26,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mlbs_core::Schedule;
-use wsn_anytime::{plan_repeats, AnytimeConfig, ChurnDelta, ScheduleCache};
+use wsn_anytime::{
+    plan_repeats, reschedule, solve_anytime_cached, AnytimeConfig, ChurnDelta, ScheduleCache,
+};
 use wsn_dutycycle::AlwaysAwake;
 use wsn_phy::{PhyModel, PhyModelSpec, SinrParams};
 use wsn_sim::{simulate_acks, LinkEstimator};
@@ -34,7 +36,7 @@ use wsn_topology::deploy::SyntheticDeployment;
 use wsn_topology::{LinkQuality, NodeId, Topology};
 
 use crate::json::Json;
-use crate::ladder::{reschedule_with_deadline, solve_with_deadline, Tier};
+use crate::ladder::{rung, Tier};
 use crate::proto::{self, Request};
 
 /// Largest topology a `create` may ask for. The dense topology costs
@@ -173,6 +175,30 @@ impl ShardState {
         Json::obj(pairs)
     }
 
+    /// Solves the held topology through the warm cache on the rung the
+    /// deadline buys, verifies the result, and installs it as the
+    /// incumbent. Returns whether the search proved it optimal.
+    fn solve_cached(&mut self, deadline_ms: u64, remaining_ms: u64) -> bool {
+        let (tier, cfg) = rung(&self.base, deadline_ms, remaining_ms);
+        let out = solve_anytime_cached(
+            &mut self.cache,
+            &self.topo,
+            self.source,
+            &AlwaysAwake,
+            &self.model,
+            &cfg,
+        );
+        // A verification failure panics; the isolation layer turns that
+        // into a cold restart, never a silently-invalid answer.
+        out.schedule
+            .verify_with_model(&self.topo, &AlwaysAwake, &self.model)
+            .expect("ladder produced an invalid schedule");
+        wsn_obs::counter_add(tier.counter(), 1);
+        self.current = Some(out.schedule);
+        self.tier = Some(tier);
+        out.proved_optimal
+    }
+
     /// Solve (or re-solve) under the ladder. On a churned shard this is a
     /// repair against the accumulated dead set so the incumbent stays
     /// consistent with the surviving subgraph.
@@ -185,42 +211,21 @@ impl ShardState {
                 Vec::new(),
             );
         }
-        let (out, tier) = solve_with_deadline(
-            &self.topo,
-            self.source,
-            &AlwaysAwake,
-            &self.model,
-            &mut self.cache,
-            &self.base,
-            deadline_ms,
-            remaining_ms,
-        );
-        self.current = Some(out.schedule);
-        self.tier = Some(tier);
-        self.schedule_reply(vec![("proved_optimal", Json::Bool(out.proved_optimal))])
+        let proved = self.solve_cached(deadline_ms, remaining_ms);
+        self.schedule_reply(vec![("proved_optimal", Json::Bool(proved))])
     }
 
     /// Ensures an incumbent exists (greedy-solves one when the very first
     /// request is a churn or observe).
     fn ensure_current(&mut self) {
         if self.current.is_none() {
-            let (out, tier) = solve_with_deadline(
-                &self.topo,
-                self.source,
-                &AlwaysAwake,
-                &self.model,
-                &mut self.cache,
-                &self.base,
-                0,
-                0,
-            );
-            self.current = Some(out.schedule);
-            self.tier = Some(tier);
+            self.solve_cached(0, 0);
         }
     }
 
-    /// Shared repair path for churn deaths and quality replans: times the
-    /// reschedule into `serve.reschedule_us`, updates the incumbent, and
+    /// Shared repair path for churn deaths and quality replans: repairs the
+    /// incumbent against `delta` on the deadline's rung, verifies it over
+    /// the surviving subgraph, times it into `serve.reschedule_us`, and
     /// reports the reuse footprint.
     fn repair(
         &mut self,
@@ -230,19 +235,23 @@ impl ShardState {
         mut extra: Vec<(&'static str, Json)>,
     ) -> Json {
         self.ensure_current();
-        let old = self.current.clone().expect("ensured above");
+        let old = self.current.as_ref().expect("ensured above");
+        let (tier, cfg) = rung(&self.base, deadline_ms, remaining_ms);
         let started = Instant::now();
-        let (rep, tier) = reschedule_with_deadline(
+        let rep = reschedule(
             &self.topo,
             self.source,
             &AlwaysAwake,
             &self.model,
-            &old,
+            old,
             &delta,
-            &self.base,
-            deadline_ms,
-            remaining_ms,
+            &cfg,
         );
+        rep.outcome
+            .schedule
+            .verify_covering_with_model(&self.topo, &AlwaysAwake, &self.model, Some(&rep.mask))
+            .expect("ladder produced an invalid repair");
+        wsn_obs::counter_add(tier.counter(), 1);
         wsn_obs::observe_us("serve.reschedule_us", started.elapsed().as_micros() as u64);
         extra.push(("reused", Json::num(rep.reused as f64)));
         extra.push(("stranded", Json::num(rep.stranded as f64)));
@@ -288,6 +297,18 @@ impl ShardState {
         deadline_ms: u64,
         remaining_ms: u64,
     ) -> Json {
+        // `simulate_acks` draws once per round, transmission and neighbour,
+        // so an unbounded round count would wedge the owner thread.
+        if rounds > self.spec.window {
+            return proto::err(
+                "bad_request",
+                &format!(
+                    "rounds must be at most the estimator window ({})",
+                    self.spec.window
+                ),
+                vec![],
+            );
+        }
         self.ensure_current();
         let mut truth = LinkQuality::uniform(&self.topo, truth_p.clamp(0.0, 1.0));
         for &(u, v, p) in links {
@@ -295,8 +316,8 @@ impl ShardState {
                 truth.set_delivery(&self.topo, u, v, p.clamp(0.0, 1.0));
             }
         }
-        let current = self.current.clone().expect("ensured above");
-        simulate_acks(&self.topo, &current, &truth, &mut self.est, rounds, seed);
+        let current = self.current.as_ref().expect("ensured above");
+        simulate_acks(&self.topo, current, &truth, &mut self.est, rounds, seed);
         let drift = self
             .est
             .drift(&self.topo, &self.assumed, self.spec.min_samples);
@@ -311,18 +332,9 @@ impl ShardState {
         let quality = self
             .est
             .to_quality(&self.topo, &self.assumed, self.spec.min_samples);
-        let mut degraded = Vec::new();
-        for u in self.topo.nodes() {
-            for (k, &v) in self.topo.neighbors(u).iter().enumerate() {
-                if u >= v {
-                    continue;
-                }
-                let newp = quality.delivery_at(u, k);
-                if (newp - self.assumed.delivery_at(u, k)).abs() >= self.spec.drift_threshold {
-                    degraded.push((u, v, newp));
-                }
-            }
-        }
+        let degraded = self
+            .assumed
+            .moved_links(&self.topo, &quality, self.spec.drift_threshold);
         let degraded_links = degraded.len();
         let delta = ChurnDelta {
             dead: self.dead.clone(),
@@ -641,6 +653,79 @@ mod tests {
         assert_eq!(again.get("cache_len").unwrap().as_u64(), Some(0));
         h.queue.close();
         h.join.join().unwrap();
+    }
+
+    fn observe(st: &mut ShardState, truth: f64) -> Json {
+        st.handle(
+            &Request::Observe {
+                shard: "t".into(),
+                truth,
+                links: Vec::new(),
+                rounds: 40,
+                seed: 11,
+                deadline_ms: 0,
+            },
+            0,
+        )
+    }
+
+    #[test]
+    fn drift_replan_repairs_the_incumbent_and_replans_repeats() {
+        let eps = 0.05;
+        let spec = ShardSpec::from_create("t", 150, 10, "paper", "protocol", 1, eps).unwrap();
+        let mut st = ShardState::build(&spec);
+        // A clean link stream stays under the trigger: nothing runs, and
+        // neither the incumbent nor the assumed quality moves.
+        let quiet = observe(&mut st, 1.0);
+        assert_eq!(quiet.get("replanned").unwrap().as_bool(), Some(false));
+        let before = st.current.clone().unwrap();
+        let quiet = observe(&mut st, 1.0);
+        assert_eq!(quiet.get("replanned").unwrap().as_bool(), Some(false));
+        let after = st.current.as_ref().unwrap();
+        assert_eq!(after.entries, before.entries);
+        assert_eq!(after.repeats, before.repeats);
+        assert!(st.assumed.is_uniform(1.0));
+        // 1.0 → 0.8 crosses the 0.05 trigger: the incumbent is repaired
+        // and its repeats re-planned against the measured quality.
+        let loud = observe(&mut st, 0.8);
+        assert_eq!(loud.get("replanned").unwrap().as_bool(), Some(true));
+        assert!(loud.get("drift").unwrap().as_f64().unwrap() > 0.05);
+        assert!(loud.get("degraded_links").unwrap().as_u64().unwrap() > 0);
+        assert!(!st.assumed.is_uniform(1.0));
+        st.current
+            .as_ref()
+            .unwrap()
+            .verify_reliability(&st.topo, &AlwaysAwake, &st.model, &st.assumed, eps)
+            .unwrap();
+    }
+
+    #[test]
+    fn warm_rung_never_loses_to_the_cached_incumbent() {
+        let spec = ShardSpec::from_create("t", 150, 9, "paper", "protocol", 1, 0.0).unwrap();
+        let mut st = ShardState::build(&spec);
+        // Seed the cache with a strong solve, then ask for a warm answer:
+        // the warm-start contract says it cannot come back worse.
+        let good = AnytimeConfig {
+            budget: wsn_anytime::Budget::Iterations(20_000),
+            ..AnytimeConfig::default()
+        };
+        let strong = solve_anytime_cached(
+            &mut st.cache,
+            &st.topo,
+            st.source,
+            &AlwaysAwake,
+            &st.model,
+            &good,
+        );
+        let warm = st.handle(
+            &Request::Solve {
+                shard: "t".into(),
+                deadline_ms: crate::ladder::WARM_MS,
+            },
+            crate::ladder::WARM_MS,
+        );
+        assert_eq!(warm.get("tier").unwrap().as_str(), Some("warm"));
+        assert!(warm.get("latency").unwrap().as_u64().unwrap() <= strong.latency);
     }
 
     #[test]

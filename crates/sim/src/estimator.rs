@@ -9,17 +9,17 @@
 //! reported ACK delay, rising delay discounting the estimate before losses
 //! materialize). When the fused estimate drifts past a threshold from the
 //! assumption the schedule was planned under, [`LinkEstimator::drift`]
-//! crosses the repair trigger and the caller re-plans repeats (or
-//! reschedules) against [`LinkEstimator::to_quality`].
+//! crosses the repair trigger. The caller then fuses the estimate with
+//! [`LinkEstimator::to_quality`], lists the links that moved with
+//! [`LinkQuality::moved_links`], repairs its schedule against that
+//! quality-only delta and re-plans repeats. The serving daemon's shards
+//! (`wsn_serve::ShardState`) run that loop on every `observe` request.
 //!
 //! Everything is deterministic: [`simulate_acks`] replays a schedule
 //! against the *true* quality with seeded draws and feeds the estimator
 //! the resulting ACK stream, standing in for the radio.
 
 use mlbs_core::Schedule;
-use wsn_anytime::{plan_repeats, reschedule_cached, AnytimeConfig, ChurnDelta, ScheduleCache};
-use wsn_dutycycle::WakeSchedule;
-use wsn_phy::ConflictModel;
 use wsn_topology::{LinkQuality, NodeId, Topology};
 
 /// SplitMix64 step for the simulated ACK draws.
@@ -196,106 +196,6 @@ impl LinkEstimator {
     }
 }
 
-/// Outcome of [`replan_on_drift`]: whether the estimator's drift crossed
-/// the trigger, and the schedule + quality the caller should serve from
-/// now on.
-#[derive(Clone, Debug)]
-pub struct DriftReplan {
-    /// Largest per-link drift the estimator reported.
-    pub drift: f64,
-    /// `true` when `drift ≥ threshold` and an incremental repair ran.
-    pub replanned: bool,
-    /// The quality the plan now assumes: the estimator's fused view on a
-    /// replan, a clone of the old assumption otherwise.
-    pub quality: LinkQuality,
-    /// The schedule to serve: incrementally repaired and repeat-re-planned
-    /// on a replan, a clone of `current` otherwise. Always verifies under
-    /// the conflict model.
-    pub schedule: Schedule,
-    /// Links whose estimate moved by at least `threshold` (the
-    /// `ChurnDelta::degraded_links` payload size).
-    pub degraded_links: usize,
-}
-
-/// Closes the estimator loop incrementally: checks
-/// [`LinkEstimator::drift`] against `threshold` and, when crossed, repairs
-/// `current` through [`wsn_anytime::reschedule_cached`] with a
-/// *quality-only* [`ChurnDelta`] (warm-starting from every surviving
-/// placement — link drift invalidates no conflict structure) and re-plans
-/// repeat slots against the fused estimate with
-/// [`wsn_anytime::plan_repeats`].
-///
-/// This replaces the old "drift → throw the schedule away and re-solve"
-/// pattern: repair cost is one warm legalizer replay plus whatever budget
-/// `config` grants, a small fraction of a cold re-solve at scale (pinned
-/// in `BENCH_serve.json`). Below the threshold nothing runs and `current`
-/// is returned unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn replan_on_drift<S: WakeSchedule, M: ConflictModel>(
-    cache: &mut ScheduleCache,
-    topo: &Topology,
-    source: NodeId,
-    wake: &S,
-    model: &M,
-    current: &Schedule,
-    assumed: &LinkQuality,
-    est: &LinkEstimator,
-    epsilon: f64,
-    threshold: f64,
-    min_samples: u32,
-    config: &AnytimeConfig,
-) -> DriftReplan {
-    let drift = est.drift(topo, assumed, min_samples);
-    if drift < threshold {
-        return DriftReplan {
-            drift,
-            replanned: false,
-            quality: assumed.clone(),
-            schedule: current.clone(),
-            degraded_links: 0,
-        };
-    }
-    let quality = est.to_quality(topo, assumed, min_samples);
-    // The quality delta: links whose fused estimate moved by at least the
-    // trigger (one entry per undirected edge).
-    let mut degraded = Vec::new();
-    for u in topo.nodes() {
-        for (k, &v) in topo.neighbors(u).iter().enumerate() {
-            if u >= v {
-                continue;
-            }
-            let newp = quality.delivery_at(u, k);
-            if (newp - assumed.delivery_at(u, k)).abs() >= threshold {
-                degraded.push((u, v, newp));
-            }
-        }
-    }
-    let degraded_links = degraded.len();
-    let rep = reschedule_cached(
-        cache,
-        topo,
-        source,
-        wake,
-        model,
-        &ChurnDelta::degradations(degraded),
-        config,
-    );
-    let schedule = if epsilon > 0.0 {
-        plan_repeats(&rep.outcome.schedule, topo, wake, model, &quality, epsilon)
-    } else {
-        rep.outcome.schedule
-    };
-    wsn_obs::counter_add("estimator.replans", 1);
-    wsn_obs::counter_add("estimator.replan_degraded_links", degraded_links as u64);
-    DriftReplan {
-        drift,
-        replanned: true,
-        quality,
-        schedule,
-        degraded_links,
-    }
-}
-
 /// Replays `schedule` `rounds` times against the *true* quality and feeds
 /// the estimator the resulting ACK stream: every candidate delivery is one
 /// attempt, delivered with the true per-link probability; ACK delay is the
@@ -390,71 +290,6 @@ mod tests {
         assert!(moved > 0, "exercised links must re-estimate");
         let _ = kept;
         let _ = s;
-    }
-
-    #[test]
-    fn drift_replan_routes_through_the_cache_and_stays_incremental() {
-        use wsn_anytime::{solve_anytime_cached, AnytimeConfig, Budget, ScheduleCache};
-        use wsn_dutycycle::AlwaysAwake;
-        use wsn_phy::ProtocolModel;
-        let (topo, src) = SyntheticDeployment::paper(150).sample(10);
-        let assumed = LinkQuality::uniform(&topo, 0.99);
-        let truth = LinkQuality::uniform(&topo, 0.8);
-        let cfg = AnytimeConfig {
-            budget: Budget::Iterations(5_000),
-            ..AnytimeConfig::default()
-        };
-        let mut cache = ScheduleCache::new();
-        let base = solve_anytime_cached(&mut cache, &topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        let mut est = LinkEstimator::new(&topo, 64);
-        simulate_acks(&topo, &base.schedule, &truth, &mut est, 80, 11);
-        let repair_cfg = AnytimeConfig {
-            budget: Budget::Iterations(0),
-            ..AnytimeConfig::default()
-        };
-        let eps = 0.05;
-        let rp = replan_on_drift(
-            &mut cache,
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            &base.schedule,
-            &assumed,
-            &est,
-            eps,
-            0.05,
-            32,
-            &repair_cfg,
-        );
-        assert!(rp.replanned, "0.99→0.8 must cross a 0.05 trigger");
-        assert!(rp.drift > 0.05);
-        assert!(rp.degraded_links > 0);
-        // The repaired + repeat-re-planned schedule is reliable under the
-        // quality the estimator actually measured.
-        rp.schedule
-            .verify_reliability(&topo, &AlwaysAwake, &ProtocolModel, &rp.quality, eps)
-            .unwrap();
-        // Below the threshold nothing runs: same schedule back, quality
-        // untouched.
-        let quiet = replan_on_drift(
-            &mut cache,
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            &base.schedule,
-            &assumed,
-            &est,
-            eps,
-            1.1,
-            32,
-            &repair_cfg,
-        );
-        assert!(!quiet.replanned);
-        assert_eq!(quiet.degraded_links, 0);
-        assert_eq!(quiet.schedule.entries.len(), base.schedule.entries.len());
-        assert!(quiet.quality.is_uniform(0.99));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use algorithm::{
 };
 pub use csv::{sweep_to_csv, sweep_to_table, traces_to_csv};
 pub use energy::{energy_of_schedule, EnergyReport, RadioEnergyModel};
-pub use estimator::{replan_on_drift, simulate_acks, DriftReplan, LinkEstimator};
+pub use estimator::{simulate_acks, LinkEstimator};
 pub use fault::{replay_faulty, Fault, FaultParams, FaultScript, FaultyOutcome};
 pub use lossy::{
     mean_coverage, mean_coverage_quality, replay_lossy, replay_lossy_quality, LossyOutcome,

@@ -217,6 +217,28 @@ impl LinkQuality {
     pub fn is_uniform(&self, p: f64) -> bool {
         self.deliver.iter().all(|&q| q == p)
     }
+
+    /// The links whose delivery moved by at least `threshold` from `self`
+    /// to `other`, one `(u, v, p)` per undirected edge (`u < v`) with `p`
+    /// taken from `other`, in CSR order — the payload of a drift-triggered
+    /// quality repair.
+    pub fn moved_links(
+        &self,
+        topo: &Topology,
+        other: &LinkQuality,
+        threshold: f64,
+    ) -> Vec<(NodeId, NodeId, f64)> {
+        let mut moved = Vec::new();
+        for u in topo.nodes() {
+            for (k, &v) in topo.neighbors(u).iter().enumerate() {
+                let p = other.delivery_at(u, k);
+                if u < v && (p - self.delivery_at(u, k)).abs() >= threshold {
+                    moved.push((u, v, p));
+                }
+            }
+        }
+        moved
+    }
 }
 
 #[cfg(test)]
@@ -313,5 +335,24 @@ mod tests {
         assert_eq!(q.delivery(&t, u, v), 0.5);
         assert_eq!(q.delivery(&t, v, u), 0.5);
         assert!(!q.is_uniform(1.0));
+    }
+
+    #[test]
+    fn moved_links_lists_each_undirected_edge_past_the_threshold_once() {
+        let t = topo();
+        let before = LinkQuality::uniform(&t, 1.0);
+        let mut after = before.clone();
+        let u = t.nodes().find(|&u| t.degree(u) > 1).unwrap();
+        let (v, w) = (t.neighbors(u)[0], t.neighbors(u)[1]);
+        after.set_delivery(&t, u, v, 0.9);
+        after.set_delivery(&t, u, w, 0.97);
+        let (a, b) = (u.min(v), u.max(v));
+        assert_eq!(before.moved_links(&t, &after, 0.05), vec![(a, b, 0.9)]);
+        assert_eq!(before.moved_links(&t, &after, 0.03).len(), 2);
+        assert_eq!(
+            before.moved_links(&t, &before, 0.0).len(),
+            t.csr().edge_count()
+        );
+        assert!(after.moved_links(&t, &after, 1e-9).is_empty());
     }
 }

@@ -166,11 +166,12 @@
 //! hints; worker panics are caught, the shard's cache is quarantined and
 //! the shard restarts cold (`serve.shard_restarts`). `observe`
 //! requests close the estimator loop: acks feed the
-//! [`sim::LinkEstimator`], drift past a threshold triggers an
-//! incremental reschedule through the warm cache
-//! ([`sim::replan_on_drift`]), a small fraction of a cold re-solve's
-//! wall time. A seeded chaos harness ([`serve::run_campaign`]) replays a
-//! [`sim::FaultScript`] plus injected panics and request storms,
+//! [`sim::LinkEstimator`], and drift past a threshold triggers an
+//! incremental [`anytime::reschedule`] of the shard's incumbent against
+//! the links that moved ([`topology::LinkQuality::moved_links`]), a small
+//! fraction of a cold re-solve's wall time. A seeded chaos harness
+//! ([`serve::run_campaign`]) replays a [`sim::FaultScript`] plus injected
+//! panics and request storms,
 //! asserting every served schedule verifies; `claims --serve-bench-only`
 //! emits `BENCH_serve.json` (repair-vs-cold pins, sustained req/s, storm
 //! shed rate, chaos p99 reschedule latency), and the `metrics` verb
@@ -202,9 +203,9 @@ pub mod prelude {
         ReliabilityReport, Schedule, ScheduleEntry, ScheduleError, SearchConfig, SearchOutcome,
     };
     pub use wsn_anytime::{
-        reschedule, reschedule_cached, solve_anytime, solve_anytime_cached, solve_anytime_reliable,
-        AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta, ReliableOutcome, RepairOutcome,
-        ScheduleCache, TracePoint,
+        reschedule, solve_anytime, solve_anytime_cached, solve_anytime_reliable, AnytimeConfig,
+        AnytimeOutcome, Budget, ChurnDelta, ReliableOutcome, RepairOutcome, ScheduleCache,
+        TracePoint,
     };
     pub use wsn_baselines::{
         flood_once, schedule_17_approx, schedule_26_approx, schedule_cds_layered, schedule_layered,
@@ -226,9 +227,9 @@ pub mod prelude {
     };
     pub use wsn_serve::{Daemon, DaemonConfig, Request, ShardSpec};
     pub use wsn_sim::{
-        mean_coverage_quality, replan_on_drift, replay_faulty, replay_lossy, replay_lossy_quality,
-        run_instance, run_instance_with, simulate_acks, Algorithm, DriftReplan, FaultParams,
-        FaultScript, LinkEstimator, Regime, Summary, Sweep,
+        mean_coverage_quality, replay_faulty, replay_lossy, replay_lossy_quality, run_instance,
+        run_instance_with, simulate_acks, Algorithm, FaultParams, FaultScript, LinkEstimator,
+        Regime, Summary, Sweep,
     };
     pub use wsn_topology::{
         deploy::SyntheticDeployment, fixtures, metrics, LinkQuality, LinkQualityParams, NodeId,

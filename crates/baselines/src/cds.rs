@@ -20,9 +20,9 @@ use wsn_topology::{metrics, NodeId, Topology};
 pub fn greedy_connected_dominating_set(topo: &Topology, root: NodeId) -> NodeSet {
     let n = topo.len();
     let mut cds = NodeSet::new(n);
-    let mut covered = NodeSet::new(n);
+    let mut covered = NodeSet::from_indices(n, topo.neighbors(root).iter().map(|v| v.idx()));
     cds.insert(root.idx());
-    covered.union_with(topo.closed_neighbor_set(root));
+    covered.insert(root.idx());
 
     // Phase 1: dominate. Coverage gains only shrink as `covered` grows, so
     // a lazily re-evaluated max-heap reproduces the full-scan greedy

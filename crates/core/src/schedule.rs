@@ -289,9 +289,9 @@ impl Schedule {
         informed.insert(self.source.idx());
         for entry in self.entries.iter().take(k) {
             for &u in &entry.senders {
-                let mut recv = topo.neighbor_set(u).clone();
-                recv.difference_with(&informed);
-                informed.union_with(&recv);
+                for &v in topo.neighbors(u) {
+                    informed.insert(v.idx());
+                }
             }
         }
         informed

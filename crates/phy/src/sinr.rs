@@ -237,6 +237,29 @@ impl SinrModel {
     }
 }
 
+/// `N(u) ∪ N(v)` in ascending order, each node paired with its
+/// `(w ∈ N(u), w ∈ N(v))` memberships: a sorted merge of the two CSR lists,
+/// `O(deg u + deg v)` at any topology size.
+fn either_neighborhood<'a>(
+    topo: &'a Topology,
+    u: NodeId,
+    v: NodeId,
+) -> impl Iterator<Item = (usize, bool, bool)> + 'a {
+    let mut a = topo.neighbors(u).iter().peekable();
+    let mut b = topo.neighbors(v).iter().peekable();
+    std::iter::from_fn(move || {
+        let (in_u, in_v) = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => (true, false),
+            (None, Some(_)) => (false, true),
+            (Some(i), Some(j)) => (i <= j, j <= i),
+        };
+        let w = if in_u { a.next() } else { None };
+        let w = if in_v { b.next() } else { w };
+        w.map(|w| (w.idx(), in_u, in_v))
+    })
+}
+
 impl ConflictModel for SinrModel {
     fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0x53494e52; // "SINR"
@@ -260,32 +283,24 @@ impl ConflictModel for SinrModel {
 
     fn conflicts(&self, topo: &Topology, u: NodeId, v: NodeId, uninformed: &NodeSet) -> bool {
         self.check_topo(topo);
-        let nu = topo.neighbor_set(u);
-        let nv = topo.neighbor_set(v);
-        for w in nu.union(nv).iter() {
-            if w == u.idx() || w == v.idx() || !uninformed.contains(w) {
-                continue;
-            }
-            if self.pair_witness(u, v, w, nu.contains(w), nv.contains(w)) {
-                return true;
-            }
-        }
-        false
+        either_neighborhood(topo, u, v).any(|(w, in_u, in_v)| {
+            w != u.idx()
+                && w != v.idx()
+                && uninformed.contains(w)
+                && self.pair_witness(u, v, w, in_u, in_v)
+        })
     }
 
     fn collect_witnesses(&self, topo: &Topology, u: NodeId, v: NodeId, out: &mut Vec<u32>) {
         self.check_topo(topo);
         out.clear();
-        let nu = topo.neighbor_set(u);
-        let nv = topo.neighbor_set(v);
-        for w in nu.union(nv).iter() {
-            if w == u.idx() || w == v.idx() {
-                continue;
-            }
-            if self.pair_witness(u, v, w, nu.contains(w), nv.contains(w)) {
-                out.push(w as u32);
-            }
-        }
+        out.extend(
+            either_neighborhood(topo, u, v)
+                .filter(|&(w, in_u, in_v)| {
+                    w != u.idx() && w != v.idx() && self.pair_witness(u, v, w, in_u, in_v)
+                })
+                .map(|(w, _, _)| w as u32),
+        );
     }
 
     fn resolve_receptions(
@@ -299,26 +314,25 @@ impl ConflictModel for SinrModel {
         let mut received = NodeSet::new(n);
         let mut collided = NodeSet::new(n);
         let sender_ids: Vec<NodeId> = senders.iter().map(|s| NodeId(s as u32)).collect();
-        for w in uninformed.iter() {
-            let nw = topo.neighbor_set(NodeId(w as u32));
-            let mut in_range = false;
-            let mut decoded = false;
-            for &s in &sender_ids {
-                if !nw.contains(s.idx()) {
+        // Only uninformed nodes in range of some sender can receive or
+        // collide, so walk the senders' neighbor lists instead of every
+        // uninformed node. A node receives when any in-range sender decodes
+        // against every other sender; one that hears some sender but
+        // decodes none of them collides.
+        for &s in &sender_ids {
+            for &w in topo.neighbors(s) {
+                let w = w.idx();
+                if !uninformed.contains(w) || received.contains(w) {
                     continue;
                 }
-                in_range = true;
                 if sender_ids.iter().all(|&i| i == s || self.decodes(s, i, w)) {
-                    decoded = true;
-                    break;
+                    received.insert(w);
+                } else {
+                    collided.insert(w);
                 }
             }
-            if decoded {
-                received.insert(w);
-            } else if in_range {
-                collided.insert(w);
-            }
         }
+        collided.difference_with(&received);
         ReceptionOutcome { received, collided }
     }
 
@@ -436,6 +450,69 @@ mod tests {
         let out = sinr.resolve_receptions(&t, &NodeSet::from_indices(4, [0, 3]), &unf);
         assert_eq!(out.received.to_vec(), vec![1, 2]);
         assert!(out.collided.is_empty());
+    }
+
+    #[test]
+    fn csr_paths_match_mask_paths() {
+        // A jittered grid dense enough that most pairs share neighbors and
+        // capture decides some receptions; the mask evaluation below is the
+        // pre-CSR implementation, kept here as the ground truth.
+        let side = 9;
+        let t = Topology::unit_disk(
+            (0..side * side)
+                .map(|i| {
+                    let jitter = ((i * 37) % 11) as f64 * 0.03;
+                    Point::new((i % side) as f64 * 0.6 + jitter, (i / side) as f64 * 0.6)
+                })
+                .collect(),
+            1.0,
+        );
+        let n = t.len();
+        let m = SinrModel::new(SinrParams::calibrated(t.radius(), 3.0, 1.5), &t);
+        let unf = NodeSet::from_indices(n, (0..n).filter(|i| i % 4 != 0));
+        let mut wit = Vec::new();
+        for u in t.nodes() {
+            for v in t.nodes().filter(|&v| v > u) {
+                let (nu, nv) = (t.neighbor_set(u), t.neighbor_set(v));
+                let mask_witnesses: Vec<u32> = nu
+                    .union(nv)
+                    .iter()
+                    .filter(|&w| w != u.idx() && w != v.idx())
+                    .filter(|&w| m.pair_witness(u, v, w, nu.contains(w), nv.contains(w)))
+                    .map(|w| w as u32)
+                    .collect();
+                m.collect_witnesses(&t, u, v, &mut wit);
+                assert_eq!(wit, mask_witnesses, "pair ({u:?},{v:?})");
+                let mask_conflict = mask_witnesses.iter().any(|&w| unf.contains(w as usize));
+                assert_eq!(m.conflicts(&t, u, v, &unf), mask_conflict);
+            }
+        }
+        for stride in [3, 5, 7, 13] {
+            let senders = NodeSet::from_indices(n, (0..n).filter(|i| i % stride == 0));
+            let ids: Vec<NodeId> = senders.iter().map(|s| NodeId(s as u32)).collect();
+            let mut received = NodeSet::new(n);
+            let mut collided = NodeSet::new(n);
+            for w in unf.iter() {
+                let nw = t.neighbor_set(NodeId(w as u32));
+                let in_range: Vec<NodeId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|s| nw.contains(s.idx()))
+                    .collect();
+                let decoded = in_range
+                    .iter()
+                    .any(|&s| ids.iter().all(|&i| i == s || m.decodes(s, i, w)));
+                if decoded {
+                    received.insert(w);
+                } else if !in_range.is_empty() {
+                    collided.insert(w);
+                }
+            }
+            let out = m.resolve_receptions(&t, &senders, &unf);
+            assert!(!out.received.is_empty() && !out.collided.is_empty());
+            assert_eq!(out.received, received, "stride {stride}");
+            assert_eq!(out.collided, collided, "stride {stride}");
+        }
     }
 
     #[test]

@@ -39,10 +39,13 @@ use crate::json::Json;
 use crate::ladder::{rung, Tier};
 use crate::proto::{self, Request};
 
-/// Largest topology a `create` may ask for. The dense topology costs
-/// about n²/4 bytes (≈ 2.5 GB here), and a failed allocation aborts the
-/// daemon, which `catch_unwind` cannot contain; 100k is the largest scale
-/// the benches serve.
+/// Largest topology a `create` may ask for; 100k is the largest scale the
+/// benches serve. This is a node cap, not a memory budget. A shard's
+/// topology is CSR lists, `O(n + E)` bytes (tens of MB at 100k nodes), so
+/// memory does not force this cap. But a failed allocation aborts the
+/// daemon, which `catch_unwind` cannot contain, so `create` stays bounded
+/// until a per-shard memory estimate checked against a daemon-wide budget
+/// takes the cap's place.
 pub const MAX_NODES: usize = 100_000;
 
 /// Everything needed to (re)build a shard cold — kept by the worker so a

@@ -6,8 +6,9 @@
 //! when their distance is at most the communication radius (§III). This
 //! crate owns everything derived from positions:
 //!
-//! * [`Topology`] — positions + radius + CSR adjacency + per-node neighbor
-//!   bitsets (the representation every scheduler operates on);
+//! * [`Topology`] — positions + radius + CSR adjacency, the one adjacency
+//!   at every scale; per-node `N(u)` bitsets are a small-`n` view for the
+//!   exact tier, built from the CSR on first use;
 //! * [`deploy`] — §V-A deployments: uniform random nodes in a 50×50 sq-ft
 //!   area with radius 10 ft, plus grid / clustered / punched-hole variants
 //!   and eccentricity-constrained source selection (5–8 hops);

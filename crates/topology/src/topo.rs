@@ -1,24 +1,27 @@
 //! The [`Topology`] type: positions + radius + derived adjacency.
 
 use crate::{Csr, NodeId};
+use std::sync::OnceLock;
 use wsn_bitset::NodeSet;
 use wsn_geom::{CellGrid, Point, Quadrant};
 
 /// A WSN topology under the unit-disk-graph model.
 ///
-/// Owns the node positions, the communication radius, the CSR adjacency and
-/// one [`NodeSet`] neighbor mask per node. The neighbor masks are what the
-/// schedulers consume: every interference predicate in the paper is a set
-/// expression over `N(u)` masks and the informed set `W`.
+/// Owns the node positions, the communication radius and the CSR adjacency,
+/// which is the topology's one adjacency: `O(n + E)` memory at any scale.
+/// The paper states every interference predicate as a set expression over
+/// `N(u)` masks and the informed set `W`; [`Topology::neighbor_set`] serves
+/// those masks as a view of the CSR, built for all nodes on its first call.
+/// They cost `n²/8` bytes, so only the small-`n` exact tier asks for them;
+/// the paths that run at 10k–1M nodes read [`Topology::neighbors`].
 #[derive(Clone, Debug)]
 pub struct Topology {
     positions: Vec<Point>,
     radius: f64,
     csr: Csr,
-    /// `neighbor_sets[u]` = `N(u)` as a bitset (excludes `u` itself).
-    neighbor_sets: Vec<NodeSet>,
-    /// `closed_sets[u]` = `N[u] = N(u) ∪ {u}`, used by coverage checks.
-    closed_sets: Vec<NodeSet>,
+    /// `neighbor_sets[u]` = `N(u)` as a bitset (excludes `u` itself), filled
+    /// from the CSR by the first [`Topology::neighbor_set`] call.
+    neighbor_sets: OnceLock<Box<[NodeSet]>>,
     /// Process-unique identity token (clones share it — their adjacency is
     /// identical). Lets per-topology caches detect a swap to a *different*
     /// topology that happens to have the same node count.
@@ -70,25 +73,11 @@ impl Topology {
     }
 
     fn from_parts(positions: Vec<Point>, radius: f64, csr: Csr) -> Self {
-        let n = positions.len();
-        let mut neighbor_sets = Vec::with_capacity(n);
-        let mut closed_sets = Vec::with_capacity(n);
-        for u in 0..n {
-            let mut s = NodeSet::new(n);
-            for &v in csr.neighbors_of(NodeId(u as u32)) {
-                s.insert(v.idx());
-            }
-            let mut c = s.clone();
-            c.insert(u);
-            neighbor_sets.push(s);
-            closed_sets.push(c);
-        }
         Topology {
             positions,
             radius,
             csr,
-            neighbor_sets,
-            closed_sets,
+            neighbor_sets: OnceLock::new(),
             token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -147,15 +136,23 @@ impl Topology {
     }
 
     /// Neighbor mask `N(u)` as a bitset.
+    ///
+    /// The first call builds the masks of every node from the CSR
+    /// (`n²/8` bytes, `O(n²/64 + E)` time); later calls are a lookup. Meant
+    /// for the small-`n` exact tier: code that may run on large topologies
+    /// should walk [`Topology::neighbors`] instead.
     #[inline]
     pub fn neighbor_set(&self, u: NodeId) -> &NodeSet {
-        &self.neighbor_sets[u.idx()]
+        &self
+            .neighbor_sets
+            .get_or_init(|| self.build_neighbor_sets())[u.idx()]
     }
 
-    /// Closed neighbor mask `N[u] = N(u) ∪ {u}`.
-    #[inline]
-    pub fn closed_neighbor_set(&self, u: NodeId) -> &NodeSet {
-        &self.closed_sets[u.idx()]
+    fn build_neighbor_sets(&self) -> Box<[NodeSet]> {
+        let n = self.len();
+        self.nodes()
+            .map(|u| NodeSet::from_indices(n, self.neighbors(u).iter().map(|v| v.idx())))
+            .collect()
     }
 
     /// Degree of `u`.
@@ -241,8 +238,43 @@ mod tests {
         for u in t.nodes() {
             let from_csr: Vec<usize> = t.neighbors(u).iter().map(|v| v.idx()).collect();
             assert_eq!(t.neighbor_set(u).to_vec(), from_csr);
-            assert!(t.closed_neighbor_set(u).contains(u.idx()));
-            assert_eq!(t.closed_neighbor_set(u).len(), from_csr.len() + 1);
+        }
+    }
+
+    #[test]
+    fn lazy_masks_agree_across_threads_and_clones() {
+        let t = Topology::unit_disk(
+            (0..200)
+                .map(|i| Point::new((i % 20) as f64 * 0.7, (i / 20) as f64 * 0.7))
+                .collect(),
+            1.0,
+        );
+        let before = t.clone();
+        let masks_match_csr = |t: &Topology| {
+            t.nodes().all(|u| {
+                let from_csr: Vec<usize> = t.neighbors(u).iter().map(|v| v.idx()).collect();
+                t.neighbor_set(u).to_vec() == from_csr
+            })
+        };
+        // Two threads race to fill the masks of one fresh topology.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        masks_match_csr(&t)
+                    })
+                })
+                .collect();
+            for r in racers {
+                assert!(r.join().unwrap());
+            }
+        });
+        let after = t.clone();
+        assert_eq!(before.token(), after.token());
+        for u in t.nodes() {
+            assert_eq!(before.neighbor_set(u), after.neighbor_set(u));
         }
     }
 

@@ -1,6 +1,7 @@
 //! Substrate micro-benchmarks: the building blocks every scheduler leans
 //! on. Useful for spotting regressions in the hot paths (UDG construction,
-//! neighbor bitsets, conflict graphs, coloring, E-model construction).
+//! neighbor bitsets, conflict graphs, coloring, E-model construction, the
+//! search's hop bound).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -173,6 +174,27 @@ fn bench_emodel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The exact searches' per-state hop bound on paper-grid's heaviest
+/// instance (sync, 300 nodes), from a mid-search informed set: everything
+/// within three hops of the source. The set-up asserts the word-parallel
+/// profile equals the queue BFS it replaced, so the `--test` smoke checks
+/// it in release mode.
+fn bench_bounds(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bounds");
+    let n = 300;
+    let (topo, src) = SyntheticDeployment::paper(n).sample(0x5EED_2012 ^ ((n as u64) << 16) ^ 1);
+    let hops = wsn_topology::metrics::bfs_hops(&topo, src);
+    let informed = NodeSet::from_indices(n, (0..n).filter(|&u| hops[u] <= 3));
+    assert!(!informed.is_full(), "the informed set must be mid-search");
+    let oracle = wsn_topology::metrics::bfs_hops_from_set(&topo, &informed);
+    let (_, dist) = mlbs_core::bounds::remaining_hops_profile(&topo, &informed);
+    assert_eq!(dist, oracle, "hop profile differs from the queue BFS");
+    group.bench_function("remaining_hops_profile/300", |b| {
+        b.iter(|| mlbs_core::bounds::remaining_hops_profile(black_box(&topo), black_box(&informed)))
+    });
+    group.finish();
+}
+
 fn bench_dutycycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("dutycycle");
     let wake = WindowedRandom::new(300, 10, 4);
@@ -198,6 +220,7 @@ criterion_group!(
     bench_incremental_conflict,
     bench_witness_threshold,
     bench_emodel,
+    bench_bounds,
     bench_dutycycle
 );
 criterion_main!(benches);

@@ -11,7 +11,9 @@
 //!
 //! Dense ids double as a storage win: memo keys shrink from `(u64, u64)`
 //! fingerprint pairs to `(u32, phase)`, and the arena stores each set's
-//! words exactly once with no per-entry `Vec` header.
+//! words exactly once with no per-entry `Vec` header. Sets that share a
+//! fingerprint are linked through a side array of ids, so a bucket is one
+//! `u32` too, not a heap vector.
 
 use crate::NodeSet;
 use std::collections::HashMap;
@@ -52,10 +54,16 @@ pub struct SetInterner {
     stride: usize,
     /// Flat storage: set `i` occupies `arena[i*stride .. (i+1)*stride]`.
     arena: Vec<u64>,
-    /// Fingerprint → candidate ids. Collisions land in one bucket and are
-    /// separated by full word comparison against the arena.
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Fingerprint → the newest id with that fingerprint.
+    heads: HashMap<u64, u32>,
+    /// `chain[id]` = the next older id with the fingerprint of `id`, or
+    /// [`NO_ID`]. Collisions are walked along the chain and separated by
+    /// full word comparison against the arena.
+    chain: Vec<u32>,
 }
+
+/// End of a fingerprint chain.
+const NO_ID: u32 = u32::MAX;
 
 impl SetInterner {
     /// Creates an empty interner for sets over `universe` elements.
@@ -64,7 +72,8 @@ impl SetInterner {
             universe,
             stride: universe.div_ceil(64),
             arena: Vec::new(),
-            buckets: HashMap::new(),
+            heads: HashMap::new(),
+            chain: Vec::new(),
         }
     }
 
@@ -77,17 +86,13 @@ impl SetInterner {
     /// Number of distinct sets interned so far.
     #[inline]
     pub fn len(&self) -> usize {
-        // Zero-universe sets carry no words; count via the buckets.
-        self.arena
-            .len()
-            .checked_div(self.stride)
-            .unwrap_or_else(|| self.buckets.values().map(Vec::len).sum())
+        self.chain.len()
     }
 
     /// `true` when nothing has been interned.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        self.chain.is_empty()
     }
 
     /// The word storage of an interned set.
@@ -110,22 +115,23 @@ impl SetInterner {
             "interned set universe mismatch"
         );
         let words = set.words();
-        let bucket = self.buckets.entry(set.fingerprint()).or_default();
-        for &id in bucket.iter() {
+        let head = self.heads.entry(set.fingerprint()).or_insert(NO_ID);
+        let mut id = *head;
+        while id != NO_ID {
             let at = id as usize * self.stride;
             if &self.arena[at..at + self.stride] == words {
                 return StateId(id);
             }
+            id = self.chain[id as usize];
         }
-        // For a zero-stride (empty-universe) interner every set is the
-        // empty set, and the bucket loop above only misses it on the very
-        // first intern — id 0 either way.
-        let id = match self.arena.len().checked_div(self.stride) {
-            Some(next) => u32::try_from(next).expect("more than u32::MAX states"),
-            None => 0u32,
-        };
+        assert!(
+            self.chain.len() < NO_ID as usize,
+            "more than u32::MAX - 1 states"
+        );
+        let id = self.chain.len() as u32;
         self.arena.extend_from_slice(words);
-        bucket.push(id);
+        self.chain.push(*head);
+        *head = id;
         StateId(id)
     }
 
@@ -135,7 +141,8 @@ impl SetInterner {
         self.universe = universe;
         self.stride = universe.div_ceil(64);
         self.arena.clear();
-        self.buckets.clear();
+        self.heads.clear();
+        self.chain.clear();
     }
 }
 
@@ -286,21 +293,20 @@ mod tests {
         assert_eq!(it.words(id), s.words());
     }
 
-    /// Two distinct sets engineered to share a fingerprint. The FNV-style
+    /// Three distinct sets engineered to share a fingerprint. The FNV-style
     /// fold is `h = (h ^ w) * p` per word followed by a bijective
     /// finalizer, so for two-word sets `(w0, w1)` and `(w0', w1')` the
     /// fingerprints agree iff `(s ^ w0)·p ^ w1 == (s ^ w0')·p ^ w1'`;
-    /// solving for `w1'` forges a collision. (If the fingerprint algorithm
-    /// ever changes, re-derive the construction here.)
-    fn forged_collision() -> (NodeSet, NodeSet) {
+    /// solving for `w1'` forges a collision with any chosen `w0'`. (If the
+    /// fingerprint algorithm ever changes, re-derive the construction
+    /// here.)
+    fn forged_collisions() -> [NodeSet; 3] {
         const SEED: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x1000_0000_01b3;
         let (w0a, w1a) = (0b1u64, 0b1u64);
-        let w0b = 0b11u64;
         let ca = (SEED ^ w0a).wrapping_mul(PRIME);
-        let cb = (SEED ^ w0b).wrapping_mul(PRIME);
-        let w1b = w1a ^ ca ^ cb;
-        let from_words = |w0: u64, w1: u64| {
+        let from_words = |w0: u64| {
+            let w1 = w1a ^ ca ^ (SEED ^ w0).wrapping_mul(PRIME);
             NodeSet::from_indices(
                 128,
                 (0..64)
@@ -308,30 +314,41 @@ mod tests {
                     .chain((0..64).filter(move |b| w1 >> b & 1 == 1).map(|b| b + 64)),
             )
         };
-        (from_words(w0a, w1a), from_words(w0b, w1b))
+        [from_words(w0a), from_words(0b11), from_words(0b111)]
     }
 
     #[test]
     fn forced_fingerprint_collision_gets_distinct_ids() {
         // Regression for the memo-correctness hazard: under fingerprint
-        // keys these two informed sets would share a memo entry; interned
-        // ids must keep them apart so `(StateId, phase)` memo keys cannot
-        // collide.
-        let (a, b) = forged_collision();
-        assert_ne!(a, b, "the forgery produced distinct sets");
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "the forgery produced a genuine fingerprint collision"
-        );
+        // keys these informed sets would share a memo entry; interned ids
+        // must keep them apart so `(StateId, phase)` memo keys cannot
+        // collide. Three sets make a chain of three ids behind one
+        // fingerprint; re-interning in a mixed order walks it from every
+        // position.
+        let sets = forged_collisions();
+        for (i, a) in sets.iter().enumerate() {
+            assert_eq!(
+                a.fingerprint(),
+                sets[0].fingerprint(),
+                "the forgery produced a genuine fingerprint collision"
+            );
+            for b in &sets[i + 1..] {
+                assert_ne!(a, b, "the forgery produced distinct sets");
+            }
+        }
         let mut it = SetInterner::new(128);
-        let ia = it.intern(&a);
-        let ib = it.intern(&b);
-        assert_ne!(ia, ib, "colliding fingerprints must not merge states");
-        assert_eq!(it.intern(&a), ia);
-        assert_eq!(it.intern(&b), ib);
-        assert_eq!(it.words(ia), a.words());
-        assert_eq!(it.words(ib), b.words());
+        let mut ids = [StateId(0); 3];
+        for (next, k) in [2, 0, 1].into_iter().enumerate() {
+            ids[k] = it.intern(&sets[k]);
+            assert_eq!(ids[k].idx(), next, "ids are dense in first-seen order");
+        }
+        for k in [1, 0, 2, 2, 0, 1] {
+            assert_eq!(it.intern(&sets[k]), ids[k], "set {k} re-interned");
+        }
+        assert_eq!(it.len(), 3, "colliding fingerprints must not merge states");
+        for (s, &id) in sets.iter().zip(&ids) {
+            assert_eq!(it.words(id), s.words());
+        }
     }
 
     #[test]

@@ -375,16 +375,16 @@ fn record_search_obs(solves: &'static str, out: &SearchOutcome, wall: std::time:
     wsn_obs::observe_us("searcher.latency_slots", out.latency);
 }
 
-/// Memo entry: either the exact remaining delay (with the chosen sender
-/// set and its channel assignment), or a proven lower bound on it.
-enum MemoEntry {
-    Exact {
-        rem: Slot,
-        choice: Box<[NodeId]>,
-        channels: Box<[u8]>,
-    },
-    LowerBound(Slot),
+/// Exact memo entry: the remaining delay, with the chosen sender set and
+/// its channel assignment.
+struct Exact {
+    rem: Slot,
+    choice: Box<[NodeId]>,
+    channels: Box<[u8]>,
 }
+
+/// A memo key: the interned informed set and a salted phase key.
+type MemoKey = (StateId, u64);
 
 /// One branch of a state: a sender set (channel 0 under multi-channel
 /// models seeds it, packed extras carry their channel ids).
@@ -539,11 +539,16 @@ struct Searcher<'a, S: WakeSchedule, M: ConflictModel> {
     model: &'a M,
     config: &'a SearchConfig,
     rule: BranchRule,
-    /// Memo keyed by `(interned W, phase key)` — the phase key is either
-    /// the raw `t mod period` or a folded `(level, pattern-class)` id,
-    /// both collision-free by construction, and both salted with the
-    /// model fingerprint (`key_salt`).
-    memo: HashMap<(StateId, u64), MemoEntry>,
+    /// Exact results keyed by `(interned W, phase key)` — the phase key
+    /// is either the raw `t mod period` or a folded `(level,
+    /// pattern-class)` id, both collision-free by construction, and both
+    /// salted with the model fingerprint (`key_salt`).
+    memo: HashMap<MemoKey, Exact>,
+    /// Proven lower bounds, under the same keys. A key sits in at most
+    /// one of the two maps: an exact result replaces a bound, and a bound
+    /// never overwrites an exact result. Kept apart, a bound takes
+    /// one word, not the width of an exact entry.
+    bounds: HashMap<MemoKey, Slot>,
     /// Model-fingerprint salt XORed into every phase key. The memo is
     /// per-run today (one model per `Searcher`), so this is a structural
     /// guard, not a live disambiguator: entries are regime-tagged by
@@ -590,6 +595,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             config,
             rule,
             memo: HashMap::new(),
+            bounds: HashMap::new(),
             key_salt: model.fingerprint(),
             interner: SetInterner::new(topo.len()),
             folder: None,
@@ -699,7 +705,11 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         self.stats.conflict_rows_built = conflict.rows_built;
         self.stats.conflict_rows_reused = conflict.rows_reused;
         self.stats.interned_sets = self.interner.len();
-        self.stats.memo_entries = self.memo.len();
+        debug_assert!(
+            self.bounds.keys().all(|k| !self.memo.contains_key(k)),
+            "a memo key sits in both the exact and the bound map"
+        );
+        self.stats.memo_entries = self.memo.len() + self.bounds.len();
         self.stats.phase_classes = self.folder.as_ref().map_or(0, |f| f.joints.len());
         SearchOutcome {
             latency,
@@ -789,7 +799,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         match self.config.branch_order {
             // Most new coverage first → tight budgets early.
             BranchOrder::CoverageSum => {
-                sets.sort_by_key(|set| {
+                sets.sort_by_cached_key(|set| {
                     std::cmp::Reverse(
                         set.iter()
                             .map(|&u| self.topo.neighbor_set(u).difference_len(informed))
@@ -865,13 +875,12 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         let mut known_lb: Slot = 0;
         let mut known_exact: Option<Slot> = None;
         for &key in &keys[..nkeys] {
-            match self.memo.get(&(sid, key)) {
-                Some(MemoEntry::Exact { rem, .. }) => {
-                    known_exact = Some(*rem);
-                    break;
-                }
-                Some(MemoEntry::LowerBound(lb)) => known_lb = known_lb.max(*lb),
-                None => {}
+            if let Some(exact) = self.memo.get(&(sid, key)) {
+                known_exact = Some(exact.rem);
+                break;
+            }
+            if let Some(&lb) = self.bounds.get(&(sid, key)) {
+                known_lb = known_lb.max(lb);
             }
         }
         if let Some(rem) = known_exact {
@@ -1095,9 +1104,10 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         channels: Box<[u8]>,
     ) {
         let key = self.store_key(phase, informed, |f| f.level_for_exact(rem));
+        self.bounds.remove(&(sid, key));
         self.memo.insert(
             (sid, key),
-            MemoEntry::Exact {
+            Exact {
                 rem,
                 choice,
                 channels,
@@ -1119,16 +1129,9 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
     /// certifying it, keeping the strongest bound per key.
     fn record_lower_bound(&mut self, sid: StateId, phase: Slot, informed: &NodeSet, lb: Slot) {
         let key = self.store_key(phase, informed, |f| f.level_for_bound(lb));
-        match self.memo.get_mut(&(sid, key)) {
-            Some(MemoEntry::Exact { .. }) => {}
-            Some(MemoEntry::LowerBound(old)) => {
-                if lb > *old {
-                    *old = lb;
-                }
-            }
-            None => {
-                self.memo.insert((sid, key), MemoEntry::LowerBound(lb));
-            }
+        if !self.memo.contains_key(&(sid, key)) {
+            let old = self.bounds.entry((sid, key)).or_insert(lb);
+            *old = (*old).max(lb);
         }
     }
 
@@ -1167,13 +1170,8 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         let mut keys = [0u64; MAX_FOLD_LEVELS + 1];
         let nkeys = self.lookup_keys(informed, phase, &mut keys);
         for &key in &keys[..nkeys] {
-            if let Some(MemoEntry::Exact {
-                rem,
-                choice,
-                channels,
-            }) = self.memo.get(&(sid, key))
-            {
-                return Some((*rem, choice.clone(), channels.clone()));
+            if let Some(e) = self.memo.get(&(sid, key)) {
+                return Some((e.rem, e.choice.clone(), e.channels.clone()));
             }
         }
         None

@@ -17,8 +17,9 @@ pub struct WindowedRandom {
     rate: u32,
     /// Number of windows before the pattern repeats.
     windows: u32,
-    /// `offsets[u][w]` = active slot offset of node `u` in window `w`.
-    offsets: Vec<Vec<u32>>,
+    /// `offsets[u * windows + w]` = active slot offset of node `u` in
+    /// window `w`.
+    offsets: Vec<u32>,
 }
 
 /// SplitMix64 — the tiny deterministic PRNG used to derive per-window
@@ -56,14 +57,12 @@ impl WindowedRandom {
         assert!(rate > 0, "cycle rate must be positive");
         assert!(windows > 0, "need at least one window");
         let offsets = (0..n)
-            .map(|u| {
+            .flat_map(|u| {
                 // Per-node stream: mix the node index into the seed once,
                 // then derive each window's offset independently so that
                 // consecutive windows are uncorrelated.
                 let node_seed = splitmix64(seed ^ (u as u64).wrapping_mul(0xa24b_aed4_963e_e407));
-                (0..windows)
-                    .map(|w| (splitmix64(node_seed ^ (w as u64)) % rate as u64) as u32)
-                    .collect()
+                (0..windows).map(move |w| (splitmix64(node_seed ^ (w as u64)) % rate as u64) as u32)
             })
             .collect();
         WindowedRandom {
@@ -75,7 +74,7 @@ impl WindowedRandom {
 
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.offsets.len() / self.windows as usize
     }
 
     /// `true` when the schedule covers no nodes.
@@ -88,10 +87,35 @@ impl WindowedRandom {
         self.rate
     }
 
+    /// Node `u`'s active offset in each window of the period.
+    fn row(&self, u: usize) -> &[u32] {
+        let w = self.windows as usize;
+        &self.offsets[u * w..(u + 1) * w]
+    }
+
     /// The active slot of node `u` within window `w` (absolute slot).
     fn active_slot_in_window(&self, u: usize, w: u64) -> Slot {
         let widx = (w % self.windows as u64) as usize;
-        w * self.rate as u64 + self.offsets[u][widx] as u64
+        w * self.rate as u64 + self.row(u)[widx] as u64
+    }
+
+    /// The waits `v` imposes on a message `u` hands it, one per window of
+    /// the period, in window order. `u` sends once per window, at offset
+    /// `ou`; `v` relays at its own slot later in that window (offset
+    /// `ov > ou`), or else at its slot in the next window, wrapping at the
+    /// period. This is `cwt_after(v, t)` at each of `u`'s sending slots
+    /// `t`, in closed form.
+    fn edge_waits(&self, u: usize, v: usize) -> impl Iterator<Item = Slot> + '_ {
+        let (ru, rv) = (self.row(u), self.row(v));
+        let rate = self.rate as Slot;
+        ru.iter().enumerate().map(move |(w, &ou)| {
+            let same = rv[w];
+            if same > ou {
+                (same - ou) as Slot
+            } else {
+                rate + rv[(w + 1) % rv.len()] as Slot - ou as Slot
+            }
+        })
     }
 }
 
@@ -118,6 +142,17 @@ impl WakeSchedule for WindowedRandom {
 
     fn cycle_rate(&self) -> f64 {
         self.rate as f64
+    }
+
+    /// The trait default bit for bit: the same integer total over the
+    /// same `windows` sends, divided once.
+    fn expected_cwt(&self, u: usize, v: usize) -> f64 {
+        let total: Slot = self.edge_waits(u, v).sum();
+        total as f64 / self.windows as f64
+    }
+
+    fn max_cwt(&self, u: usize, v: usize) -> Slot {
+        self.edge_waits(u, v).max().unwrap_or(0)
     }
 }
 
@@ -222,6 +257,53 @@ mod tests {
                 let m = s.max_cwt(u, v);
                 assert!((1..20).contains(&m));
                 assert!(e <= m as f64);
+            }
+        }
+    }
+
+    /// Forwards only the required trait methods, so `expected_cwt` and
+    /// `max_cwt` run the trait defaults over `WindowedRandom`'s slots.
+    struct DefaultCwt(WindowedRandom);
+
+    impl WakeSchedule for DefaultCwt {
+        fn can_send(&self, u: usize, slot: Slot) -> bool {
+            self.0.can_send(u, slot)
+        }
+
+        fn next_send(&self, u: usize, from: Slot) -> Slot {
+            self.0.next_send(u, from)
+        }
+
+        fn period(&self) -> Slot {
+            self.0.period()
+        }
+
+        fn cycle_rate(&self) -> f64 {
+            self.0.cycle_rate()
+        }
+    }
+
+    #[test]
+    fn closed_form_cwt_equals_trait_defaults() {
+        // Wraps at the period (windows = 1, 3), degenerates at rate 1, and
+        // runs the paper's rate over the default period.
+        let n = 12;
+        for (rate, windows) in [(10, 64), (1, 4), (7, 3), (10, 1), (2, 9)] {
+            let fast = WindowedRandom::with_windows(n, rate, 0x5eed ^ rate as u64, windows);
+            let slow = DefaultCwt(fast.clone());
+            for u in 0..n {
+                for v in 0..n {
+                    assert_eq!(
+                        fast.expected_cwt(u, v).to_bits(),
+                        slow.expected_cwt(u, v).to_bits(),
+                        "rate {rate} windows {windows}: expected_cwt({u}, {v})"
+                    );
+                    assert_eq!(
+                        fast.max_cwt(u, v),
+                        slow.max_cwt(u, v),
+                        "rate {rate} windows {windows}: max_cwt({u}, {v})"
+                    );
+                }
             }
         }
     }

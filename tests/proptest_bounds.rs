@@ -4,6 +4,10 @@
 //! it evaluates; the flood bound at that state must never exceed it. Where
 //! every node is always able to send, the flood must collapse to the hop
 //! bound.
+//!
+//! The hop bound itself (`remaining_hops_profile`, a word-parallel BFS over
+//! the neighbour masks) must return exactly the profile of the queue BFS
+//! `metrics::bfs_hops_from_set`, and its maximum over the uninformed nodes.
 
 use mlbs::core::bounds::{remaining_hops_profile, FloodBound};
 use mlbs::core::SearchConfig;
@@ -24,6 +28,50 @@ fn arb_tiny_topo() -> impl Strategy<Value = (Topology, NodeId)> {
         }
         .sample(seed)
     })
+}
+
+/// Connected deployments of 60–199 nodes on the paper's area, so the
+/// neighbour masks span one to four words.
+fn arb_paper_topo() -> impl Strategy<Value = Topology> {
+    (60usize..200, 0u64..400).prop_map(|(n, seed)| {
+        SyntheticDeployment {
+            ecc_range: None,
+            ..SyntheticDeployment::paper(n)
+        }
+        .sample(seed)
+        .0
+    })
+}
+
+/// SplitMix64 step, to draw informed sets from one proptest seed.
+fn splitmix(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A non-empty informed set over `n` nodes: a singleton (`mode` 0), all
+/// but one to three nodes (`mode` 1), or each node with one random
+/// probability (`mode` 2).
+fn informed_set(n: usize, mode: usize, mut seed: u64) -> NodeSet {
+    let mut w = match mode {
+        0 => NodeSet::new(n),
+        1 => {
+            let mut w = NodeSet::full(n);
+            for _ in 0..=splitmix(&mut seed) % 3 {
+                w.remove((splitmix(&mut seed) % n as u64) as usize);
+            }
+            w
+        }
+        _ => {
+            let p = splitmix(&mut seed) % 101;
+            NodeSet::from_indices(n, (0..n).filter(|_| splitmix(&mut seed) % 100 < p))
+        }
+    };
+    w.insert((splitmix(&mut seed) % n as u64) as usize);
+    w
 }
 
 const RATES: [u32; 3] = [2, 5, 10];
@@ -90,5 +138,23 @@ proptest! {
         // Rate 1: one window per slot, so every node sends in every slot.
         let wake = WindowedRandom::with_windows(n, 1, wake_seed, 4);
         prop_assert_eq!(flood.lower_bound(&topo, &wake, &informed, t, Slot::MAX), hops);
+    }
+
+    #[test]
+    fn hop_profile_matches_the_queue_bfs(
+        topo in arb_paper_topo(),
+        mode in 0usize..3,
+        set_seed in 0u64..1_000_000,
+    ) {
+        let informed = informed_set(topo.len(), mode, set_seed);
+        let oracle = metrics::bfs_hops_from_set(&topo, &informed);
+        let far = (0..topo.len())
+            .filter(|&u| !informed.contains(u))
+            .map(|u| oracle[u])
+            .max()
+            .unwrap_or(0);
+        let (lb, dist) = remaining_hops_profile(&topo, &informed);
+        prop_assert_eq!(lb, far as Slot);
+        prop_assert_eq!(dist, oracle);
     }
 }

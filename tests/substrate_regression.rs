@@ -153,3 +153,79 @@ fn duty_adaptive_search_pins_and_row_accounting() {
         assert!(out.stats.memo_entries <= out.stats.states);
     }
 }
+
+/// Search-path pins on paper-grid's heaviest instance (sync, 300 nodes,
+/// deployment `0x5EED_2012 ^ (300 << 16) ^ 1`, adaptive budget) and on its
+/// duty twin (r = 10, wake seed `seed ^ 0xAAAA`): latency, `exact` and
+/// `SearchStats { states, memo_hits, memo_entries, interned_sets, pruned }`
+/// for OPT and G-OPT. A kernel change that claims to be bit-identical (the
+/// hop profile, the CWT weights, the memo layout, the branch sort) must
+/// leave every one of these numbers alone.
+///
+/// `(regime, algorithm, latency, exact, states, memo_hits, memo_entries,
+/// interned_sets, pruned)`.
+#[allow(clippy::type_complexity)]
+const HEAVY_PINNED: &[(&str, &str, u64, bool, usize, usize, usize, usize, usize)] = &[
+    ("sync", "opt", 7, false, 9_239, 16_326, 9_238, 9_238, 25_257),
+    ("sync", "gopt", 7, true, 613, 56, 613, 613, 629),
+    ("duty", "opt", 11, true, 12, 0, 12, 12, 2),
+    ("duty", "gopt", 11, true, 11, 0, 11, 11, 0),
+];
+
+#[test]
+fn heavy_paper_grid_instance_search_path_pins() {
+    let n = 300;
+    let seed = 0x5EED_2012 ^ ((n as u64) << 16) ^ 1;
+    let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
+    let duty = Regime::Duty { rate: 10 };
+    let wake = WindowedRandom::new(n, 10, seed ^ 0xAAAA);
+    let budget = AdaptiveBudget::default();
+    let mut substrate = BroadcastState::new();
+    for &(regime, algo, latency, exact, states, hits, entries, interned, pruned) in HEAVY_PINNED {
+        let out = match (regime, algo) {
+            ("sync", "opt") => solve_opt_with(
+                &topo,
+                src,
+                &AlwaysAwake,
+                &budget.config_for(Regime::Sync, n),
+                &mut substrate,
+            ),
+            ("sync", "gopt") => solve_gopt_with(
+                &topo,
+                src,
+                &AlwaysAwake,
+                &budget.config_for(Regime::Sync, n),
+                &mut substrate,
+            ),
+            ("duty", "opt") => solve_opt_with(
+                &topo,
+                src,
+                &wake,
+                &budget.config_for(duty, n),
+                &mut substrate,
+            ),
+            _ => solve_gopt_with(
+                &topo,
+                src,
+                &wake,
+                &budget.config_for(duty, n),
+                &mut substrate,
+            ),
+        };
+        let s = &out.stats;
+        assert_eq!(
+            (
+                out.latency,
+                out.exact,
+                s.states,
+                s.memo_hits,
+                s.memo_entries,
+                s.interned_sets,
+                s.pruned
+            ),
+            (latency, exact, states, hits, entries, interned, pruned),
+            "{regime} {algo}: (latency, exact, states, memo_hits, memo_entries, \
+             interned_sets, pruned) drifted"
+        );
+    }
+}

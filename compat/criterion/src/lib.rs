@@ -4,8 +4,8 @@
 //! [`BenchmarkId`], [`Bencher::iter`], and the [`criterion_group!`] /
 //! [`criterion_main!`] macros.
 //!
-//! The build environment has no registry access, so bench-only external
-//! APIs are vendored as path dependencies under `compat/`. Instead of
+//! The build environment has no registry access, so the external APIs the
+//! benches use are vendored as path dependencies under `compat/`. Instead of
 //! criterion's statistical machinery, each benchmark runs a short
 //! calibrated measurement loop and prints `name  median ± spread` to
 //! stdout — enough to compare hot paths run-to-run. `cargo bench --no-run`

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for the schedulers' design choices.
 //!
 //! Each group isolates one ingredient of the paper's contribution and
 //! reports the *latency* impact (encoded in the benchmark name output via
@@ -11,7 +11,7 @@
 //!   how much of the baseline's loss is stale coloring rather than the
 //!   barrier itself;
 //! * `opt_beam_width` — OPT branch-cap sensitivity: latency found vs beam
-//!   width (exactness ablation for the DESIGN.md beam substitution).
+//!   width (exactness ablation for the capped-enumeration beam).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlbs_core::{solve_opt, SearchConfig};
@@ -62,7 +62,7 @@ fn bench_coloring_staleness(c: &mut Criterion) {
 }
 
 fn bench_emodel_directionality(c: &mut Criterion) {
-    // DESIGN.md ablation: the 4-tuple (directional, Eq. 10) vs a scalar
+    // Ablation: the 4-tuple (directional, Eq. 10) vs a scalar
     // distance-to-edge estimate. Latencies are embedded in the bench names;
     // wall time compares the two constructions + pipeline runs.
     use mlbs_core::{

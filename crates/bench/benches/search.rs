@@ -55,8 +55,8 @@ fn bench_duty_opt(c: &mut Criterion) {
                 b.iter(|| {
                     let out =
                         solve_opt_with(black_box(&topo), src, &wake, &adaptive, &mut substrate);
-                    // The CI smoke contract: the counters the claims
-                    // binary records must be populated on the duty pins.
+                    // The CI smoke contract: the search counters must be
+                    // populated on the duty pins.
                     assert!(
                         out.stats.phase_classes > 0,
                         "phase folder never engaged on a duty search"

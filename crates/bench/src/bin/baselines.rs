@@ -6,7 +6,7 @@
 //! `FixedColors` (colors fire in sequence, redundant members back out),
 //! `Recolor` (per-slot re-coloring inside the layer). The paper's "~70%
 //! improvement" claim falls between our Precomputed and FixedColors
-//! readings — see EXPERIMENTS.md.
+//! readings.
 
 use mlbs_core::SearchConfig;
 use wsn_bench::FigureOpts;

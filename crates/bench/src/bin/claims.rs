@@ -12,1005 +12,15 @@
 //!    heavy duty cycle system, the difference is controlled within r
 //!    slots."
 //! 5. Theorem 1 holds on every instance (latency ≤ d+2 / 2r(d+2)).
+//!
+//! Each check prints PASS or WARN with its measured margin; none fails
+//! the run.
 
-use mlbs_core::{solve_opt_with, BroadcastState, SearchConfig, SearchOutcome};
-use wsn_anytime::{solve_anytime, AnytimeConfig, Budget};
-use wsn_bench::{AdaptiveBudget, FigureOpts};
-use wsn_dutycycle::{AlwaysAwake, WindowedRandom};
-use wsn_phy::{PhyModelSpec, ProtocolModel, SinrParams};
-use wsn_sim::{Algorithm, Regime, Sweep, SweepResult};
-use wsn_topology::deploy::{SyntheticDeployment, PAPER_RADIUS};
+use wsn_bench::FigureOpts;
+use wsn_sim::{Algorithm, Regime, SweepResult};
 
 fn check(name: &str, ok: bool, detail: String) {
     println!("[{}] {name}: {detail}", if ok { "PASS" } else { "WARN" });
-}
-
-/// Emits `BENCH_substrate.json`: the incremental-conflict-substrate
-/// baseline (per-instance OPT wall time, row-computation accounting, memo
-/// interning) on the seeded paper deployments — the reference numbers the
-/// `substrates` bench and future perf PRs compare against.
-fn emit_substrate_baseline(path: &str) {
-    let mut substrate = BroadcastState::new();
-    let mut rows = Vec::new();
-    for (n, seed) in [(100usize, 0u64), (100, 1), (300, 0), (300, 1)] {
-        let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
-        let t0 = std::time::Instant::now();
-        let out = solve_opt_with(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &SearchConfig::default(),
-            &mut substrate,
-        );
-        let wall_us = t0.elapsed().as_micros();
-        rows.push(format!(
-            "    {{\"nodes\": {n}, \"seed\": {seed}, \"latency\": {}, \"exact\": {}, \
-             \"states\": {}, \"interned_sets\": {}, \"conflict_rows_built\": {}, \
-             \"conflict_rows_reused\": {}, \"wall_us\": {wall_us}}}",
-            out.latency,
-            out.exact,
-            out.stats.states,
-            out.stats.interned_sets,
-            out.stats.conflict_rows_built,
-            out.stats.conflict_rows_reused
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"substrate\",\n  \"rule\": \"MaximalSets\",\n  \"instances\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("[claims] wrote {path}"),
-        Err(e) => eprintln!("[claims] could not write {path}: {e}"),
-    }
-}
-
-/// One measured search run rendered as a JSON object.
-fn search_row(label: &str, out: &SearchOutcome, wall_us: u128) -> String {
-    let s = &out.stats;
-    format!(
-        "      \"{label}\": {{\"latency\": {}, \"exact\": {}, \"states\": {}, \
-         \"memo_entries\": {}, \"phase_classes\": {}, \"dominance_prunes\": {}, \
-         \"branch_reorders\": {}, \"conflict_rows_built\": {}, \
-         \"conflict_rows_reused\": {}, \"wall_us\": {wall_us}}}",
-        out.latency,
-        out.exact,
-        s.states,
-        s.memo_entries,
-        s.phase_classes,
-        s.dominance_prunes,
-        s.branch_reorders,
-        s.conflict_rows_built,
-        s.conflict_rows_reused
-    )
-}
-
-/// Emits `BENCH_search.json`: the phase-folded duty-cycle search against
-/// the PR 2 baseline on seeded duty pins. Three configurations per pin:
-///
-/// * `baseline` — the PR 2 regime constants (`branch_cap = 24`,
-///   `max_states = 400_000`) with folding/dominance/ordering off;
-/// * `folded` — identical caps with phase folding, dominance pruning and
-///   frontier-weighted overscan on (the apples-to-apples state-compression
-///   measurement);
-/// * `adaptive` — the [`AdaptiveBudget`] configuration for the instance
-///   size (what the figure sweeps actually run).
-fn emit_search_baseline(path: &str) {
-    let legacy = SearchConfig {
-        branch_cap: 24,
-        max_states: 400_000,
-        phase_fold: false,
-        dominance: false,
-        ..SearchConfig::default()
-    };
-    let folded = SearchConfig {
-        phase_fold: true,
-        dominance: true,
-        overscan: 4,
-        branch_order: mlbs_core::BranchOrder::FrontierWeighted,
-        ..legacy.clone()
-    };
-    let mut blocks = Vec::new();
-    // The 100-node r=50 pin documents that the *phase axis alone* is no
-    // longer the bottleneck (the budget-seeded substrate search solves it
-    // in double-digit states); the hard duty regime is wide awake-candidate
-    // branching — r=10 / r=5 at 200–300 nodes — where folding + dominance
-    // cut memoized states by 15–700× and recover exactness.
-    for (n, seed, rate) in [
-        (100usize, 0u64, 50u32),
-        (200, 0, 10),
-        (250, 1, 10),
-        (300, 2, 10),
-        (300, 3, 5),
-    ] {
-        let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
-        let wake = WindowedRandom::new(topo.len(), rate, seed ^ 0x57a6_6e8d);
-        let adaptive = AdaptiveBudget::default().config_for(Regime::Duty { rate }, n);
-        let mut rows = Vec::new();
-        for (label, cfg) in [
-            ("baseline", &legacy),
-            ("folded", &folded),
-            ("adaptive", &adaptive),
-        ] {
-            // Fresh substrate per configuration: a shared one would hand
-            // the later runs the conflict-graph rows the baseline just
-            // built on this exact topology, inflating the comparison with
-            // cache warmth.
-            let mut substrate = BroadcastState::new();
-            let t0 = std::time::Instant::now();
-            let out = solve_opt_with(&topo, src, &wake, cfg, &mut substrate);
-            rows.push(search_row(label, &out, t0.elapsed().as_micros()));
-        }
-        blocks.push(format!(
-            "    {{\"nodes\": {n}, \"seed\": {seed}, \"rate\": {rate},\n{}\n    }}",
-            rows.join(",\n")
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"search\",\n  \"rule\": \"MaximalSets\",\n  \
-         \"measured_states_per_ms\": {:.1},\n  \"instances\": [\n{}\n  ]\n}}\n",
-        AdaptiveBudget::measure_states_per_ms(),
-        blocks.join(",\n")
-    );
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("[claims] wrote {path}"),
-        Err(e) => eprintln!("[claims] could not write {path}: {e}"),
-    }
-}
-
-/// The model/channel axis `BENCH_phy.json` reports: the protocol model
-/// and calibrated pairwise SINR (α = 3, β = 1.5, reception range = the
-/// paper radius, interference counted to 2×radius), each at K ∈ {1, 2, 4}
-/// channels.
-fn phy_model_axis() -> Vec<PhyModelSpec> {
-    let sinr = PhyModelSpec::sinr(SinrParams::calibrated(PAPER_RADIUS, 3.0, 1.5));
-    [PhyModelSpec::protocol(), sinr]
-        .into_iter()
-        .flat_map(|base| [1u32, 2, 4].into_iter().map(move |k| base.with_channels(k)))
-        .collect()
-}
-
-/// Emits `BENCH_phy.json`: OPT and G-OPT mean latency/transmissions on the
-/// paper grid across the conflict-model axis — protocol vs pairwise SINR
-/// vs K ∈ {1, 2, 4} channels, every model run on identical instances
-/// (same deployments, same sources) through `Sweep`'s model axis.
-fn emit_phy_baseline(path: &str, opts: &FigureOpts) {
-    let instances = opts.instances.clamp(1, 3);
-    let mut sweep = Sweep::paper_grid(Regime::Sync, instances, opts.seed);
-    sweep.threads = opts.threads;
-    sweep.algorithms = vec![Algorithm::Opt, Algorithm::GOpt];
-    sweep.models = phy_model_axis();
-    let result = sweep.run();
-    let mut points = Vec::new();
-    for p in &result.points {
-        let mut rows = Vec::new();
-        for a in &p.per_algorithm {
-            let (alg, model) = a
-                .name
-                .split_once('@')
-                .unwrap_or((a.name.as_str(), "protocol"));
-            rows.push(format!(
-                "      {{\"algorithm\": \"{alg}\", \"model\": \"{model}\", \
-                 \"mean_latency\": {:.4}, \"mean_transmissions\": {:.4}, \
-                 \"mean_coverage\": {:.4}}}",
-                a.latency.mean(),
-                a.transmissions.mean(),
-                a.coverage.mean()
-            ));
-        }
-        points.push(format!(
-            "    {{\"nodes\": {}, \"density\": {:.4}, \"rows\": [\n{}\n    ]}}",
-            p.nodes,
-            p.density,
-            rows.join(",\n")
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"phy\",\n  \"regime\": \"sync\",\n  \"instances\": {instances},\n  \
-         \"inexact_runs\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-        result.inexact_runs,
-        points.join(",\n")
-    );
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("[claims] wrote {path}"),
-        Err(e) => eprintln!("[claims] could not write {path}: {e}"),
-    }
-}
-
-/// Emits `BENCH_anytime.json`: the anytime tabu/PARTIALCOL tier against
-/// the constructive baselines (26-approx layered, CDS-layered) on scaled
-/// deployments up to `max_nodes`, each anytime run under a wall-clock
-/// budget with its improving-bound trace recorded; plus the ≤300-node
-/// OPT-match pins and the witness-cache crossover measurement at 10k
-/// protocol nodes (the `set_witness_retest_min_universe` tuning input).
-fn emit_anytime_baseline(path: &str, max_nodes: usize) {
-    let scales: &[(usize, u64)] = &[(1_000, 2_000), (10_000, 5_000), (100_000, 10_000)];
-    let mut rows = Vec::new();
-    for &(n, budget_ms) in scales.iter().filter(|&&(n, _)| n <= max_nodes) {
-        let (topo, src) = SyntheticDeployment::scaled(n).sample(7);
-        let t0 = std::time::Instant::now();
-        let layered = wsn_baselines::schedule_26_approx(&topo, src);
-        let layered_us = t0.elapsed().as_micros();
-        let t0 = std::time::Instant::now();
-        let cds = wsn_baselines::schedule_cds_layered(&topo, src);
-        let cds_us = t0.elapsed().as_micros();
-        let cfg = AnytimeConfig {
-            budget: Budget::WallClockMs(budget_ms),
-            ..AnytimeConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let any = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        let any_us = t0.elapsed().as_micros();
-        any.schedule
-            .verify(&topo, &AlwaysAwake)
-            .expect("anytime schedule must verify");
-        let best_base = layered.latency().min(cds.latency());
-        check(
-            &format!("anytime beats constructive baselines at {n} nodes"),
-            any.latency < best_base || (n < 10_000 && any.latency <= best_base),
-            format!(
-                "anytime {} vs 26-approx {} / cds {} within {budget_ms}ms",
-                any.latency,
-                layered.latency(),
-                cds.latency()
-            ),
-        );
-        let trace = any
-            .trace
-            .iter()
-            .map(|p| format!("[{}, {}]", p.elapsed_ms, p.latency))
-            .collect::<Vec<_>>()
-            .join(", ");
-        rows.push(format!(
-            "    {{\"nodes\": {n}, \"budget_ms\": {budget_ms}, \
-             \"anytime_latency\": {}, \"anytime_wall_us\": {any_us}, \
-             \"proved_optimal\": {}, \"moves\": {}, \"passes\": {}, \"restarts\": {}, \
-             \"layered_latency\": {}, \"layered_wall_us\": {layered_us}, \
-             \"cds_latency\": {}, \"cds_wall_us\": {cds_us}, \
-             \"trace_ms_latency\": [{trace}]}}",
-            any.latency,
-            any.proved_optimal,
-            any.moves,
-            any.passes,
-            any.restarts,
-            layered.latency(),
-            cds.latency()
-        ));
-    }
-
-    // ≤300-node pins: a generous deterministic budget must recover the
-    // exact tier's result (true OPT where the wide search completes).
-    let wide = SearchConfig {
-        branch_cap: 4096,
-        max_states: 8_000_000,
-        ..SearchConfig::default()
-    };
-    let mut pins = Vec::new();
-    for &(n, seed) in &[(100usize, 0u64), (100, 1), (150, 0), (300, 0), (300, 1)] {
-        let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
-        let cfg = if n <= 150 {
-            wide.clone()
-        } else {
-            SearchConfig::default()
-        };
-        let opt = solve_opt_with(&topo, src, &AlwaysAwake, &cfg, &mut BroadcastState::new());
-        let any = solve_anytime(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            &AnytimeConfig {
-                budget: Budget::Iterations(400_000),
-                ..AnytimeConfig::default()
-            },
-        );
-        check(
-            &format!("anytime matches exact tier at n={n} seed={seed}"),
-            any.latency <= opt.latency,
-            format!(
-                "anytime {} vs {} {} ",
-                any.latency,
-                if opt.exact { "OPT" } else { "beam-OPT" },
-                opt.latency
-            ),
-        );
-        pins.push(format!(
-            "    {{\"nodes\": {n}, \"seed\": {seed}, \"opt_latency\": {}, \
-             \"opt_exact\": {}, \"anytime_latency\": {}}}",
-            opt.latency, opt.exact, any.latency
-        ));
-    }
-
-    // Witness-cache crossover at 10k protocol nodes: time a delta-update
-    // shrink sequence with the cache forced on (min_universe = 0), forced
-    // off (usize::MAX), and the auto-tuned default band (cache only while
-    // the predicate lacks a degree-local path). The default should track
-    // the winner — at 10k the degree-local protocol predicate.
-    let (wit_on_us, wit_off_us, wit_auto_us) = {
-        use wsn_bitset::NodeSet;
-        use wsn_interference::ConflictGraphBuilder;
-        let n = 10_000.min(max_nodes.max(1_000));
-        let (topo, src) = SyntheticDeployment::scaled(n).sample(7);
-        let seedsched = solve_anytime(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            &AnytimeConfig {
-                budget: Budget::Iterations(0),
-                ..AnytimeConfig::default()
-            },
-        );
-        let relays: Vec<_> = seedsched
-            .schedule
-            .entries
-            .iter()
-            .flat_map(|e| e.senders.iter().copied())
-            .collect();
-        let time_mode = |min_universe: usize| {
-            let mut b = ConflictGraphBuilder::new();
-            b.set_witness_retest_min_universe(min_universe);
-            let mut unf = NodeSet::full(topo.len());
-            unf.remove(src.idx());
-            let t0 = std::time::Instant::now();
-            b.update_with(&ProtocolModel, &topo, &relays, &unf);
-            for step in 0..8usize {
-                for idx in (step * 100..(step + 1) * 100).map(|i| (i * 97) % topo.len()) {
-                    unf.remove(idx);
-                }
-                b.update_with(&ProtocolModel, &topo, &relays, &unf);
-            }
-            t0.elapsed().as_micros()
-        };
-        (
-            time_mode(0),
-            time_mode(usize::MAX),
-            time_mode(wsn_interference::WITNESS_RETEST_MIN_UNIVERSE),
-        )
-    };
-    check(
-        "witness-retest default tracks the measured winner at 10k nodes",
-        wit_auto_us as f64 <= 1.25 * (wit_on_us.min(wit_off_us) as f64),
-        format!(
-            "auto-tuned band {wit_auto_us}us vs forced-cache {wit_on_us}us / \
-             forced-predicate {wit_off_us}us"
-        ),
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"anytime\",\n  \"budget_rule\": \"wall-clock\",\n  \
-         \"scales\": [\n{}\n  ],\n  \"opt_pins\": [\n{}\n  ],\n  \
-         \"witness_crossover_10k\": {{\"cached_us\": {wit_on_us}, \"predicate_us\": {wit_off_us}, \
-         \"auto_band_us\": {wit_auto_us}}}\n}}\n",
-        rows.join(",\n"),
-        pins.join(",\n")
-    );
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("[claims] wrote {path}"),
-        Err(e) => eprintln!("[claims] could not write {path}: {e}"),
-    }
-}
-
-/// Emits `BENCH_reliability.json`: the ε-reliability pins. For each scale
-/// the lossy pin regime (distance-correlated loss, mild enough that two
-/// repeats per hop carry the probability mass) is replayed against three
-/// schedules on the same instance: the lossless anytime schedule (fragile
-/// by design), the ε = 0.01 reliable plan, and a naive
-/// "schedule-then-retransmit-blindly" baseline given the *same* slot
-/// budget as the reliable plan, spread uniformly. The repair pin kills a
-/// single relay and times `reschedule` against a cold re-solve.
-fn emit_reliability_baseline(path: &str, max_nodes: usize) {
-    use wsn_anytime::{reschedule, solve_anytime_reliable, ChurnDelta};
-    use wsn_sim::{mean_coverage_quality, replay_faulty, FaultScript};
-    use wsn_topology::{LinkQuality, LinkQualityParams};
-
-    let epsilon = 0.01;
-    // Mild lossy pins, one per scale: worst-link loss sits just under the
-    // two-repeat threshold √(ε/depth) for that scale's hop depth (the
-    // ≤ 2× budget regime — deeper networks get gentler links), while the
-    // sub-linear gamma keeps *mean* loss high enough that one-shot
-    // schedules visibly strand subtrees at depth.
-    let pin_for = |loss_near: f64, loss_far: f64| LinkQualityParams {
-        loss_near,
-        loss_far,
-        gamma: 0.45,
-        flaky_fraction: 0.0,
-        flaky_extra_loss: 0.0,
-    };
-    let scales: &[(usize, u64, usize, f64, f64)] = &[
-        (1_000, 30_000, 30, 0.006, 0.024),
-        (10_000, 12_000, 30, 0.004, 0.013),
-    ];
-    let mut rows = Vec::new();
-    for &(n, iters, trials, loss_near, loss_far) in scales.iter().filter(|&&(n, ..)| n <= max_nodes)
-    {
-        let pin = pin_for(loss_near, loss_far);
-        let (topo, src) = SyntheticDeployment::scaled(n).sample(7);
-        let quality = LinkQuality::synthetic(&topo, &pin, 42);
-        let cfg = AnytimeConfig {
-            budget: Budget::Iterations(iters),
-            ..AnytimeConfig::default()
-        };
-
-        // Lossless incumbent and the reliable plan on top of it.
-        let reliable = solve_anytime_reliable(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            &quality,
-            epsilon,
-            &cfg,
-        );
-        let lossless = &reliable.base.schedule;
-        let lossless_slots = lossless.entries.len() as u64;
-        let cov_lossless = mean_coverage_quality(&topo, lossless, &quality, trials, 3);
-        let cov_reliable = mean_coverage_quality(&topo, &reliable.schedule, &quality, trials, 3);
-        let budget = reliable.schedule.slot_budget();
-        let ratio = budget as f64 / lossless_slots as f64;
-
-        // Blind baseline: same slot budget, spread uniformly (every entry
-        // repeated ⌊budget/entries⌋ times, remainder to the earliest).
-        let mut blind = lossless.clone();
-        let base = budget / lossless_slots;
-        let extra = (budget % lossless_slots) as usize;
-        blind.repeats = (0..lossless.entries.len())
-            .map(|i| base as u32 + u32::from(i < extra))
-            .collect();
-        let cov_blind = mean_coverage_quality(&topo, &blind, &quality, trials, 3);
-
-        check(
-            &format!("ε=0.01 coverage ≥ 99% at {n} nodes"),
-            cov_reliable >= 0.99,
-            format!(
-                "mean coverage {cov_reliable:.4} (bound min {:.4})",
-                reliable.report.min_delivery
-            ),
-        );
-        check(
-            &format!("lossless schedule < 90% coverage at {n} nodes"),
-            cov_lossless < 0.90,
-            format!("mean coverage {cov_lossless:.4}"),
-        );
-        check(
-            &format!("reliable budget ≤ 2× lossless at {n} nodes"),
-            ratio <= 2.0,
-            format!("{budget} slots vs {lossless_slots} ({ratio:.2}×)"),
-        );
-        check(
-            &format!("ε-plan beats blind retransmission at {n} nodes"),
-            cov_reliable >= cov_blind,
-            format!("ε {cov_reliable:.4} vs blind {cov_blind:.4} at equal budget"),
-        );
-
-        // Repair pin: one relay dies; repair vs cold re-solve wall time.
-        let victim = lossless
-            .entries
-            .iter()
-            .flat_map(|e| e.senders.iter().copied())
-            .find(|&u| u != src)
-            .expect("some non-source relay");
-        let script = FaultScript {
-            events: vec![wsn_sim::Fault::NodeDeath {
-                node: victim,
-                at: 0,
-            }],
-        };
-        let faulty = replay_faulty(&topo, lossless, &quality, &script, 5);
-        let repair_cfg = AnytimeConfig {
-            budget: Budget::Iterations(0),
-            ..AnytimeConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let rep = reschedule(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            lossless,
-            &ChurnDelta::deaths(faulty.dead.clone()),
-            &repair_cfg,
-        );
-        let repair_us = t0.elapsed().as_micros();
-        let t0 = std::time::Instant::now();
-        let cold = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        let cold_us = t0.elapsed().as_micros().max(1);
-        let repair_ratio = repair_us as f64 / cold_us as f64;
-        check(
-            &format!("repair < 25% of cold re-solve at {n} nodes"),
-            repair_ratio < 0.25,
-            format!(
-                "{repair_us}us vs {cold_us}us ({:.1}%); repaired latency {} vs cold {}",
-                repair_ratio * 100.0,
-                rep.outcome.latency,
-                cold.latency
-            ),
-        );
-
-        rows.push(format!(
-            "    {{\"nodes\": {n}, \"epsilon\": {epsilon}, \
-             \"pin\": {{\"loss_near\": {loss_near}, \"loss_far\": {loss_far}, \
-             \"gamma\": 0.45, \"seed\": 42}}, \
-             \"lossless\": {{\"slots\": {lossless_slots}, \"mean_coverage\": {cov_lossless:.4}}}, \
-             \"reliable\": {{\"slot_budget\": {budget}, \"budget_ratio\": {ratio:.4}, \
-             \"expected_latency\": {}, \"mean_coverage\": {cov_reliable:.4}, \
-             \"min_delivery_bound\": {:.6}, \"trimmed_slots\": {}}}, \
-             \"blind\": {{\"slot_budget\": {budget}, \"mean_coverage\": {cov_blind:.4}}}, \
-             \"repair\": {{\"dead\": {}, \"repair_us\": {repair_us}, \"cold_us\": {cold_us}, \
-             \"ratio\": {repair_ratio:.4}, \"repaired_latency\": {}, \"cold_latency\": {}}}}}",
-            reliable.report.expanded_latency,
-            reliable.report.min_delivery,
-            reliable.trimmed_slots,
-            faulty.dead.len(),
-            rep.outcome.latency,
-            cold.latency,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"reliability\",\n  \"epsilon\": {epsilon},\n  \"points\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("[claims] wrote {path}"),
-        Err(e) => eprintln!("[claims] could not write {path}: {e}"),
-    }
-}
-
-/// Emits `BENCH_obs.json`: the observability layer's two contracts, both
-/// measured on this machine.
-///
-/// 1. **Recording never perturbs the stack.** The disabled-recorder
-///    anytime runs must stay bit-identical to the PR 5/PR 6 serial-chain
-///    pins, and the *enabled* runs bit-identical to the disabled ones —
-///    instrumentation only reads search state.
-/// 2. **The enabled recorder is cheap at solve granularity.** Overhead on
-///    the 10k-node anytime pin must stay within 10% (best-of-5 alternating
-///    walls; the instrumentation is per-pass/per-solve, never per-move).
-///
-/// Alongside, it exercises the full metric surface (searcher, cache,
-/// repair families) and validates both exporters: the Chrome trace
-/// parses as JSON, the Prometheus exposition carries every family.
-fn emit_obs_baseline(path: &str) {
-    use wsn_anytime::{reschedule, solve_anytime_cached, ChurnDelta, ScheduleCache};
-    use wsn_obs::{export, Recorder};
-    use wsn_serve::Json;
-
-    /// Order-sensitive digest of a schedule's entries (the serial-pin
-    /// signature).
-    fn schedule_sig(out: &wsn_anytime::AnytimeOutcome) -> u64 {
-        out.schedule
-            .entries
-            .iter()
-            .map(|e| {
-                e.slot.wrapping_mul(31) ^ e.senders.iter().map(|s| u64::from(s.0)).sum::<u64>()
-            })
-            .fold(0u64, |acc, x| acc.rotate_left(7) ^ x)
-    }
-
-    // The PR 5 serial-chain pins (crates/anytime/tests/serial_pin.rs):
-    // (n, deployment seed, iteration budget) → (latency, moves, passes,
-    // restarts, entries, sig).
-    #[allow(clippy::type_complexity)]
-    const PINS: [((usize, u64, u64), (u64, u64, u64, u64, usize, u64)); 3] = [
-        ((120, 5, 10_000), (5, 314, 72, 18, 5, 12_188_235_637)),
-        (
-            (200, 11, 30_000),
-            (7, 30_000, 7_500, 1_875, 7, 165_761_005_759_570),
-        ),
-        (
-            (300, 2, 25_000),
-            (8, 25_062, 9, 2, 8, 128_524_792_643_724_510),
-        ),
-    ];
-
-    assert!(
-        !wsn_obs::enabled(),
-        "obs baseline assumes no recorder is installed at start"
-    );
-    let rec = Recorder::new();
-    let mut pin_rows = Vec::new();
-    for ((n, seed, budget), (latency, moves, passes, restarts, entries, sig)) in PINS {
-        let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
-        let cfg = AnytimeConfig {
-            budget: Budget::Iterations(budget),
-            ..AnytimeConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let off = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        let wall_us = t0.elapsed().as_micros();
-        let got = (
-            off.latency,
-            off.moves,
-            off.passes,
-            off.restarts,
-            off.schedule.entries.len(),
-            schedule_sig(&off),
-        );
-        check(
-            &format!("disabled-recorder pin matches serial chain at n={n} seed={seed}"),
-            got == (latency, moves, passes, restarts, entries, sig),
-            format!("got {got:?}"),
-        );
-        wsn_obs::install(rec.clone());
-        let on = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        wsn_obs::uninstall();
-        check(
-            &format!("enabled-recorder run is bit-identical at n={n} seed={seed}"),
-            on.schedule.entries == off.schedule.entries && on.moves == off.moves,
-            format!("latency {} vs {}", on.latency, off.latency),
-        );
-        pin_rows.push(format!(
-            "    {{\"nodes\": {n}, \"seed\": {seed}, \"iters\": {budget}, \
-             \"latency\": {}, \"moves\": {}, \"passes\": {}, \"restarts\": {}, \
-             \"entries\": {}, \"sig\": {}, \"wall_us\": {wall_us}}}",
-            got.0, got.1, got.2, got.3, got.4, got.5
-        ));
-    }
-
-    // Enabled-recorder overhead on the 10k-node anytime pin. Iteration
-    // budget keeps the work identical both ways; the budget is sized so a
-    // solve runs long enough (hundreds of ms) that scheduler noise is
-    // small relative to the wall, and best-of-5 alternating
-    // disabled/enabled screens slow drift (thermal, cache) out of the
-    // comparison.
-    let (topo, src) = SyntheticDeployment::scaled(10_000).sample(7);
-    let cfg = AnytimeConfig {
-        budget: Budget::Iterations(30_000),
-        ..AnytimeConfig::default()
-    };
-    let time_solve = |cfg: &AnytimeConfig| {
-        let t0 = std::time::Instant::now();
-        let out = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, cfg);
-        (t0.elapsed().as_micros(), out)
-    };
-    let _warmup = time_solve(&cfg);
-    let mut disabled_us = u128::MAX;
-    let mut disabled_sig = 0u64;
-    let mut enabled_us = u128::MAX;
-    let mut enabled_sig = 0u64;
-    for _ in 0..5 {
-        let (us, out) = time_solve(&cfg);
-        disabled_us = disabled_us.min(us);
-        disabled_sig = schedule_sig(&out);
-        wsn_obs::install(rec.clone());
-        let (us, out) = time_solve(&cfg);
-        wsn_obs::uninstall();
-        enabled_us = enabled_us.min(us);
-        enabled_sig = schedule_sig(&out);
-    }
-    wsn_obs::install(rec.clone());
-    let overhead = enabled_us as f64 / disabled_us.max(1) as f64 - 1.0;
-    check(
-        "enabled-recorder overhead ≤10% on the 10k-node anytime pin",
-        overhead <= 0.10,
-        format!(
-            "enabled {enabled_us}us vs disabled {disabled_us}us ({:+.1}%)",
-            overhead * 100.0
-        ),
-    );
-    check(
-        "10k-node schedule identical enabled vs disabled",
-        enabled_sig == disabled_sig,
-        format!("sig {enabled_sig} vs {disabled_sig}"),
-    );
-
-    // Exercise the remaining metric families on paper-scale instances
-    // (the recorder is still installed): searcher.* via G-OPT, cache.* via
-    // a warm-start miss + hit, repair.* via a single-death reschedule.
-    let (ptopo, psrc) = SyntheticDeployment::paper(120).sample(5);
-    let _ = mlbs_core::solve_gopt(&ptopo, psrc, &AlwaysAwake, &SearchConfig::default());
-    let pcfg = AnytimeConfig {
-        budget: Budget::Iterations(2_000),
-        ..AnytimeConfig::default()
-    };
-    let mut cache = ScheduleCache::new();
-    let cold = solve_anytime_cached(
-        &mut cache,
-        &ptopo,
-        psrc,
-        &AlwaysAwake,
-        &ProtocolModel,
-        &pcfg,
-    );
-    let _ = solve_anytime_cached(
-        &mut cache,
-        &ptopo,
-        psrc,
-        &AlwaysAwake,
-        &ProtocolModel,
-        &pcfg,
-    );
-    let victim = cold
-        .schedule
-        .entries
-        .iter()
-        .flat_map(|e| e.senders.iter().copied())
-        .find(|&u| u != psrc)
-        .expect("some non-source relay");
-    let _ = reschedule(
-        &ptopo,
-        psrc,
-        &AlwaysAwake,
-        &ProtocolModel,
-        &cold.schedule,
-        &ChurnDelta::deaths(vec![victim]),
-        &pcfg,
-    );
-    wsn_obs::uninstall();
-
-    // Exporter validation on the accumulated recorder.
-    let chrome = export::chrome_trace(&rec);
-    let chrome_valid = Json::parse(&chrome).is_ok();
-    check(
-        "Chrome trace export is valid JSON",
-        chrome_valid,
-        format!("{} bytes", chrome.len()),
-    );
-    let prom = export::prometheus(&rec);
-    let families = [
-        ("searcher", "searcher_gopt_solves_total"),
-        ("cache", "cache_hits_total"),
-        ("repair", "repair_reschedules_total"),
-    ];
-    for (family, metric) in families {
-        check(
-            &format!("Prometheus exposition carries the {family} family"),
-            prom.contains(metric),
-            format!("looking for {metric}"),
-        );
-    }
-    let events = rec.events_snapshot().len();
-
-    let json = format!(
-        "{{\n  \"bench\": \"obs\",\n  \"disabled_pins\": [\n{}\n  ],\n  \
-         \"overhead_10k\": {{\"iters\": 30000, \"disabled_us\": {disabled_us}, \
-         \"enabled_us\": {enabled_us}, \"overhead_fraction\": {overhead:.4}}},\n  \
-         \"exports\": {{\"chrome_bytes\": {}, \"chrome_valid\": {chrome_valid}, \
-         \"prometheus_bytes\": {}, \"events\": {events}, \"dropped_events\": {}}}\n}}\n",
-        pin_rows.join(",\n"),
-        chrome.len(),
-        prom.len(),
-        rec.dropped_events()
-    );
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("[claims] wrote {path}"),
-        Err(e) => eprintln!("[claims] could not write {path}: {e}"),
-    }
-}
-
-/// Emits `BENCH_serve.json`: the serving daemon's robustness envelope —
-/// the incremental drift-repair wall-time pin (repair must cost < 25% of
-/// a cold re-solve at 1k/10k nodes), sustained request throughput on a
-/// warm shard, shed rate under a deliberate storm, and the full chaos
-/// campaign (fault script + injected panics) with its p99 reschedule
-/// latency. `--serve-max-nodes N` caps the repair-pin axis (CI uses 1k).
-fn emit_serve_baseline(path: &str, max_nodes: usize) {
-    use wsn_anytime::{reschedule, solve_anytime_cached, ChurnDelta, ScheduleCache};
-    use wsn_serve::{run_campaign, ChaosParams, Daemon, DaemonConfig, Json, Request};
-    use wsn_sim::{simulate_acks, LinkEstimator};
-    use wsn_topology::LinkQuality;
-
-    // --- Drift repair vs cold re-solve at scale. The estimator loop ---
-    // runs as a shard's `observe` does: drift check, fused quality, the
-    // links that moved, then a `reschedule` of the cached incumbent; its
-    // cost is a warm legalizer replay. The alternative the daemon would
-    // otherwise pay is a cold re-solve at the serving tier's wall budget
-    // (these instances never prove optimality — see BENCH_anytime — so a
-    // cold re-solve burns its whole budget before answering).
-    let mut repair_rows = Vec::new();
-    for (n, budget_ms) in [(1_000usize, 100u64), (10_000, 500)] {
-        if n > max_nodes {
-            continue;
-        }
-        let (topo, src) = SyntheticDeployment::scaled(n).sample(7);
-        let cfg = AnytimeConfig {
-            budget: Budget::WallClockMs(budget_ms),
-            ..AnytimeConfig::default()
-        };
-        let mut cache = ScheduleCache::new();
-        let t0 = std::time::Instant::now();
-        let base = solve_anytime_cached(&mut cache, &topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        let cold_us = t0.elapsed().as_micros().max(1);
-
-        let assumed = LinkQuality::uniform(&topo, 0.99);
-        let truth = LinkQuality::uniform(&topo, 0.80);
-        let mut est = LinkEstimator::new(&topo, 64);
-        simulate_acks(&topo, &base.schedule, &truth, &mut est, 8, 11);
-        let repair_cfg = AnytimeConfig {
-            budget: Budget::Iterations(0),
-            ..AnytimeConfig::default()
-        };
-        let (threshold, min_samples) = (0.05, 4);
-        let t1 = std::time::Instant::now();
-        let drift = est.drift(&topo, &assumed, min_samples);
-        let quality = est.to_quality(&topo, &assumed, min_samples);
-        let degraded = assumed.moved_links(&topo, &quality, threshold);
-        let degraded_links = degraded.len();
-        let incumbent = cache
-            .lookup(&topo, &ProtocolModel, src)
-            .expect("the cold solve seeded the cache");
-        let rep = reschedule(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &ProtocolModel,
-            &incumbent,
-            &ChurnDelta::degradations(degraded),
-            &repair_cfg,
-        );
-        let repair_us = t1.elapsed().as_micros().max(1);
-        let fraction = repair_us as f64 / cold_us as f64;
-        check(
-            &format!("drift crosses the trigger and replans (n={n})"),
-            drift >= threshold && degraded_links > 0,
-            format!("drift {drift:.3}, {degraded_links} degraded links"),
-        );
-        check(
-            &format!("drift repair wall < 25% of cold re-solve (n={n})"),
-            fraction < 0.25,
-            format!(
-                "repair {repair_us}us vs cold {cold_us}us ({:.1}%)",
-                fraction * 100.0
-            ),
-        );
-        rep.outcome
-            .schedule
-            .verify(&topo, &AlwaysAwake)
-            .expect("drift repair must serve a valid schedule");
-        repair_rows.push(format!(
-            "    {{\"nodes\": {n}, \"cold_budget_ms\": {budget_ms}, \"cold_us\": {cold_us}, \
-             \"repair_us\": {repair_us}, \"fraction\": {fraction:.4}, \
-             \"degraded_links\": {degraded_links}}}"
-        ));
-    }
-
-    // --- The daemon itself: throughput, storm shedding, chaos. ---
-    Daemon::install_recorder();
-    let daemon = Daemon::new(DaemonConfig { queue_cap: 8 });
-    let ok = |resp: &Json| resp.get("ok").and_then(Json::as_bool) == Some(true);
-
-    let created = daemon.handle(Request::Create {
-        shard: "bench".into(),
-        nodes: 150,
-        seed: 7,
-        deployment: "paper".into(),
-        model: "protocol".into(),
-        channels: 1,
-        epsilon: 0.0,
-    });
-    assert!(ok(&created), "shard create failed: {created}");
-    let warm = daemon.handle(Request::Solve {
-        shard: "bench".into(),
-        deadline_ms: 250,
-    });
-    check(
-        "a generous deadline lands on the serial tier",
-        ok(&warm) && warm.get("tier").and_then(Json::as_str) == Some("serial"),
-        format!("{warm}"),
-    );
-
-    // Sustained serving: warm-tier deadlines against the resident shard.
-    let requests = 200u32;
-    let mut served = 0u32;
-    let t0 = std::time::Instant::now();
-    for i in 0..requests {
-        let resp = daemon.handle(Request::Solve {
-            shard: "bench".into(),
-            deadline_ms: 15 + u64::from(i % 3),
-        });
-        if ok(&resp) {
-            served += 1;
-        }
-    }
-    let sustain_us = t0.elapsed().as_micros().max(1);
-    let req_per_s = f64::from(served) / (sustain_us as f64 / 1e6);
-    check(
-        "sustained serving answers every request",
-        served == requests,
-        format!(
-            "{served}/{requests} in {}ms ({req_per_s:.0} req/s)",
-            sustain_us / 1000
-        ),
-    );
-
-    // Storm: more concurrent solves than the queue holds. The contract is
-    // served-or-shed — explicit `overloaded` with a backoff hint, never a
-    // hang, never an unverified schedule.
-    let storm = 64u32;
-    let receivers: Vec<_> = (0..storm)
-        .map(|_| {
-            daemon.submit(Request::Solve {
-                shard: "bench".into(),
-                deadline_ms: 60,
-            })
-        })
-        .collect();
-    let (mut storm_served, mut storm_shed, mut storm_other) = (0u32, 0u32, 0u32);
-    for rx in receivers {
-        match rx.recv() {
-            Ok(resp) if ok(&resp) => storm_served += 1,
-            Ok(resp)
-                if resp.get("kind").and_then(Json::as_str) == Some("overloaded")
-                    && resp.get("retry_after_ms").and_then(Json::as_u64).is_some() =>
-            {
-                storm_shed += 1;
-            }
-            _ => storm_other += 1,
-        }
-    }
-    let shed_rate = f64::from(storm_shed) / f64::from(storm);
-    check(
-        "storm responses are all served-or-shed",
-        storm_other == 0 && storm_served + storm_shed == storm,
-        format!("{storm_served} served, {storm_shed} shed, {storm_other} other"),
-    );
-    check(
-        "overload sheds explicitly with backoff hints",
-        storm_shed > 0,
-        format!("shed rate {:.0}%", shed_rate * 100.0),
-    );
-
-    // The full seeded chaos campaign on its own shard: deaths, flaps,
-    // bursts, storms, and injected worker panics.
-    let report = run_campaign(&daemon, &ChaosParams::default());
-    check(
-        "chaos campaign serves zero invalid schedules",
-        report.invalid == 0 && report.errors == 0 && report.missing_backoff == 0,
-        format!(
-            "{} served, {} shed, {} churns, {} observes",
-            report.served, report.shed, report.churns, report.observes
-        ),
-    );
-    check(
-        "every injected panic surfaced as a counted shard restart",
-        report.restarts_reported == report.panics_injected,
-        format!(
-            "{} injected, {} restarts reported",
-            report.panics_injected, report.restarts_reported
-        ),
-    );
-
-    let rec = wsn_obs::global().expect("daemon recorder installed");
-    let resched = rec.histogram_snapshot("serve.reschedule_us");
-    let (p50_re, p99_re, re_count) = resched
-        .as_ref()
-        .map_or((0, 0, 0), |h| (h.p50(), h.p99(), h.count));
-    check(
-        "reschedule latency histogram populated under chaos",
-        re_count > 0,
-        format!("p50 {p50_re}us, p99 {p99_re}us over {re_count} repairs"),
-    );
-    let restarts_total = rec.counter_value("serve.shard_restarts");
-    let shed_total = rec.counter_value("serve.shed");
-    let requests_total = rec.counter_value("serve.requests");
-    daemon.shutdown();
-    wsn_obs::uninstall();
-
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"repair_vs_cold\": [\n{}\n  ],\n  \
-         \"sustained\": {{\"requests\": {requests}, \"served\": {served}, \
-         \"wall_us\": {sustain_us}, \"req_per_s\": {req_per_s:.1}}},\n  \
-         \"storm\": {{\"size\": {storm}, \"served\": {storm_served}, \
-         \"shed\": {storm_shed}, \"other\": {storm_other}, \
-         \"shed_rate\": {shed_rate:.4}}},\n  \
-         \"chaos\": {{\"served\": {}, \"shed\": {}, \"invalid\": {}, \
-         \"errors\": {}, \"panics_injected\": {}, \"restarts_reported\": {}, \
-         \"reschedule_p50_us\": {p50_re}, \"reschedule_p99_us\": {p99_re}, \
-         \"reschedules\": {re_count}}},\n  \
-         \"daemon_counters\": {{\"requests_total\": {requests_total}, \
-         \"shed_total\": {shed_total}, \"shard_restarts_total\": {restarts_total}}}\n}}\n",
-        repair_rows.join(",\n"),
-        report.served,
-        report.shed,
-        report.invalid,
-        report.errors,
-        report.panics_injected,
-        report.restarts_reported,
-    );
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("[claims] wrote {path}"),
-        Err(e) => eprintln!("[claims] could not write {path}: {e}"),
-    }
 }
 
 fn max_gap(result: &SweepResult, a: &str, b: &str) -> f64 {
@@ -1036,78 +46,10 @@ fn bound_ok(result: &SweepResult) -> bool {
 
 fn main() {
     let opts = FigureOpts::from_args();
-    if std::env::args().any(|a| a == "--phy-bench-only") {
-        // Model-axis quick-look: BENCH_phy.json alone.
-        emit_phy_baseline("BENCH_phy.json", &opts);
-        return;
-    }
-    if std::env::args().any(|a| a == "--anytime-bench-only") {
-        // Anytime-tier quick-look: BENCH_anytime.json alone.
-        // `--anytime-max-nodes N` caps the scale axis (CI uses 10k).
-        let mut max_nodes = 100_000usize;
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            if a == "--anytime-max-nodes" {
-                max_nodes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--anytime-max-nodes needs a number");
-            }
-        }
-        emit_anytime_baseline("BENCH_anytime.json", max_nodes);
-        return;
-    }
-    if std::env::args().any(|a| a == "--reliability-bench-only") {
-        // Reliability quick-look: BENCH_reliability.json alone.
-        // `--reliability-max-nodes N` caps the scale axis (CI uses 1k).
-        let mut max_nodes = 10_000usize;
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            if a == "--reliability-max-nodes" {
-                max_nodes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reliability-max-nodes needs a number");
-            }
-        }
-        emit_reliability_baseline("BENCH_reliability.json", max_nodes);
-        return;
-    }
-    if std::env::args().any(|a| a == "--obs-bench-only") {
-        // Observability quick-look: BENCH_obs.json alone.
-        emit_obs_baseline("BENCH_obs.json");
-        return;
-    }
-    if std::env::args().any(|a| a == "--serve-bench-only") {
-        // Serving-daemon quick-look: BENCH_serve.json alone.
-        // `--serve-max-nodes N` caps the repair-pin axis (CI uses 1k).
-        let mut max_nodes = 10_000usize;
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            if a == "--serve-max-nodes" {
-                max_nodes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--serve-max-nodes needs a number");
-            }
-        }
-        emit_serve_baseline("BENCH_serve.json", max_nodes);
-        return;
-    }
-    emit_substrate_baseline("BENCH_substrate.json");
-    emit_search_baseline("BENCH_search.json");
-    if std::env::args().any(|a| a == "--search-bench-only") {
-        // CI / quick-look mode: the two BENCH baselines without the full
-        // claim sweeps.
-        return;
-    }
-    emit_phy_baseline("BENCH_phy.json", &opts);
 
     println!("=== synchronous system ===");
     let mut sweep = opts.sweep(Regime::Sync);
-    sweep
-        .algorithms
-        .push(wsn_sim::Algorithm::LayeredPrecomputed);
+    sweep.algorithms.push(Algorithm::LayeredPrecomputed);
     let sync = sweep.run();
     let imp_sync = sync.mean_improvement("OPT", "26-approx");
     let imp_rigid = sync.mean_improvement("OPT", "layered-precomputed");

@@ -1,6 +1,6 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! One binary per exhibit (see DESIGN.md §4 for the full index):
+//! One binary per exhibit:
 //!
 //! | binary   | exhibit | what it prints |
 //! |----------|---------|----------------|
@@ -18,10 +18,8 @@
 //! `--csv PATH` (figures only) and prints a fixed-width table to stdout.
 //! Criterion micro/meso benches live in `benches/`.
 
-use mlbs_core::{solve_opt_with, BranchOrder, BroadcastState, SearchConfig};
-use wsn_dutycycle::WindowedRandom;
+use mlbs_core::{BranchOrder, SearchConfig};
 use wsn_sim::{Algorithm, Regime, Sweep};
-use wsn_topology::deploy::SyntheticDeployment;
 
 /// Command-line options shared by the figure binaries.
 #[derive(Clone, Debug)]
@@ -103,25 +101,12 @@ impl FigureOpts {
     }
 }
 
-/// Baked-in OPT search throughput (evaluated states per millisecond) on
-/// the duty-cycle paper grid, the deterministic default that
-/// [`AdaptiveBudget`] derives `max_states` from. Re-measure on your
-/// hardware with [`AdaptiveBudget::measure_states_per_ms`] (the claims
-/// binary records the measured rate in `BENCH_search.json`); the default
-/// is intentionally a round, conservative figure so sweep results stay
-/// reproducible run-to-run — feeding a *measured* rate back into a sweep
-/// trades that reproducibility for tighter wall-clock control.
-pub const DEFAULT_STATES_PER_MS: f64 = 150.0;
-
-/// Derives per-instance search budgets from a wall-clock target and a
-/// states/ms throughput, replacing the old regime-constant caps
-/// (`branch_cap = 24`, `max_states = 400_000` for every duty sweep).
+/// Per-instance search budgets for the paper grid.
 ///
 /// Sync instances keep the default configuration (the pinned behavior).
 /// Duty instances get:
 ///
-/// * `max_states = target_ms × states_per_ms` (clamped to sane bounds) —
-///   the cap tracks a time budget instead of a magic count;
+/// * `max_states = 300_000`, a 2 s target at 150 states/ms;
 /// * a `branch_cap` that *grows* as instances shrink: the phase-folded,
 ///   dominance-pruned search affords full enumeration on small duty
 ///   instances, recovering `exact: true` where the old constant caps
@@ -129,62 +114,28 @@ pub const DEFAULT_STATES_PER_MS: f64 = 150.0;
 /// * the frontier-weighted branch ordering with 4× overscan, so when the
 ///   beam does truncate it keeps the best-scored branches;
 /// * phase folding and dominance pruning switched on.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveBudget {
-    /// Wall-clock target per OPT search, in milliseconds.
-    pub target_ms: f64,
-    /// Assumed search throughput (states/ms). Use
-    /// [`DEFAULT_STATES_PER_MS`] for reproducible sweeps, or a measured
-    /// rate for wall-clock-accurate caps.
-    pub states_per_ms: f64,
-}
-
-impl Default for AdaptiveBudget {
-    fn default() -> Self {
-        AdaptiveBudget {
-            target_ms: 2_000.0,
-            states_per_ms: DEFAULT_STATES_PER_MS,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AdaptiveBudget {}
 
 impl AdaptiveBudget {
     /// The search configuration for one `nodes`-sized instance of `regime`.
     pub fn config_for(&self, regime: Regime, nodes: usize) -> SearchConfig {
         match regime {
             Regime::Sync => SearchConfig::default(),
-            Regime::Duty { .. } => {
-                let states = (self.target_ms * self.states_per_ms) as usize;
-                SearchConfig {
-                    branch_cap: match nodes {
-                        0..=100 => 48,
-                        101..=200 => 32,
-                        _ => 24,
-                    },
-                    max_states: states.clamp(100_000, 2_000_000),
-                    overscan: 4,
-                    branch_order: BranchOrder::FrontierWeighted,
-                    phase_fold: true,
-                    dominance: true,
-                    ..SearchConfig::default()
-                }
-            }
+            Regime::Duty { .. } => SearchConfig {
+                branch_cap: match nodes {
+                    0..=100 => 48,
+                    101..=200 => 32,
+                    _ => 24,
+                },
+                max_states: 300_000,
+                overscan: 4,
+                branch_order: BranchOrder::FrontierWeighted,
+                phase_fold: true,
+                dominance: true,
+                ..SearchConfig::default()
+            },
         }
-    }
-
-    /// Measures the OPT search throughput (states/ms) with a short probe
-    /// on a seeded 60-node duty instance. Hardware-dependent by design —
-    /// feed the result back into [`AdaptiveBudget::states_per_ms`] only
-    /// when wall-clock control matters more than bit-reproducibility.
-    pub fn measure_states_per_ms() -> f64 {
-        let (topo, src) = SyntheticDeployment::paper(60).sample(4);
-        let wake = WindowedRandom::new(topo.len(), 10, 7);
-        let cfg = AdaptiveBudget::default().config_for(Regime::Duty { rate: 10 }, 60);
-        let mut substrate = BroadcastState::new();
-        let t0 = std::time::Instant::now();
-        let out = solve_opt_with(&topo, src, &wake, &cfg, &mut substrate);
-        let ms = t0.elapsed().as_secs_f64() * 1_000.0;
-        (out.stats.states as f64 / ms.max(1e-6)).max(1.0)
     }
 }
 
@@ -225,7 +176,7 @@ pub fn run_figure(name: &str, regime: Regime, opts: &FigureOpts) -> wsn_sim::Swe
 pub fn run_bounds_figure(name: &str, rate: u32, opts: &FigureOpts) {
     let regime = Regime::Duty { rate };
     // Bounds need no scheduler runs — measure d and k per instance only.
-    // The Layered algorithm is the cheapest way to thread instance metrics
+    // The greedy pipeline is the cheapest way to thread instance metrics
     // through the sweep machinery.
     let mut sweep = opts.sweep(regime);
     sweep.algorithms = vec![Algorithm::GreedyPipeline];
@@ -286,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_budget_scales_with_instance_size_and_throughput() {
+    fn adaptive_budget_scales_with_instance_size() {
         let b = AdaptiveBudget::default();
         let small = b.config_for(Regime::Duty { rate: 50 }, 100);
         let large = b.config_for(Regime::Duty { rate: 50 }, 300);
@@ -296,15 +247,12 @@ mod tests {
         );
         assert!(small.dominance && small.phase_fold);
         assert_eq!(small.overscan, 4);
-        // max_states tracks the time budget through the throughput rate.
-        let fast = AdaptiveBudget {
-            states_per_ms: 10.0 * DEFAULT_STATES_PER_MS,
-            ..AdaptiveBudget::default()
-        };
-        assert!(
-            fast.config_for(Regime::Duty { rate: 10 }, 100).max_states
-                > b.config_for(Regime::Duty { rate: 10 }, 100).max_states
-        );
+        // The duty state cap is one constant at every paper-grid size.
+        for n in [50, 100, 150, 200, 250, 300] {
+            for rate in [10, 50] {
+                assert_eq!(b.config_for(Regime::Duty { rate }, n).max_states, 300_000);
+            }
+        }
         // Sync keeps the pinned defaults.
         assert_eq!(
             b.config_for(Regime::Sync, 100).branch_cap,

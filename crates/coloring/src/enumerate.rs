@@ -10,7 +10,7 @@
 //!
 //! The number of maximal sets can grow exponentially; [`maximal_conflict_free_sets`]
 //! accepts a cap and reports whether it truncated, which is how the OPT
-//! solver distinguishes "exact" from "beam" mode (documented in DESIGN.md).
+//! solver distinguishes "exact" from "beam" mode.
 
 use wsn_bitset::NodeSet;
 use wsn_interference::ConflictGraph;

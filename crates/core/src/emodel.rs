@@ -291,10 +291,9 @@ impl ColorSelector for EModelSelector<'_> {
 /// Ablation variant of the estimate: the plain (direction-less) delay to
 /// the nearest network edge, i.e. the 4-tuple collapsed to a scalar.
 ///
-/// DESIGN.md calls this ablation out to quantify how much of the E-model's
-/// value comes from its *directionality* (scoring only quadrants that
-/// still hold uninformed neighbors) versus merely knowing the distance to
-/// the edge. Construction is a single multi-source Dijkstra from all edge
+/// The ablation quantifies how much of the E-model's value comes from its
+/// *directionality* (scoring only quadrants that still hold uninformed
+/// neighbors) versus merely knowing the distance to the edge. Construction is a single multi-source Dijkstra from all edge
 /// nodes over the undirected adjacency.
 #[derive(Clone, Debug)]
 pub struct ScalarEdgeDistance {

@@ -22,7 +22,7 @@
 //!   `M` (Eq. 4) branching over *every* admissible color (maximal
 //!   conflict-free sender sets; Eq. 5/6). Exponential in the worst case;
 //!   a branch cap turns it into a beam search whose result is still a
-//!   valid schedule and an upper bound on true OPT (see DESIGN.md).
+//!   valid schedule and an upper bound on true OPT.
 //! * [`solve_gopt`] — the G-OPT target: the same recursion restricted to
 //!   the classes of the extended greedy color scheme (Eq. 7/8).
 //! * [`EModel`] + [`run_pipeline`] — the practical scheme: a proactive

@@ -53,8 +53,7 @@ use wsn_phy::ConflictModel;
 use wsn_topology::{LinkQuality, NodeId, Topology};
 
 /// Outcome of a successful [`Schedule::verify_reliability`] check: the
-/// delivery bound per node plus the aggregate reliability metrics the
-/// claims harness reports.
+/// delivery bound per node plus aggregate reliability metrics.
 #[derive(Clone, Debug)]
 pub struct ReliabilityReport {
     /// Product-form delivery lower bound per node (1.0 for the source).

@@ -22,7 +22,7 @@
 //! * **Branch rules** — greedy classes (G-OPT), or every maximal
 //!   conflict-free sender set plus the maximal extensions of the greedy
 //!   classes (OPT; including the extensions guarantees OPT ≤ G-OPT even
-//!   when the enumeration cap truncates — see DESIGN.md).
+//!   when the enumeration cap truncates).
 //!
 //! Monotonicity (a larger informed set can always simulate a smaller one)
 //! justifies both never-defer and maximal-set branching; the property tests

@@ -91,8 +91,8 @@ const NO_SLOT: u32 = u32::MAX;
 /// fused triple intersection is faster than any cache (measured on the
 /// paper grid); above it witness scans avoid touching ever-wider word rows
 /// — up to the point where the predicate's own degree-local path takes
-/// over (universe > 64·(deg u + deg v), re-measured at 10k nodes in
-/// `BENCH_anytime.json`), past which retests go fresh again.
+/// over (universe > 64·(deg u + deg v), measured at 10k nodes), past
+/// which retests go fresh again.
 /// Tunable per builder via
 /// [`ConflictGraphBuilder::set_witness_retest_min_universe`]; the
 /// `witness_threshold` group in the `substrates` bench measures both sides
@@ -395,9 +395,8 @@ impl ConflictGraphBuilder {
             // below `witness_min_universe` the fused bitset intersection
             // spans only a few words, and above 64·(deg u + deg v) the
             // protocol predicate switches to its degree-local sorted-merge
-            // path — O(du+dv) regardless of universe width — which the 10k
-            // crossover re-measurement (BENCH_anytime.json) shows beating
-            // cached witness scans. Forcing via the knob still works:
+            // path — O(du+dv) regardless of universe width — which beats
+            // cached witness scans at 10k nodes. Forcing via the knob still works:
             // 0 = always cache, `usize::MAX` = never.
             let degree_local = self.universe > 64 * (topo.degree(u) + topo.degree(v));
             if self.universe < self.witness_min_universe || degree_local {

@@ -2,8 +2,8 @@
 //!
 //! Both are produced by string formatting only — no serde, matching the
 //! workspace's registry-free constraint. This crate is a leaf and carries
-//! no parser; the workspace's tests and the claims binary validate the
-//! Chrome export with `wsn_serve::Json`.
+//! no parser; the workspace's tests validate the Chrome export with
+//! `wsn_serve::Json`.
 
 use crate::spans::EventKind;
 use crate::Recorder;

@@ -36,8 +36,7 @@
 //!   recorder, then one atomic RMW per metric; handle lookup is a
 //!   `BTreeMap` read-lock probe. Events take a `Mutex` push into the ring.
 //!   Instrumentation is therefore placed at pass/solve granularity, never
-//!   per-move: the measured overhead budget is ≤ 10% on a 10k-node anytime
-//!   solve (pinned in `BENCH_obs.json`).
+//!   per-move: the overhead budget is ≤ 10% on a 10k-node anytime solve.
 //!
 //! Recording must never influence behavior: no instrumentation site feeds
 //! a value back into search decisions or RNG state, so enabled-vs-disabled
@@ -180,7 +179,7 @@ impl Recorder {
         }
     }
 
-    // ---- read side (exporters, tests, claims) ----
+    // ---- read side (exporters, tests, the daemon's metrics verb) ----
 
     pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
         self.shared

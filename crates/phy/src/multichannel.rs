@@ -106,13 +106,6 @@ impl PhyModel {
     pub fn protocol() -> PhyModel {
         PhyModel::Protocol(ProtocolModel)
     }
-
-    /// `true` for the single-channel protocol model — the regime every
-    /// pre-model code path is pinned to ([`PhyModelSpec::build`] only
-    /// produces the `Protocol` variant for that spec).
-    pub fn is_default_protocol(&self) -> bool {
-        matches!(self, PhyModel::Protocol(_))
-    }
 }
 
 macro_rules! dispatch {
@@ -223,12 +216,6 @@ impl PhyModelSpec {
         self
     }
 
-    /// `true` for the single-channel protocol spec — the configuration
-    /// every pre-model code path is pinned to.
-    pub fn is_default_protocol(&self) -> bool {
-        self.base == BaseModel::Protocol && self.channels == 1
-    }
-
     /// Instantiates the model for one topology.
     pub fn build(&self, topo: &Topology) -> PhyModel {
         let k = self.channels;
@@ -305,10 +292,6 @@ mod tests {
     #[test]
     fn spec_builds_and_labels() {
         let t = line(6);
-        assert!(PhyModelSpec::protocol().is_default_protocol());
-        assert!(!PhyModelSpec::protocol()
-            .with_channels(2)
-            .is_default_protocol());
         assert_eq!(PhyModelSpec::protocol().label(), "protocol");
         assert_eq!(
             PhyModelSpec::protocol().with_channels(4).label(),

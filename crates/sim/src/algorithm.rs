@@ -1,12 +1,12 @@
 //! The unified scheduler registry and single-instance runner.
 
 use mlbs_core::{
-    bounds, run_pipeline_model, solve_gopt_model, solve_opt_model, BroadcastState, EModel,
+    bounds, run_pipeline_with, solve_gopt_with, solve_opt_with, BroadcastState, EModel,
     EModelSelector, MaxReceiversSelector, PipelineConfig, SearchConfig,
 };
 use wsn_baselines::{schedule_cds_layered, schedule_layered_with, LayeredMode};
 use wsn_dutycycle::{AlwaysAwake, Slot, WakeSchedule, WindowedRandom};
-use wsn_phy::{PhyModel, PhyModelSpec};
+use wsn_phy::ProtocolModel;
 use wsn_topology::{NodeId, Topology};
 
 /// Timing regime of a run.
@@ -64,21 +64,6 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// `true` when the scheduler is conflict-model-aware: it colors on the
-    /// instance's [`PhyModel`] conflict graph and packs channels under
-    /// multi-channel models. The layered/CDS/localized baselines are
-    /// defined on the protocol model only.
-    pub fn supports_models(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::GreedyPipeline
-                | Algorithm::EModelPipeline
-                | Algorithm::GOpt
-                | Algorithm::Opt
-                | Algorithm::Anytime
-        )
-    }
-
     /// Display name matching the paper's figure legends where applicable.
     pub fn name(&self, regime: Regime) -> &'static str {
         match (self, regime) {
@@ -120,8 +105,7 @@ pub struct RunResult {
     /// schedule; `None` for non-search algorithms.
     pub exact: Option<bool>,
     /// Search statistics (state counts, phase-fold classes, dominance
-    /// prunes, …); `None` for non-search algorithms. This is how the
-    /// claims binary threads per-run counters into `BENCH_search.json`.
+    /// prunes, …); `None` for non-search algorithms.
     pub search_stats: Option<mlbs_core::SearchStats>,
     /// Theorem 1 bound for this instance and regime.
     pub opt_analysis: Slot,
@@ -168,24 +152,13 @@ pub fn run_instance(
         algorithm,
         wake_seed,
         search,
-        &PhyModelSpec::protocol().build(topo),
         &mut BroadcastState::new(),
     )
 }
 
-/// As [`run_instance`], under an already-built conflict model ([`PhyModel`]
-/// — protocol, SINR, K channels; see [`PhyModelSpec::build`]) and with a
-/// caller-provided [`BroadcastState`]. The sweep workers build the model
-/// once per job (SINR gain tables cost `O(n²)`) and hold one substrate each,
-/// threading both through every algorithm instead of rebuilding per run.
-/// The produced schedule is verified under `model`.
-///
-/// # Panics
-///
-/// Panics when `algorithm` is a protocol-only baseline
-/// ([`Algorithm::supports_models`] is `false`) and `model` is not the
-/// default single-channel protocol model.
-#[allow(clippy::too_many_arguments)]
+/// As [`run_instance`], with a caller-provided [`BroadcastState`]. The
+/// sweep workers hold one substrate each and thread it through every
+/// algorithm instead of rebuilding it per run.
 pub fn run_instance_with(
     topo: &Topology,
     source: NodeId,
@@ -193,39 +166,23 @@ pub fn run_instance_with(
     algorithm: Algorithm,
     wake_seed: u64,
     search: &SearchConfig,
-    model: &PhyModel,
     state: &mut BroadcastState,
 ) -> RunResult {
-    assert!(
-        model.is_default_protocol() || algorithm.supports_models(),
-        "{algorithm:?} is defined on the protocol model only"
-    );
     match regime {
-        Regime::Sync => run_with(
-            topo,
-            source,
-            regime,
-            algorithm,
-            &AlwaysAwake,
-            model,
-            search,
-            state,
-        ),
+        Regime::Sync => run_with(topo, source, regime, algorithm, &AlwaysAwake, search, state),
         Regime::Duty { rate } => {
             let wake = WindowedRandom::new(topo.len(), rate, wake_seed);
-            run_with(topo, source, regime, algorithm, &wake, model, search, state)
+            run_with(topo, source, regime, algorithm, &wake, search, state)
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_with<S: WakeSchedule>(
     topo: &Topology,
     source: NodeId,
     regime: Regime,
     algorithm: Algorithm,
     wake: &S,
-    model: &PhyModel,
     search: &SearchConfig,
     state: &mut BroadcastState,
 ) -> RunResult {
@@ -250,22 +207,20 @@ fn run_with<S: WakeSchedule>(
             );
             schedule_cds_layered(topo, source)
         }
-        Algorithm::GreedyPipeline => run_pipeline_model(
+        Algorithm::GreedyPipeline => run_pipeline_with(
             topo,
             source,
             wake,
-            model,
             &mut MaxReceiversSelector,
             &PipelineConfig { start_from: start },
             state,
         ),
         Algorithm::EModelPipeline => {
             let em = EModel::build(topo, wake);
-            run_pipeline_model(
+            run_pipeline_with(
                 topo,
                 source,
                 wake,
-                model,
                 &mut EModelSelector::new(&em),
                 &PipelineConfig { start_from: start },
                 state,
@@ -277,13 +232,13 @@ fn run_with<S: WakeSchedule>(
                 .schedule
         }
         Algorithm::GOpt => {
-            let out = solve_gopt_model(topo, source, wake, model, search, state);
+            let out = solve_gopt_with(topo, source, wake, search, state);
             exact = Some(out.exact);
             search_stats = Some(out.stats);
             out.schedule
         }
         Algorithm::Opt => {
-            let out = solve_opt_model(topo, source, wake, model, search, state);
+            let out = solve_opt_with(topo, source, wake, search, state);
             exact = Some(out.exact);
             search_stats = Some(out.stats);
             out.schedule
@@ -302,21 +257,19 @@ fn run_with<S: WakeSchedule>(
                 start_from: start,
                 ..wsn_anytime::AnytimeConfig::default()
             };
-            let out = wsn_anytime::solve_anytime(topo, source, wake, model, &cfg);
+            let out = wsn_anytime::solve_anytime(topo, source, wake, &ProtocolModel, &cfg);
             exact = Some(out.proved_optimal);
             trace = Some(out.trace);
             out.schedule
         }
     };
 
-    schedule
-        .verify_with_model(topo, wake, model)
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} produced an invalid schedule: {e}",
-                algorithm.name(regime)
-            )
-        });
+    schedule.verify(topo, wake).unwrap_or_else(|e| {
+        panic!(
+            "{} produced an invalid schedule: {e}",
+            algorithm.name(regime)
+        )
+    });
 
     let ecc = bounds::source_eccentricity(topo, source);
     let (opt_analysis, baseline_bound) = match regime {

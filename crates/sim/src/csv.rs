@@ -2,7 +2,7 @@
 //!
 //! One row per (density point, algorithm) with latency statistics, plus
 //! rows for the analytical curves — enough to replot any of Figures 3–7
-//! with any external tool, and the format EXPERIMENTS.md quotes.
+//! with any external tool.
 
 use crate::{Regime, SweepResult};
 use std::fmt::Write as _;
@@ -125,7 +125,6 @@ mod tests {
             instances: 2,
             algorithms: vec![Algorithm::Layered, Algorithm::EModelPipeline],
             regime: Regime::Sync,
-            models: vec![crate::PhyModelSpec::protocol()],
             master_seed: 7,
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
@@ -163,7 +162,6 @@ mod tests {
             instances: 2,
             algorithms: vec![Algorithm::GOpt, Algorithm::Anytime],
             regime: Regime::Sync,
-            models: vec![crate::PhyModelSpec::protocol()],
             master_seed: 7,
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
@@ -192,7 +190,6 @@ mod tests {
             instances: 2,
             algorithms: vec![Algorithm::Layered, Algorithm::Anytime],
             regime: Regime::Sync,
-            models: vec![crate::PhyModelSpec::protocol()],
             master_seed: 7,
             search: SearchConfig::default(),
             search_overrides: Vec::new(),

@@ -15,14 +15,13 @@
 //!   algorithms, fanned out over worker threads (results are independent
 //!   of worker count — the guide's "parallelize the embarrassingly
 //!   parallel outer loop" rule);
-//! * [`csv`] — plain-text emission for EXPERIMENTS.md and plotting.
+//! * [`csv`] — plain-text emission for plotting and tables.
 //!
 //! Determinism: every instance is derived from `(master_seed, nodes,
 //! instance_index)` via SplitMix64, so a sweep is reproducible to the bit
 //! regardless of thread scheduling.
 
 mod algorithm;
-mod energy;
 mod estimator;
 mod fault;
 mod lossy;
@@ -35,7 +34,6 @@ pub use algorithm::{
     run_instance, run_instance_with, Algorithm, Regime, RunResult, COVERAGE_LOSS, COVERAGE_TRIALS,
 };
 pub use csv::{sweep_to_csv, sweep_to_table, traces_to_csv};
-pub use energy::{energy_of_schedule, EnergyReport, RadioEnergyModel};
 pub use estimator::{simulate_acks, LinkEstimator};
 pub use fault::{replay_faulty, Fault, FaultParams, FaultScript, FaultyOutcome};
 pub use lossy::{
@@ -43,7 +41,6 @@ pub use lossy::{
 };
 pub use stats::Summary;
 pub use sweep::{AlgorithmSummary, Sweep, SweepPointResult, SweepResult, TraceRow};
-pub use wsn_phy::PhyModelSpec;
 
 /// Derives a stream seed from a master seed and context labels
 /// (SplitMix64 over the mixed words).

@@ -5,12 +5,10 @@ use crate::derive_seed;
 use crate::stats::Summary;
 use mlbs_core::{BroadcastState, SearchConfig};
 use std::collections::HashMap;
-use wsn_phy::PhyModelSpec;
 use wsn_topology::deploy::SyntheticDeployment;
 
 /// A density sweep: for each node count, draw `instances` deployments and
-/// run every algorithm on each — optionally across several conflict
-/// models / channel counts (the model axis of `BENCH_phy.json`).
+/// run every algorithm on each.
 #[derive(Clone, Debug)]
 pub struct Sweep {
     /// Node counts (the paper sweeps 50–300 over a 50×50 sq-ft area).
@@ -21,13 +19,6 @@ pub struct Sweep {
     pub algorithms: Vec<Algorithm>,
     /// Timing regime.
     pub regime: Regime,
-    /// Conflict-model axis: every algorithm runs on every instance under
-    /// every spec (same topology, same source, same wake schedule — the
-    /// per-instance comparison the model bench reports). The default is
-    /// the paper's single-channel protocol model; with more than one spec
-    /// the per-algorithm result labels gain an `@model` suffix, and every
-    /// algorithm must be model-aware ([`Algorithm::supports_models`]).
-    pub models: Vec<PhyModelSpec>,
     /// Master seed; everything else derives from it.
     pub master_seed: u64,
     /// Search configuration for OPT / G-OPT.
@@ -49,25 +40,10 @@ impl Sweep {
             instances,
             algorithms: Algorithm::paper_set().to_vec(),
             regime,
-            models: vec![PhyModelSpec::protocol()],
             master_seed,
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        }
-    }
-
-    /// The display label of `algorithm` under model `mi` — the plain
-    /// legend name on a single-model sweep, `name@model` on a model sweep.
-    fn result_label(&self, algorithm: Algorithm, mi: usize) -> String {
-        if self.models.len() <= 1 {
-            algorithm.name(self.regime).to_string()
-        } else {
-            format!(
-                "{}@{}",
-                algorithm.name(self.regime),
-                self.models[mi].label()
-            )
         }
     }
 
@@ -79,29 +55,20 @@ impl Sweep {
             .map_or(&self.search, |(_, cfg)| cfg)
     }
 
-    /// Runs the sweep and aggregates per (algorithm, node count, model).
+    /// Runs the sweep and aggregates per (algorithm, node count).
     pub fn run(&self) -> SweepResult {
-        assert!(self.instances > 0 && !self.node_counts.is_empty() && !self.models.is_empty());
-        if self.models.iter().any(|m| !m.is_default_protocol()) {
-            assert!(
-                self.algorithms.iter().all(Algorithm::supports_models),
-                "model-axis sweeps support only model-aware algorithms"
-            );
-        }
-        let jobs: Vec<(usize, usize, usize)> = self
+        assert!(self.instances > 0 && !self.node_counts.is_empty());
+        let jobs: Vec<(usize, usize)> = self
             .node_counts
             .iter()
-            .flat_map(|&n| {
-                (0..self.instances)
-                    .flat_map(move |i| (0..self.models.len()).map(move |m| (n, i, m)))
-            })
+            .flat_map(|&n| (0..self.instances).map(move |i| (n, i)))
             .collect();
 
-        // One result bucket per (node count, algorithm, model index).
-        let mut latency: HashMap<(usize, Algorithm, usize), Summary> = HashMap::new();
-        let mut transmissions: HashMap<(usize, Algorithm, usize), Summary> = HashMap::new();
-        let mut coverage: HashMap<(usize, Algorithm, usize), Summary> = HashMap::new();
-        let mut search_states: HashMap<(usize, Algorithm, usize), Summary> = HashMap::new();
+        // One result bucket per (node count, algorithm).
+        let mut latency: HashMap<(usize, Algorithm), Summary> = HashMap::new();
+        let mut transmissions: HashMap<(usize, Algorithm), Summary> = HashMap::new();
+        let mut coverage: HashMap<(usize, Algorithm), Summary> = HashMap::new();
+        let mut search_states: HashMap<(usize, Algorithm), Summary> = HashMap::new();
         let mut traces: Vec<TraceRow> = Vec::new();
         let mut opt_analysis: HashMap<usize, Summary> = HashMap::new();
         let mut baseline_bound: HashMap<usize, Summary> = HashMap::new();
@@ -138,10 +105,10 @@ impl Sweep {
                         if start >= jobs.len() {
                             return;
                         }
-                        for (k, &(nodes, instance, model_idx)) in
+                        for (k, &(nodes, instance)) in
                             jobs.iter().enumerate().skip(start).take(chunk)
                         {
-                            let rec = sweep.run_one(nodes, instance, model_idx, &mut substrate);
+                            let rec = sweep.run_one(nodes, instance, &mut substrate);
                             if res_tx.send((k, rec)).is_err() {
                                 return;
                             }
@@ -157,29 +124,29 @@ impl Sweep {
         for (_, rec) in records {
             for (alg, r) in &rec.runs {
                 latency
-                    .entry((rec.nodes, *alg, rec.model_idx))
+                    .entry((rec.nodes, *alg))
                     .or_default()
                     .push(r.latency as f64);
                 transmissions
-                    .entry((rec.nodes, *alg, rec.model_idx))
+                    .entry((rec.nodes, *alg))
                     .or_default()
                     .push(r.transmissions as f64);
                 coverage
-                    .entry((rec.nodes, *alg, rec.model_idx))
+                    .entry((rec.nodes, *alg))
                     .or_default()
                     .push(r.mean_coverage);
                 if let Some(stats) = &r.search_stats {
                     search_states
-                        .entry((rec.nodes, *alg, rec.model_idx))
+                        .entry((rec.nodes, *alg))
                         .or_default()
                         .push(stats.states as f64);
                 }
                 if let Some(trace) = &r.trace {
-                    let series = self.result_label(*alg, rec.model_idx);
+                    let series = alg.name(self.regime);
                     traces.extend(trace.iter().map(|t| TraceRow {
                         nodes: rec.nodes,
                         instance: rec.instance,
-                        series: series.clone(),
+                        series: series.to_string(),
                         elapsed_ms: t.elapsed_ms,
                         moves: t.moves,
                         latency: t.latency,
@@ -189,23 +156,21 @@ impl Sweep {
                     inexact += 1;
                 }
             }
-            // Instance metrics are model-independent: record them once per
-            // instance, from the first model's record.
-            if rec.model_idx == 0 {
-                if let Some((_, first)) = rec.runs.first() {
-                    opt_analysis
-                        .entry(rec.nodes)
-                        .or_default()
-                        .push(first.opt_analysis as f64);
-                    baseline_bound
-                        .entry(rec.nodes)
-                        .or_default()
-                        .push(first.baseline_bound as f64);
-                    eccentricity
-                        .entry(rec.nodes)
-                        .or_default()
-                        .push(first.eccentricity as f64);
-                }
+            // Instance metrics are algorithm-independent: record them once
+            // per instance, from the first algorithm's run.
+            if let Some((_, first)) = rec.runs.first() {
+                opt_analysis
+                    .entry(rec.nodes)
+                    .or_default()
+                    .push(first.opt_analysis as f64);
+                baseline_bound
+                    .entry(rec.nodes)
+                    .or_default()
+                    .push(first.baseline_bound as f64);
+                eccentricity
+                    .entry(rec.nodes)
+                    .or_default()
+                    .push(first.eccentricity as f64);
             }
         }
 
@@ -215,13 +180,12 @@ impl Sweep {
             let per_alg = self
                 .algorithms
                 .iter()
-                .flat_map(|&alg| (0..self.models.len()).map(move |mi| (alg, mi)))
-                .map(|(alg, mi)| AlgorithmSummary {
-                    name: self.result_label(alg, mi),
-                    latency: latency.remove(&(nodes, alg, mi)).unwrap_or_default(),
-                    transmissions: transmissions.remove(&(nodes, alg, mi)).unwrap_or_default(),
-                    coverage: coverage.remove(&(nodes, alg, mi)).unwrap_or_default(),
-                    search_states: search_states.remove(&(nodes, alg, mi)).unwrap_or_default(),
+                .map(|&alg| AlgorithmSummary {
+                    name: alg.name(self.regime).to_string(),
+                    latency: latency.remove(&(nodes, alg)).unwrap_or_default(),
+                    transmissions: transmissions.remove(&(nodes, alg)).unwrap_or_default(),
+                    coverage: coverage.remove(&(nodes, alg)).unwrap_or_default(),
+                    search_states: search_states.remove(&(nodes, alg)).unwrap_or_default(),
                 })
                 .collect();
             points.push(SweepPointResult {
@@ -241,16 +205,13 @@ impl Sweep {
         }
     }
 
-    /// One `(instance, model)` job: sample the deployment, run every
-    /// algorithm on it under the model through the worker's shared
-    /// substrate. Deployment and wake randomness depend only on
-    /// `(master_seed, nodes, instance)`, so every model sees identical
-    /// instances.
+    /// One instance job: sample the deployment, run every algorithm on it
+    /// through the worker's shared substrate. Deployment and wake
+    /// randomness depend only on `(master_seed, nodes, instance)`.
     fn run_one(
         &self,
         nodes: usize,
         instance: usize,
-        model_idx: usize,
         substrate: &mut BroadcastState,
     ) -> InstanceRecord {
         let _job_span = wsn_obs::span_value("sweep.job", nodes as i64);
@@ -259,9 +220,6 @@ impl Sweep {
         let (topo, source) = deployment.sample(seed);
         let wake_seed = derive_seed(seed, WAKE_SEED_TAG, 0);
         let search = self.search_for_nodes(nodes);
-        // One model build per job: every algorithm shares it (SINR gain
-        // tables are O(n²), so per-algorithm rebuilds would dominate).
-        let model = self.models[model_idx].build(&topo);
         let runs = self
             .algorithms
             .iter()
@@ -275,7 +233,6 @@ impl Sweep {
                         alg,
                         wake_seed,
                         search,
-                        &model,
                         substrate,
                     ),
                 )
@@ -284,7 +241,6 @@ impl Sweep {
         InstanceRecord {
             nodes,
             instance,
-            model_idx,
             runs,
         }
     }
@@ -294,11 +250,10 @@ impl Sweep {
 /// from deployment randomness.
 const WAKE_SEED_TAG: u64 = 0x57a6_6e8d;
 
-/// Results of all algorithms on one `(instance, model)` job.
+/// Results of all algorithms on one instance.
 struct InstanceRecord {
     nodes: usize,
     instance: usize,
-    model_idx: usize,
     runs: Vec<(Algorithm, crate::algorithm::RunResult)>,
 }
 
@@ -324,7 +279,7 @@ pub struct TraceRow {
 /// Per-algorithm aggregates at one sweep point.
 #[derive(Clone, Debug)]
 pub struct AlgorithmSummary {
-    /// Display label (`name`, or `name@model` on a model-axis sweep).
+    /// Display label ([`Algorithm::name`]).
     pub name: String,
     /// End-to-end latency across instances.
     pub latency: Summary,
@@ -345,7 +300,7 @@ pub struct SweepPointResult {
     pub nodes: usize,
     /// Density in nodes per sq ft.
     pub density: f64,
-    /// Per-algorithm aggregates, in `algorithms × models` order.
+    /// Per-algorithm aggregates, in `algorithms` order.
     pub per_algorithm: Vec<AlgorithmSummary>,
     /// Theorem 1 bound across instances.
     pub opt_analysis: Summary,
@@ -438,7 +393,6 @@ mod tests {
                 Algorithm::EModelPipeline,
             ],
             regime: Regime::Sync,
-            models: vec![PhyModelSpec::protocol()],
             master_seed: 1234,
             search: SearchConfig::default(),
             search_overrides: Vec::new(),
@@ -538,49 +492,5 @@ mod tests {
         assert!(r.mean_latency(50, "G-OPT").is_some());
         assert!(r.mean_latency(50, "nonexistent").is_none());
         assert!(r.mean_latency(999, "G-OPT").is_none());
-    }
-
-    #[test]
-    fn model_axis_labels_and_orders_results() {
-        let r = Sweep {
-            node_counts: vec![50],
-            instances: 2,
-            algorithms: vec![Algorithm::GOpt, Algorithm::GreedyPipeline],
-            regime: Regime::Sync,
-            models: vec![
-                PhyModelSpec::protocol(),
-                PhyModelSpec::protocol().with_channels(2),
-            ],
-            master_seed: 7,
-            search: SearchConfig::default(),
-            search_overrides: Vec::new(),
-            threads: 2,
-        }
-        .run();
-        let p = &r.points[0];
-        // algorithms × models result columns, labeled with the model.
-        assert_eq!(p.per_algorithm.len(), 4);
-        // Both model columns exist and carry results. (No latency-order
-        // assertion here: greedy-restricted G-OPT carries no coverage
-        // monotonicity, so K = 2 beating K = 1 is the trend, not a
-        // theorem — the exactness-guarded OPT comparison lives in the
-        // core and proptest suites.)
-        assert!(r.mean_latency(50, "G-OPT@protocol").unwrap() >= 1.0);
-        assert!(r.mean_latency(50, "G-OPT@protocol-k2").unwrap() >= 1.0);
-        // Instance metrics are recorded once per instance, not per model.
-        assert_eq!(p.eccentricity.count(), 2);
-        for a in &p.per_algorithm {
-            assert_eq!(a.latency.count(), 2);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "model-aware")]
-    fn model_axis_rejects_protocol_only_baselines() {
-        let mut s = Sweep::paper_grid(Regime::Sync, 1, 7);
-        s.node_counts = vec![50];
-        s.models = vec![PhyModelSpec::protocol().with_channels(2)];
-        s.algorithms = vec![Algorithm::Layered];
-        s.run();
     }
 }

@@ -5,7 +5,7 @@
 //! the convex hull with a boundary-construction walk. Reference \[6\]
 //! (Goldenberg et al.) is a mobility-control paper, so the construction is
 //! under-specified; we substitute the standard angular-gap criterion used
-//! throughout the WSN hole-detection literature (documented in DESIGN.md):
+//! throughout the WSN hole-detection literature:
 //!
 //! * every convex-hull vertex is an edge node;
 //! * any node whose neighbor bearings leave an empty angular sector of at

@@ -10,8 +10,8 @@
 //! E_2(10) = 1`, `E_2(1) = 2`).
 //!
 //! Two receiver sets in Table III are inconsistent with the rest of the
-//! trace as printed; we follow the majority reading and document both
-//! deviations (they look like digit-level typos) in EXPERIMENTS.md:
+//! trace as printed; we follow the majority reading for both deviations
+//! (they look like digit-level typos):
 //! `{s,0−4,6,9−10}` is read as `{s,0−4,6,8−10}`, and the round indices of
 //! the last three task groups are off by one.
 

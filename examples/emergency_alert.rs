@@ -15,7 +15,7 @@ use mlbs::prelude::*;
 
 /// Mica2-like slot duration: one packet transmission at 38.4 kbps with a
 /// ~36-byte frame ≈ 7.5 ms, rounded up for MAC overheads. (The paper
-/// counts slots; seconds are derived presentation only — DESIGN.md §3.)
+/// counts slots; seconds are derived presentation only.)
 const SLOT_SECONDS: f64 = 0.01;
 
 fn main() {

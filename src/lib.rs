@@ -89,14 +89,11 @@
 //! Schedules carry per-sender channel assignments, validated group by
 //! group through the model's reception rule
 //! (`Schedule::verify_with_model`). The `*_model` entry points
-//! (`solve_opt_model`, `run_pipeline_model`) and `sim::run_instance_with`
-//! thread a model through, `sim::Sweep` grows a model/channel axis
-//! ([`phy::PhyModelSpec`]), and the `claims` binary's `--phy-bench-only`
-//! flag emits `BENCH_phy.json` comparing OPT/G-OPT latency across
-//! protocol vs SINR vs K ∈ {1, 2, 4} channels. The incremental conflict
-//! builder keys its caches on the model fingerprint and maintains any
-//! model's graph by delta through its witness-set factorization (see the
-//! DESIGN note in `wsn-phy`).
+//! (`solve_opt_model`, `run_pipeline_model`) thread a model through, and
+//! [`phy::PhyModelSpec`] names a model independently of any topology.
+//! The incremental conflict builder keys its caches on the model
+//! fingerprint and maintains any model's graph by delta through its
+//! witness-set factorization (see the DESIGN note in `wsn-phy`).
 //!
 //! ## The anytime tier
 //!
@@ -108,8 +105,8 @@
 //! and every incumbent is re-simulated and re-verified under the real
 //! conflict model. Spatial-hash neighbor queries ([`geom::CellGrid`])
 //! keep topology and conflict-row construction near-linear, so 10k–100k
-//! node networks schedule within seconds ([`sim::Algorithm::Anytime`],
-//! `claims --anytime-bench-only` → `BENCH_anytime.json`).
+//! node networks schedule within seconds ([`sim::Algorithm::Anytime`]).
+//! `e2e-bench/run.py`'s `plan-scaled` workload measures it at 30k nodes.
 //!
 //! ## The warm-start cache
 //!
@@ -145,9 +142,6 @@
 //! dead set feeds [`anytime::ChurnDelta`], and a TWCC-shaped online
 //! estimator ([`sim::LinkEstimator`]) fusing windowed ack history with
 //! delivery-delay inflation to detect drift and trigger re-planning.
-//! `claims --reliability-bench-only` emits `BENCH_reliability.json`
-//! (ε-coverage vs blind retransmission at equal slot budget, repair
-//! wall time vs cold re-solve).
 //!
 //! ## The serving daemon
 //!
@@ -172,9 +166,8 @@
 //! fraction of a cold re-solve's wall time. A seeded chaos harness
 //! ([`serve::run_campaign`]) replays a [`sim::FaultScript`] plus injected
 //! panics and request storms,
-//! asserting every served schedule verifies; `claims --serve-bench-only`
-//! emits `BENCH_serve.json` (repair-vs-cold pins, sustained req/s, storm
-//! shed rate, chaos p99 reschedule latency), and the `metrics` verb
+//! asserting every served schedule verifies; `e2e-bench/run.py`'s
+//! `serve-10k` workload drives it open-loop, and the `metrics` verb
 //! scrapes the [`obs`] recorder through the existing Prometheus
 //! exporter.
 

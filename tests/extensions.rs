@@ -1,9 +1,8 @@
 //! Integration tests for the extension layers: localized scheduling,
-//! distributed E-construction, energy accounting, and the broadcast-storm
-//! reference — the pieces beyond the paper's §V evaluation.
+//! distributed E-construction and the broadcast-storm reference — the
+//! pieces beyond the paper's §V evaluation.
 
 use mlbs::prelude::*;
-use mlbs::sim::{energy_of_schedule, RadioEnergyModel};
 
 #[test]
 fn localized_protocol_reproduces_fig1_optimum() {
@@ -53,19 +52,6 @@ fn theorem3_protocol_messages_are_constant_per_node() {
     }
     // No systematic growth with n.
     assert!(per_node[2] <= per_node[0] * 2.0);
-}
-
-#[test]
-fn energy_ranking_follows_latency_ranking() {
-    let (topo, src) = SyntheticDeployment::paper(150).sample(5);
-    let model = RadioEnergyModel::default();
-    let baseline = schedule_26_approx(&topo, src);
-    let gopt = solve_gopt(&topo, src, &AlwaysAwake, &SearchConfig::default()).schedule;
-    let e_base = energy_of_schedule(&topo, &baseline, &model);
-    let e_gopt = energy_of_schedule(&topo, &gopt, &model);
-    assert!(e_gopt.total() < e_base.total());
-    // Listening dominates in both (the always-on receiver of §III).
-    assert!(e_base.listening > e_base.transmitting + e_base.receiving);
 }
 
 #[test]
@@ -134,12 +120,10 @@ fn scalar_ablation_is_comparable_but_not_dominant() {
 }
 
 #[test]
-fn energy_latency_tradeoff_across_rates() {
-    // §VII's energy argument end to end: lighter duty cycles spend less
-    // sending-channel energy but broadcast slower; the E-model pipeline
-    // keeps the latency growth well below the baseline's at every rate.
+fn pipeline_to_barrier_latency_ratio_stays_below_0_7_across_rates() {
+    // Lighter duty cycles broadcast slower; the E-model pipeline keeps its
+    // latency well below the layered baseline's at every rate.
     let (topo, src) = SyntheticDeployment::paper(120).sample(8);
-    let mut last_ratio = f64::INFINITY;
     for rate in [5u32, 20, 50] {
         let wake = WindowedRandom::new(topo.len(), rate, 1);
         let em = EModel::build(&topo, &wake);
@@ -155,7 +139,5 @@ fn energy_latency_tradeoff_across_rates() {
         slow.verify(&topo, &wake).unwrap();
         let ratio = fast.latency() as f64 / slow.latency() as f64;
         assert!(ratio < 0.7, "pipeline should stay well below the barrier");
-        let _ = last_ratio;
-        last_ratio = ratio;
     }
 }

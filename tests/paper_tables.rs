@@ -1,8 +1,8 @@
 //! End-to-end reproduction of the paper's Tables II, III and IV.
 //!
 //! These tests drive the public facade exactly like the table binaries do
-//! and assert the rows the paper prints (up to the two documented OCR-level
-//! typos in Table III — see EXPERIMENTS.md).
+//! and assert the rows the paper prints (up to the two OCR-level typos in
+//! Table III that `wsn_topology::fixtures` documents).
 
 use mlbs::prelude::*;
 
@@ -111,7 +111,7 @@ fn table_iii_key_rows() {
 
     // M({s,0−7,9−10},4): the paper prints colors {4},{9},{10}; with the
     // 3–8 edge its other rows force, node 3 is a fourth candidate (the
-    // third documented Table III inconsistency — EXPERIMENTS.md). All four
+    // third Table III inconsistency). All four
     // singleton colors complete at 4.
     let r = find_state(&["s", "0", "1", "2", "3", "4", "5", "6", "7", "9", "10"], 4);
     assert_eq!(r.options.len(), 4);

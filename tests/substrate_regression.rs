@@ -114,7 +114,7 @@ fn substrate_halves_conflict_row_computations() {
 ///
 /// `(nodes, deployment seed, rate, OPT latency)` — all exact under the
 /// adaptive budget (two of these were `exact: false` under the old
-/// constant caps; see `BENCH_search.json`).
+/// constant caps).
 const DUTY_PINNED: &[(usize, u64, u32, u64)] = &[(100, 0, 50, 183), (200, 0, 10, 15)];
 
 #[test]

@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlbs_core::SearchConfig;
 use std::hint::black_box;
+use wsn_bench::AdaptiveBudget;
 use wsn_sim::{run_instance, Algorithm, Regime};
 use wsn_topology::deploy::SyntheticDeployment;
 
@@ -43,7 +44,7 @@ fn bench_sync(c: &mut Criterion) {
 fn bench_duty(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_duty10");
     group.sample_size(10);
-    let cfg = wsn_bench::search_for(Regime::Duty { rate: 10 });
+    let cfg = AdaptiveBudget::default().config_for(Regime::Duty { rate: 10 }, 200);
     for nodes in [100usize, 300] {
         let (topo, src) = SyntheticDeployment::paper(nodes).sample(42);
         for alg in [
@@ -73,7 +74,7 @@ fn bench_duty(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fig6_duty50");
     group.sample_size(10);
-    let cfg = wsn_bench::search_for(Regime::Duty { rate: 50 });
+    let cfg = AdaptiveBudget::default().config_for(Regime::Duty { rate: 50 }, 200);
     let (topo, src) = SyntheticDeployment::paper(200).sample(42);
     for alg in [
         Algorithm::Layered,

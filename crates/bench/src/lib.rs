@@ -18,7 +18,7 @@
 //! `--csv PATH` (figures only) and prints a fixed-width table to stdout.
 //! Criterion micro/meso benches live in `benches/`.
 
-use mlbs_core::{BranchOrder, SearchConfig};
+use mlbs_core::SearchConfig;
 use wsn_sim::{Algorithm, Regime, Sweep};
 
 /// Command-line options shared by the figure binaries.
@@ -85,66 +85,37 @@ impl FigureOpts {
         opts
     }
 
-    /// Builds the paper-grid sweep for a regime, with per-node-count
-    /// adaptive search budgets.
+    /// Builds the paper-grid sweep for a regime under the
+    /// [`AdaptiveBudget`] search configuration.
     pub fn sweep(&self, regime: Regime) -> Sweep {
         let mut sweep = Sweep::paper_grid(regime, self.instances, self.seed);
         sweep.threads = self.threads;
-        let budget = AdaptiveBudget::default();
-        sweep.search = search_for(regime);
-        sweep.search_overrides = sweep
-            .node_counts
-            .iter()
-            .map(|&n| (n, budget.config_for(regime, n)))
-            .collect();
+        // One configuration serves every node count of the grid.
+        sweep.search = AdaptiveBudget::default().config_for(regime, 0);
         sweep
     }
 }
 
-/// Per-instance search budgets for the paper grid.
+/// The search configuration of the figure sweeps and the benchmark.
 ///
-/// Sync instances keep the default configuration (the pinned behavior).
-/// Duty instances get:
-///
-/// * `max_states = 300_000`, a 2 s target at 150 states/ms;
-/// * a `branch_cap` that *grows* as instances shrink: the phase-folded,
-///   dominance-pruned search affords full enumeration on small duty
-///   instances, recovering `exact: true` where the old constant caps
-///   forced a beam;
-/// * the frontier-weighted branch ordering with 4× overscan, so when the
-///   beam does truncate it keeps the best-scored branches;
-/// * phase folding and dominance pruning switched on.
+/// Every regime and instance size runs the same configuration: the
+/// default `branch_cap` of 64 and a state cap of 300 000 per search pass.
+/// Dominance pruning, the wake-aware flood bound, phase folding and the
+/// lazy complete-enumeration pass need no switch. Every paper-grid OPT
+/// result either meets the root lower bound or is proved by the complete
+/// pass, so none needs a wider beam (see `mlbs_core::search`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AdaptiveBudget {}
 
 impl AdaptiveBudget {
-    /// The search configuration for one `nodes`-sized instance of `regime`.
-    pub fn config_for(&self, regime: Regime, nodes: usize) -> SearchConfig {
-        match regime {
-            Regime::Sync => SearchConfig::default(),
-            Regime::Duty { .. } => SearchConfig {
-                branch_cap: match nodes {
-                    0..=100 => 48,
-                    101..=200 => 32,
-                    _ => 24,
-                },
-                max_states: 300_000,
-                overscan: 4,
-                branch_order: BranchOrder::FrontierWeighted,
-                phase_fold: true,
-                dominance: true,
-                ..SearchConfig::default()
-            },
+    /// The search configuration for one `nodes`-sized instance of `regime`;
+    /// today it is the same for every regime and size.
+    pub fn config_for(&self, _regime: Regime, _nodes: usize) -> SearchConfig {
+        SearchConfig {
+            max_states: 300_000,
+            ..SearchConfig::default()
         }
     }
-}
-
-/// Search configuration tuned per regime at the paper grid's largest
-/// instance size — kept as the sweep-wide fallback; the per-node-count
-/// adaptive configurations come from [`AdaptiveBudget::config_for`] via
-/// `Sweep::search_overrides`.
-pub fn search_for(regime: Regime) -> SearchConfig {
-    AdaptiveBudget::default().config_for(regime, 300)
 }
 
 /// Runs a figure sweep, prints the table, optionally writes CSV.
@@ -231,38 +202,26 @@ mod tests {
     }
 
     #[test]
-    fn duty_search_is_capped() {
-        let c = search_for(Regime::Duty { rate: 10 });
-        assert!(c.branch_cap < SearchConfig::default().branch_cap);
-    }
-
-    #[test]
-    fn adaptive_budget_scales_with_instance_size() {
+    fn adaptive_budget_is_one_configuration() {
         let b = AdaptiveBudget::default();
-        let small = b.config_for(Regime::Duty { rate: 50 }, 100);
-        let large = b.config_for(Regime::Duty { rate: 50 }, 300);
-        assert!(
-            small.branch_cap > large.branch_cap,
-            "small instances afford wider enumeration"
-        );
-        assert!(small.dominance && small.phase_fold);
-        assert_eq!(small.overscan, 4);
-        // The duty state cap is one constant at every paper-grid size.
+        let one = format!("{:?}", b.config_for(Regime::Sync, 50));
         for n in [50, 100, 150, 200, 250, 300] {
-            for rate in [10, 50] {
-                assert_eq!(b.config_for(Regime::Duty { rate }, n).max_states, 300_000);
+            for regime in [
+                Regime::Sync,
+                Regime::Duty { rate: 10 },
+                Regime::Duty { rate: 50 },
+            ] {
+                assert_eq!(format!("{:?}", b.config_for(regime, n)), one);
             }
         }
-        // Sync keeps the pinned defaults.
-        assert_eq!(
-            b.config_for(Regime::Sync, 100).branch_cap,
-            SearchConfig::default().branch_cap
-        );
-        assert!(!b.config_for(Regime::Sync, 100).dominance);
+        let c = b.config_for(Regime::Sync, 300);
+        assert_eq!(c.max_states, 300_000);
+        assert_eq!(c.branch_cap, SearchConfig::default().branch_cap);
+        assert!(c.phase_fold && !c.exhaustive);
     }
 
     #[test]
-    fn sweep_carries_adaptive_overrides() {
+    fn sweep_runs_the_adaptive_configuration() {
         let o = FigureOpts {
             instances: 1,
             seed: 1,
@@ -270,8 +229,12 @@ mod tests {
             csv: None,
         };
         let s = o.sweep(Regime::Duty { rate: 50 });
-        assert_eq!(s.search_overrides.len(), s.node_counts.len());
-        assert_eq!(s.search_for_nodes(100).branch_cap, 48);
-        assert_eq!(s.search_for_nodes(300).branch_cap, 24);
+        assert_eq!(
+            format!("{:?}", s.search),
+            format!(
+                "{:?}",
+                AdaptiveBudget::default().config_for(Regime::Duty { rate: 50 }, 100)
+            )
+        );
     }
 }

@@ -85,61 +85,6 @@ pub fn extend_to_maximal(cg: &ConflictGraph, base: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// Orders branch sets best-first: stable sort by `score`, descending.
-/// Returns `true` when the sort actually permuted the list — the OPT
-/// search counts that as a branch reorder.
-///
-/// This is the enumeration-side ordering hook: enumeration discovers
-/// maximal sets in Bron–Kerbosch order, which is arbitrary with respect to
-/// search quality; scoring lets a beam cap truncate the *worst* branches
-/// instead of whatever the recursion happened to find last.
-pub fn order_best_first<T, K: Ord, F: FnMut(&T) -> K>(sets: &mut [T], mut score: F) -> bool {
-    // Score exactly once per element: the closure may be expensive, and a
-    // stateful scorer must not make the reorder check and the sort
-    // disagree. Sort an index permutation by (score desc, index asc) —
-    // the index tiebreak is what makes this stable — then apply it with
-    // in-place cycle swaps, no `T: Clone` needed.
-    let scores: Vec<K> = sets.iter().map(&mut score).collect();
-    if scores.windows(2).all(|w| w[0] >= w[1]) {
-        return false;
-    }
-    let mut order: Vec<usize> = (0..sets.len()).collect();
-    order.sort_by(|&a, &b| scores[b].cmp(&scores[a]).then(a.cmp(&b)));
-    // `order` is source-convention (position → original index); invert it
-    // to destinations, then each swap places one element where it belongs.
-    let mut dest = vec![0usize; order.len()];
-    for (pos, &src) in order.iter().enumerate() {
-        dest[src] = pos;
-    }
-    for i in 0..dest.len() {
-        while dest[i] != i {
-            let j = dest[i];
-            sets.swap(i, j);
-            dest.swap(i, j);
-        }
-    }
-    true
-}
-
-/// Truncates an ordered branch list to `cap` entries, except that entries
-/// satisfying `keep` always survive (the OPT search uses this to keep the
-/// maximal extensions of the greedy classes in the beam, preserving the
-/// OPT ≤ G-OPT dominance guarantee under truncation).
-pub fn truncate_keeping<T, F: FnMut(&T) -> bool>(sets: &mut Vec<T>, cap: usize, mut keep: F) {
-    if sets.len() <= cap {
-        return;
-    }
-    let mut kept = 0usize;
-    sets.retain(|s| {
-        if kept < cap || keep(s) {
-            kept += 1;
-            true
-        } else {
-            false
-        }
-    });
-}
-
 /// Classic Bron–Kerbosch with pivoting. `r` = current clique, `p` =
 /// candidates, `x` = excluded. Stops expanding once `cap` sets are found.
 fn bron_kerbosch(
@@ -257,45 +202,6 @@ mod tests {
         let out = maximal_conflict_free_sets(&cg, 1);
         assert!(out.truncated);
         assert_eq!(out.sets.len(), 1);
-    }
-
-    #[test]
-    fn order_best_first_is_stable_and_reports_reorders() {
-        let mut sets = vec![vec![1usize], vec![2, 3], vec![4], vec![5, 6]];
-        assert!(order_best_first(&mut sets, |s| s.len()));
-        assert_eq!(sets, vec![vec![2, 3], vec![5, 6], vec![1], vec![4]]);
-        // Already ordered: no reorder reported, list untouched.
-        assert!(!order_best_first(&mut sets, |s| s.len()));
-    }
-
-    #[test]
-    fn order_best_first_handles_cycles_and_scores_once() {
-        // A 3-cycle permutation (scores 1,3,2 → order b,c,a) catches a
-        // wrong-direction permutation application.
-        let mut sets = vec!["a", "b", "c"];
-        let scores = [1, 3, 2];
-        let mut calls = 0usize;
-        assert!(order_best_first(&mut sets, |s| {
-            calls += 1;
-            scores[match *s {
-                "a" => 0,
-                "b" => 1,
-                _ => 2,
-            }]
-        }));
-        assert_eq!(sets, vec!["b", "c", "a"]);
-        assert_eq!(calls, 3, "score must run exactly once per element");
-    }
-
-    #[test]
-    fn truncate_keeping_preserves_marked_entries() {
-        let mut sets: Vec<Vec<usize>> = vec![vec![9], vec![1], vec![2], vec![8], vec![3]];
-        truncate_keeping(&mut sets, 2, |s| s[0] >= 8);
-        assert_eq!(sets, vec![vec![9], vec![1], vec![8]]);
-        // Under the cap: untouched.
-        let mut small = vec![vec![1usize]];
-        truncate_keeping(&mut small, 4, |_| false);
-        assert_eq!(small, vec![vec![1]]);
     }
 
     #[test]

@@ -29,10 +29,7 @@ mod substrate;
 mod validity;
 
 pub use channels::{greedy_pack_order, pack_channels, pack_channels_ordered};
-pub use enumerate::{
-    extend_to_maximal, maximal_conflict_free_sets, order_best_first, truncate_keeping,
-    EnumerationOutcome,
-};
+pub use enumerate::{extend_to_maximal, maximal_conflict_free_sets, EnumerationOutcome};
 pub use greedy::{greedy_classes_on_graph, greedy_coloring, greedy_coloring_of_candidates};
 pub use substrate::BroadcastState;
 pub use validity::{validate_coloring, ColoringViolation};

@@ -76,9 +76,7 @@ pub fn max_neighbor_wait<S: WakeSchedule>(topo: &Topology, wake: &S) -> Slot {
 /// most one conflict-free advance, which extends the informed set by at
 /// most one hop, so at least `h` further slots are needed to reach a node
 /// `h` hops away. Also returns the per-node BFS hop distances from `W` the
-/// bound was computed from. The search reuses the profile to score branch
-/// orderings (deep uninformed nodes are worth informing first) without
-/// running a second BFS per state.
+/// bound was computed from.
 ///
 /// The BFS is level-synchronous over the neighbour masks: the next level
 /// is `∪ N(frontier) \ reached`, one word-parallel union per node, so each

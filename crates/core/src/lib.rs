@@ -71,7 +71,7 @@ pub use reliability::{ReliabilityError, ReliabilityReport};
 pub use schedule::{Schedule, ScheduleEntry, ScheduleError};
 pub use search::{
     solve_gopt, solve_gopt_model, solve_gopt_with, solve_opt, solve_opt_model, solve_opt_with,
-    BranchOrder, SearchConfig, SearchOutcome, SearchStats,
+    SearchConfig, SearchOutcome, SearchStats,
 };
 pub use trace::{SearchTrace, TraceState};
 

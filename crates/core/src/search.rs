@@ -29,14 +29,14 @@
 //! in `tests/` check optimality against exhaustive search on small
 //! instances.
 //!
-//! # DESIGN: the flood bound, phase folding, dominance pruning, and adaptive caps
+//! # DESIGN: the flood bound, phase folding, dominance pruning, and certification
 //!
 //! Keying the memo on the raw phase is what makes the duty-cycled regime
 //! hard: `WindowedRandom` has `P = r × windows`, so at `r = 50` the phase
 //! axis alone multiplies the state space by thousands, and the same
-//! informed set reached along two timing paths memoizes twice. Four
-//! mechanisms attack that, all default-compatible with the synchronous
-//! pins:
+//! informed set reached along two timing paths memoizes twice. Three
+//! mechanisms attack that, and a fourth decides when a capped search has
+//! still proved its answer:
 //!
 //! * **The wake-aware flood bound** ([`crate::bounds::FloodBound`]). The
 //!   hop bound ignores wake-ups, so on duty instances it sits far below
@@ -73,33 +73,36 @@
 //!   misses cost nothing. Reconstruction re-derives any suffix whose
 //!   memoized choices came from a folded phase by re-running the (warm)
 //!   search from that state.
-//! * **Superset dominance** ([`SearchConfig::dominance`], OPT only). For
-//!   the all-colors value function, `W ⊆ W'` implies `rem(W) ≥ rem(W')`
-//!   (the larger set can simulate any continuation of the smaller), so a
-//!   memoized exact result for a superset is a valid lower bound: the
-//!   searcher keeps a small per-phase store of exact results and scans it
-//!   for supersets before branching, and inside the branch loop prunes any
-//!   color whose coverage is a subset of an already-evaluated sibling's.
-//!   Both bounds also feed the branch loop's floor, stopping it as soon as
-//!   a branch meets the strongest known lower bound. G-OPT is excluded:
-//!   its greedy-restricted value function carries no such monotonicity
-//!   guarantee.
-//! * **Best-first branch ordering + overscan**
-//!   ([`SearchConfig::branch_order`], [`SearchConfig::overscan`]). The
-//!   enumeration explores up to `overscan × branch_cap` maximal sets; if it
-//!   completes, the search stays exact at an effectively larger cap, and if
-//!   it truncates, the frontier-weighted scorer (newly informed nodes
-//!   weighted by their hop depth) decides which `branch_cap` branches the
-//!   beam keeps — the worst branches are truncated instead of whichever
-//!   the enumeration found last. The greedy-class extensions always
-//!   survive truncation, preserving OPT ≤ G-OPT.
-//!
-//! The regime-constant caps that used to live in `wsn-bench::search_for`
-//! are replaced by `wsn_bench::AdaptiveBudget`, which derives `max_states`
-//! from a wall-clock target and a states/ms throughput (measured or the
-//! baked-in default) and scales `branch_cap`/`overscan` with instance
-//! size, so small duty instances complete exactly where the old constant
-//! caps forced a beam.
+//! * **Superset dominance** (OPT on one channel, outside exhaustive mode).
+//!   For the all-colors value function, `W ⊆ W'` implies
+//!   `rem(W) ≥ rem(W')` (the larger set can simulate any continuation of
+//!   the smaller), so a memoized exact result for a superset is a valid
+//!   lower bound: the searcher keeps a small per-phase store of exact
+//!   results and scans it for supersets before branching, and inside the
+//!   branch loop prunes any color whose coverage is a subset of an
+//!   already-evaluated sibling's. Both bounds also feed the branch loop's
+//!   floor, stopping it as soon as a branch meets the strongest known
+//!   lower bound. G-OPT is excluded: its greedy-restricted value function
+//!   carries no such monotonicity guarantee. Under a truncated enumeration
+//!   the memoized values are beam values, so the pruning is then a beam
+//!   heuristic and proves nothing (see certification below).
+//! * **Certification by the root bound, and lazy completion.** A result
+//!   is [`SearchOutcome::exact`] when its latency equals the root bound
+//!   `max(hop, flood)` from `(source, t_s)` — no schedule beats a proven
+//!   lower bound, whatever the beam did on the way — or when the search
+//!   ran to the end with no enumeration truncated and no cap hit. Only
+//!   those two bounds certify: memo values and dominance entries recorded
+//!   under a truncated enumeration are relative to the beam. When an OPT
+//!   result misses the root bound and some enumeration truncated (and the
+//!   beam did not already hit the state cap), the searcher drops every
+//!   beam-relative entry and searches again with
+//!   complete enumeration (up to `COMPLETE_SET_CAP` = 4 096 maximal sets
+//!   per state) under the budget `latency − 1` and a fresh
+//!   [`SearchConfig::max_states`]. If that pass neither truncates nor hits
+//!   the state cap, it proves the optimum: it either finds a better
+//!   schedule or shows there is none. Otherwise the beam result stands,
+//!   flagged inexact. Complete enumeration cannot be the default: on the
+//!   300-node paper instances a state can have more than 10⁶ maximal sets.
 
 use crate::bounds::{remaining_hops_profile, FloodBound};
 use crate::pipeline::{run_pipeline_model, MaxReceiversSelector, PipelineConfig};
@@ -107,40 +110,27 @@ use crate::schedule::{Schedule, ScheduleEntry};
 use crate::trace::{SearchTrace, TraceOption, TraceState};
 use std::collections::HashMap;
 use wsn_bitset::{NodeSet, SetInterner, StateId, WordSeqInterner};
-use wsn_coloring::{
-    extend_to_maximal, maximal_conflict_free_sets, order_best_first, truncate_keeping,
-    BroadcastState,
-};
+use wsn_coloring::{extend_to_maximal, maximal_conflict_free_sets, BroadcastState};
 use wsn_dutycycle::{Slot, WakePatternTable, WakeSchedule};
 use wsn_phy::{ConflictModel, ProtocolModel};
 use wsn_topology::{NodeId, Topology};
 
-/// How the OPT search orders the enumerated color sets before branching.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BranchOrder {
-    /// Legacy ordering: descending sum of per-sender fresh-neighbor counts
-    /// (double-counts overlapping coverage, but matches the pre-fold
-    /// searches bit for bit).
-    #[default]
-    CoverageSum,
-    /// Best-first: descending exact newly-informed count, each new node
-    /// weighted by `1 + hop distance from W` so branches that push the
-    /// frontier where the lower bound lives sort first.
-    FrontierWeighted,
-}
-
-/// Search parameters.
+/// Search parameters. No field depends on the regime: the figure sweeps
+/// and the benchmark run one configuration (`wsn_bench::AdaptiveBudget`)
+/// in the synchronous and the duty-cycled regime alike.
 #[derive(Clone, Debug)]
 pub struct SearchConfig {
     /// Slot from which the source may first transmit (`t_s` is its first
     /// sending slot at or after this).
     pub start_from: Slot,
-    /// OPT only: maximum number of branches kept per state (beam mode once
-    /// enumeration truncates).
+    /// OPT only: maximum number of maximal sets enumerated per state. A
+    /// state with more is branched as a beam over the first `branch_cap`
+    /// (plus the greedy-class extensions), which can cost exactness; see
+    /// the certification note in the module doc.
     pub branch_cap: usize,
-    /// Hard cap on distinct states evaluated; beyond it new states are
-    /// abandoned (the search still returns a valid schedule, flagged
-    /// inexact).
+    /// Hard cap on distinct states evaluated per pass; beyond it new
+    /// states are abandoned (the search still returns a valid schedule,
+    /// flagged inexact unless it meets the root bound).
     pub max_states: usize,
     /// Record a [`SearchTrace`] (used by the table binaries).
     pub collect_trace: bool,
@@ -153,18 +143,6 @@ pub struct SearchConfig {
     /// uninformed neighborhood (see the module-level DESIGN note). No-op
     /// for period-1 schedules, so the synchronous searches are unaffected.
     pub phase_fold: bool,
-    /// Prune via superset dominance (OPT only; see the DESIGN note).
-    /// Off by default: on truncated beam searches it can only shrink the
-    /// explored tree, which perturbs the historically pinned `exact`
-    /// flags and conflict-row accounting; the duty-cycle configurations
-    /// of `wsn_bench::AdaptiveBudget` switch it on.
-    pub dominance: bool,
-    /// Branch ordering rule for the OPT enumeration.
-    pub branch_order: BranchOrder,
-    /// OPT only: enumeration explores up to `overscan × branch_cap` sets
-    /// before the beam truncates back to `branch_cap`; `1` reproduces the
-    /// legacy truncate-at-cap behavior.
-    pub overscan: u32,
 }
 
 impl Default for SearchConfig {
@@ -176,9 +154,6 @@ impl Default for SearchConfig {
             collect_trace: false,
             exhaustive: false,
             phase_fold: true,
-            dominance: false,
-            branch_order: BranchOrder::CoverageSum,
-            overscan: 1,
         }
     }
 }
@@ -193,9 +168,10 @@ pub struct SearchStats {
     pub memo_hits: usize,
     /// Branches pruned by bound reasoning.
     pub pruned: usize,
-    /// States whose OPT enumeration hit the exploration cap.
+    /// States whose OPT enumeration hit the exploration cap (both passes:
+    /// the beam and, when it runs, the complete enumeration).
     pub truncated_enumerations: usize,
-    /// `true` when `max_states` stopped the search somewhere.
+    /// `true` when `max_states` stopped a pass somewhere.
     pub state_cap_hit: bool,
     /// Distinct informed sets canonicalized by the memo-key interner.
     pub interned_sets: usize,
@@ -204,13 +180,14 @@ pub struct SearchStats {
     /// Conflict-graph rows carried across states by the incremental
     /// builder. `built + reused` is what a rebuild-per-state strategy
     /// would have computed, so `reused ≥ built` means the substrate cut
-    /// row computations at least in half. That inequality holds for the
-    /// *synchronous* searches (sibling states share candidate lists) and
-    /// is pinned in `tests/substrate_regression.rs`; duty-cycle searches
-    /// churn the candidate list every slot (the awake set changes
-    /// wholesale), so there `reused < built` is the measured norm — also
-    /// pinned, so an improvement to duty-regime row reuse shows up as a
-    /// test update, not silently.
+    /// row computations at least in half. Reuse needs a search that walks
+    /// sibling states (they share candidate lists): synchronous G-OPT
+    /// does, and `tests/substrate_regression.rs` pins the cut there.
+    /// Synchronous OPT with dominance pruning barely branches, so it
+    /// reuses few rows. Duty-cycle searches churn the candidate list every
+    /// slot (the awake set changes wholesale), so there `reused < built`
+    /// is the measured norm — also pinned, so an improvement to
+    /// duty-regime row reuse shows up as a test update, not silently.
     pub conflict_rows_reused: usize,
     /// Entries in the memo at the end of the search — the distinct
     /// memoized states after phase folding (equals the distinct
@@ -222,9 +199,6 @@ pub struct SearchStats {
     /// Branches or states pruned by superset dominance (memo-store scans
     /// plus sibling coverage subsumption).
     pub dominance_prunes: usize,
-    /// States whose branch list the frontier-weighted scorer actually
-    /// permuted.
-    pub branch_reorders: usize,
 }
 
 /// Result of a search.
@@ -234,8 +208,12 @@ pub struct SearchOutcome {
     pub schedule: Schedule,
     /// End-to-end latency of that schedule (`t_e − t_s + 1`).
     pub latency: Slot,
-    /// `true` when the result is provably optimal for the branch rule
-    /// (no enumeration truncation, no state-cap abandonment).
+    /// `true` only when the result is proved optimal for the branch rule:
+    /// its latency equals the root lower bound `max(hop, flood)`, or a
+    /// pass ran to the end with no enumeration truncated and no state cap
+    /// hit (for a beam OPT result, the lazy complete-enumeration pass; see
+    /// the module doc). A result that meets the root bound is optimal
+    /// under every branch rule, since no schedule beats it.
     pub exact: bool,
     /// Statistics.
     pub stats: SearchStats,
@@ -297,10 +275,11 @@ pub fn solve_gopt_model<S: WakeSchedule, M: ConflictModel>(
 
 /// OPT: minimum-latency schedule over every admissible color (Eq. 5/6).
 ///
-/// Exact when the per-state enumeration never exceeds the exploration cap
-/// ([`SearchConfig::branch_cap`] × [`SearchConfig::overscan`]); otherwise a
-/// beam search whose result is still ≤ the G-OPT latency (greedy classes
-/// are always in the branch set).
+/// A beam search over at most [`SearchConfig::branch_cap`] maximal sets
+/// per state, whose result is still ≤ the G-OPT latency (greedy classes
+/// are always in the branch set). When a truncated beam misses the root
+/// lower bound, a complete-enumeration pass proves or improves it (see
+/// [`SearchOutcome::exact`]).
 pub fn solve_opt<S: WakeSchedule>(
     topo: &Topology,
     source: NodeId,
@@ -356,7 +335,6 @@ fn record_search_obs(solves: &'static str, out: &SearchOutcome, wall: std::time:
     wsn_obs::counter_add("searcher.memo_hits", s.memo_hits as u64);
     wsn_obs::counter_add("searcher.pruned", s.pruned as u64);
     wsn_obs::counter_add("searcher.dominance_prunes", s.dominance_prunes as u64);
-    wsn_obs::counter_add("searcher.branch_reorders", s.branch_reorders as u64);
     wsn_obs::counter_add(
         "searcher.truncated_enumerations",
         s.truncated_enumerations as u64,
@@ -403,6 +381,10 @@ const FOLD_KEY: u64 = 1 << 63;
 
 /// Ladder depth cap — a backstop; the period/budget clamps bind first.
 const MAX_FOLD_LEVELS: usize = 8;
+
+/// Maximal sets per state the complete-enumeration pass may enumerate
+/// before it gives up (and the beam result stands, inexact).
+const COMPLETE_SET_CAP: usize = 4096;
 
 /// Exact results kept per phase for superset-dominance scans.
 const DOMINANCE_BUCKET_CAP: usize = 16;
@@ -565,13 +547,19 @@ struct Searcher<'a, S: WakeSchedule, M: ConflictModel> {
     dominance: HashMap<Slot, Vec<(StateId, Slot)>>,
     /// `true` when dominance pruning is active for this run.
     use_dominance: bool,
+    /// `true` during the complete-enumeration pass: enumerate up to
+    /// [`COMPLETE_SET_CAP`] sets per state instead of `branch_cap`.
+    complete: bool,
+    /// Set when the complete-enumeration pass truncates; every later
+    /// state is abandoned, since the pass can no longer prove anything.
+    gave_up: bool,
+    /// The state count at which the current pass hits `max_states`.
+    state_limit: usize,
     /// Shared substrate: scratch sets, candidate buffers, and the
     /// incrementally-maintained conflict graph.
     state: &'a mut BroadcastState,
     /// Scratch for the per-state wake-aware flood bound.
     flood: FloodBound,
-    /// Scratch for branch coverage scoring.
-    score_scratch: NodeSet,
     /// Scratch: the uninformed set of the state being branched (channel
     /// packing reads it while the conflict graph borrows the substrate).
     unf_scratch: NodeSet,
@@ -605,13 +593,14 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             // Greedy channel packing makes per-branch coverage
             // non-monotone in W (channels exhaust on different
             // candidates), so K > 1 runs keep dominance off.
-            use_dominance: config.dominance
-                && !config.exhaustive
+            use_dominance: !config.exhaustive
                 && rule == BranchRule::MaximalSets
                 && model.channels() == 1,
+            complete: false,
+            gave_up: false,
+            state_limit: config.max_states,
             state,
             flood: FloodBound::new(),
-            score_scratch: NodeSet::new(topo.len()),
             unf_scratch: NodeSet::new(topo.len()),
             stats: SearchStats::default(),
             trace: SearchTrace::default(),
@@ -673,7 +662,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         }
         let conflict_base = *self.state.conflict_stats();
 
-        let (schedule, fell_back) = match self.dfs(&w0, t_s, budget) {
+        let (mut schedule, fell_back) = match self.dfs(&w0, t_s, budget) {
             Some(rem) => match self.reconstruct(source, t_s, &w0, rem) {
                 Some(schedule) => {
                     debug_assert!(schedule.latency() <= rem);
@@ -689,9 +678,20 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             // is a valid schedule either way.
             None => (seed, true),
         };
-        let exact = !fell_back
+        let mut exact = schedule.latency() == self.root_bound(&w0, t_s, schedule.latency())
+            || (!fell_back && !self.stats.state_cap_hit && self.stats.truncated_enumerations == 0);
+        if !exact
+            && !self.config.exhaustive
             && !self.stats.state_cap_hit
-            && (self.rule == BranchRule::GreedyClasses || self.stats.truncated_enumerations == 0);
+            && self.stats.truncated_enumerations > 0
+        {
+            if let Some(proved) = self.complete_pass(source, t_s, &w0, schedule.latency()) {
+                if let Some(better) = proved {
+                    schedule = better;
+                }
+                exact = true;
+            }
+        }
         let latency = schedule.latency();
         debug_assert!(
             !exact
@@ -720,19 +720,57 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         }
     }
 
+    /// The root lower bound `max(hop, flood)` from `(w0, t_s)`; the flood
+    /// is capped at `latency + 1`, which is all a comparison with
+    /// `latency` needs.
+    fn root_bound(&mut self, w0: &NodeSet, t_s: Slot, latency: Slot) -> Slot {
+        let hop = remaining_hops_profile(self.topo, w0).0;
+        if self.wake.period() > 1 {
+            hop.max(
+                self.flood
+                    .lower_bound(self.topo, self.wake, w0, t_s, latency),
+            )
+        } else {
+            hop
+        }
+    }
+
+    /// The lazy complete-enumeration pass (see the module doc). Drops every
+    /// beam-relative memo and dominance entry, then searches `(w0, t_s)`
+    /// again under budget `latency − 1`, enumerating up to
+    /// [`COMPLETE_SET_CAP`] sets per state, with a fresh state cap. Returns
+    /// `None` when the pass truncates or hits the cap (nothing proved),
+    /// `Some(None)` when no schedule beats `latency`, and `Some(Some(s))`
+    /// with a better schedule, which is then optimal.
+    fn complete_pass(
+        &mut self,
+        source: NodeId,
+        t_s: Slot,
+        w0: &NodeSet,
+        latency: Slot,
+    ) -> Option<Option<Schedule>> {
+        self.memo.clear();
+        self.bounds.clear();
+        self.dominance.clear();
+        self.complete = true;
+        self.state_limit = self.stats.states.saturating_add(self.config.max_states);
+        let better = self
+            .dfs(w0, t_s, latency - 1)
+            .and_then(|rem| self.reconstruct(source, t_s, w0, rem));
+        (!self.gave_up && !self.stats.state_cap_hit).then_some(better)
+    }
+
     /// The branch colors of a state, most promising first. Each branch is a
     /// conflict-free sender set among the awake candidates (under a
     /// multi-channel model: the channel-0 seed, packed with extra-channel
-    /// senders after ordering/truncation — ordering scores the seeds, and
-    /// packing can only add coverage). The substrate must be loaded with
-    /// `(informed, t)` by the caller; one incremental conflict-graph
-    /// update serves both the greedy coloring and the maximal-set
-    /// enumeration. `dist` is the hop profile from `W` (for
-    /// frontier-weighted scoring).
-    fn branches(&mut self, informed: &NodeSet, dist: &[u32]) -> Vec<Branch> {
+    /// senders after ordering — ordering scores the seeds, and packing can
+    /// only add coverage). The substrate must be loaded with `(informed,
+    /// t)` by the caller; one incremental conflict-graph update serves both
+    /// the greedy coloring and the maximal-set enumeration.
+    fn branches(&mut self, informed: &NodeSet) -> Vec<Branch> {
         let sets = match self.rule {
             BranchRule::GreedyClasses => self.state.greedy_classes_with(self.topo, self.model),
-            BranchRule::MaximalSets => self.maximal_branch_sets(informed, dist),
+            BranchRule::MaximalSets => self.maximal_branch_sets(informed),
         };
         if self.model.channels() <= 1 {
             return sets
@@ -767,16 +805,18 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
     }
 
     /// The OPT branch seeds: maximal conflict-free sets plus the maximal
-    /// extensions of the greedy classes, ordered and beam-truncated.
-    fn maximal_branch_sets(&mut self, informed: &NodeSet, dist: &[u32]) -> Vec<Vec<NodeId>> {
-        let explore_cap = self
-            .config
-            .branch_cap
-            .saturating_mul(self.config.overscan.max(1) as usize);
+    /// extensions of the greedy classes, most new coverage first.
+    fn maximal_branch_sets(&mut self, informed: &NodeSet) -> Vec<Vec<NodeId>> {
+        let cap = if self.complete {
+            COMPLETE_SET_CAP
+        } else {
+            self.config.branch_cap
+        };
         let (classes, cg) = self.state.classes_and_graph_with(self.topo, self.model);
-        let outcome = maximal_conflict_free_sets(cg, explore_cap);
+        let outcome = maximal_conflict_free_sets(cg, cap);
         if outcome.truncated {
             self.stats.truncated_enumerations += 1;
+            self.gave_up |= self.complete;
         }
         let mut sets: Vec<Vec<NodeId>> = outcome
             .sets
@@ -789,57 +829,17 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             .collect();
         // Guarantee OPT ⊆-dominates G-OPT: extend each greedy class
         // to a maximal set and include it.
-        let mut extensions: Vec<Vec<NodeId>> = classes
-            .iter()
-            .map(|class| extend_to_maximal(cg, class))
-            .collect();
-        sets.extend(extensions.iter().cloned());
+        sets.extend(classes.iter().map(|class| extend_to_maximal(cg, class)));
         sets.sort();
         sets.dedup();
-        match self.config.branch_order {
-            // Most new coverage first → tight budgets early.
-            BranchOrder::CoverageSum => {
-                sets.sort_by_cached_key(|set| {
-                    std::cmp::Reverse(
-                        set.iter()
-                            .map(|&u| self.topo.neighbor_set(u).difference_len(informed))
-                            .sum::<usize>(),
-                    )
-                });
-            }
-            BranchOrder::FrontierWeighted => {
-                let scratch = &mut self.score_scratch;
-                let topo = self.topo;
-                let mut scored: Vec<(u64, Vec<NodeId>)> = sets
-                    .drain(..)
-                    .map(|set| {
-                        scratch.clear();
-                        for &u in &set {
-                            scratch.union_with(topo.neighbor_set(u));
-                        }
-                        scratch.difference_with(informed);
-                        let score: u64 = scratch.iter().map(|v| 1 + dist[v] as u64).sum();
-                        (score, set)
-                    })
-                    .collect();
-                if order_best_first(&mut scored, |&(score, _)| score) {
-                    self.stats.branch_reorders += 1;
-                }
-                sets = scored.into_iter().map(|(_, set)| set).collect();
-            }
-        }
-        // Beam truncation (either ordering): only once overscan
-        // actually widened the exploration — with `overscan = 1`
-        // the enumeration cap alone bounds the list, matching the
-        // pre-fold searches bit for bit. The greedy-class
-        // extensions always survive (OPT ≤ G-OPT).
-        if outcome.truncated && self.config.overscan > 1 && sets.len() > self.config.branch_cap {
-            extensions.sort();
-            extensions.dedup();
-            truncate_keeping(&mut sets, self.config.branch_cap, |set| {
-                extensions.binary_search(set).is_ok()
-            });
-        }
+        // Most new coverage first → tight budgets early.
+        sets.sort_by_cached_key(|set| {
+            std::cmp::Reverse(
+                set.iter()
+                    .map(|&u| self.topo.neighbor_set(u).difference_len(informed))
+                    .sum::<usize>(),
+            )
+        });
         sets
     }
 
@@ -893,15 +893,17 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             return None;
         }
 
-        if self.stats.states >= self.config.max_states {
+        if self.gave_up {
+            return None;
+        }
+        if self.stats.states >= self.state_limit {
             self.stats.state_cap_hit = true;
             return None;
         }
         self.stats.states += 1;
 
-        // Admissible lower bound: farthest uninformed node in hops. The
-        // hop profile doubles as the branch-scoring weight below.
-        let (hop_lb, dist) = remaining_hops_profile(self.topo, informed);
+        // Admissible lower bound: farthest uninformed node in hops.
+        let hop_lb = remaining_hops_profile(self.topo, informed).0;
         let mut lb = hop_lb.max(known_lb);
         if hop_lb > budget {
             self.stats.pruned += 1;
@@ -996,7 +998,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             };
         }
 
-        let branches = self.branches(informed, &dist);
+        let branches = self.branches(informed);
         debug_assert!(!branches.is_empty());
 
         let trace_idx = if self.config.collect_trace {
@@ -1421,50 +1423,48 @@ mod tests {
     }
 
     #[test]
-    fn dominance_preserves_opt_results() {
-        for seed in 0..3u64 {
-            let (topo, src) = deploy::SyntheticDeployment::paper(60).sample(seed);
-            let on = solve_opt(
-                &topo,
-                src,
-                &AlwaysAwake,
-                &SearchConfig {
-                    dominance: true,
-                    ..SearchConfig::default()
-                },
-            );
-            let off = solve_opt(&topo, src, &AlwaysAwake, &SearchConfig::default());
-            assert_eq!(on.latency, off.latency, "seed {seed}: latency drifted");
-            // Dominance can only make the search *more* exact: it skips
-            // subtrees (sometimes the very ones whose enumeration would
-            // truncate) but never introduces truncation or caps.
-            assert!(
-                on.exact || !off.exact,
-                "seed {seed}: dominance lost exactness"
-            );
-            assert!(on.stats.states <= off.stats.states);
-        }
+    fn root_bound_certifies_a_truncated_beam() {
+        // A beam of two sets per state truncates on every sizable state,
+        // yet a result that meets the hop bound is optimal.
+        let (topo, src) = deploy::SyntheticDeployment::paper(60).sample(4);
+        let cfg = SearchConfig {
+            branch_cap: 2,
+            ..SearchConfig::default()
+        };
+        let out = solve_opt(&topo, src, &AlwaysAwake, &cfg);
+        out.schedule.verify(&topo, &AlwaysAwake).unwrap();
+        assert!(out.stats.truncated_enumerations > 0);
+        let ecc = crate::bounds::source_eccentricity(&topo, src) as u64;
+        assert_eq!(out.latency, ecc);
+        assert!(out.exact);
     }
 
     #[test]
-    fn frontier_ordering_with_overscan_stays_valid() {
-        for seed in 0..2u64 {
-            let (topo, src) = deploy::SyntheticDeployment::paper(60).sample(seed);
-            let wake = duty_wake(topo.len(), 10, seed);
-            let cfg = SearchConfig {
-                branch_cap: 12,
-                overscan: 4,
-                branch_order: BranchOrder::FrontierWeighted,
+    fn lazy_completion_proves_a_beam_result_above_the_root_bound() {
+        // Paper-grid's 100-node deployment 1: the beam finds 8 slots
+        // against a hop bound of 7, and complete enumeration proves 8.
+        let seed = 0x5EED_2012 ^ (100 << 16) ^ 1;
+        let (topo, src) = deploy::SyntheticDeployment::paper(100).sample(seed);
+        let ecc = crate::bounds::source_eccentricity(&topo, src) as u64;
+        let out = solve_opt(&topo, src, &AlwaysAwake, &SearchConfig::default());
+        out.schedule.verify(&topo, &AlwaysAwake).unwrap();
+        assert_eq!((ecc, out.latency, out.exact), (7, 8, true));
+        // The beam truncated, so only the complete pass can have proved it;
+        // that pass gives up as soon as it truncates.
+        assert!(out.stats.truncated_enumerations > 0);
+        assert!(!out.stats.state_cap_hit);
+        // With half the states, the beam or the complete pass hits the
+        // state cap, and nothing is proved.
+        let starved = solve_opt(
+            &topo,
+            src,
+            &AlwaysAwake,
+            &SearchConfig {
+                max_states: out.stats.states / 2,
                 ..SearchConfig::default()
-            };
-            let out = solve_opt(&topo, src, &wake, &cfg);
-            out.schedule.verify(&topo, &wake).unwrap();
-            let g = solve_gopt(&topo, src, &wake, &cfg);
-            assert!(
-                out.latency <= g.latency,
-                "seed {seed}: beam OPT above G-OPT despite kept extensions"
-            );
-        }
+            },
+        );
+        assert!(!starved.exact && starved.latency >= 8);
     }
 
     #[test]

@@ -127,7 +127,6 @@ mod tests {
             regime: Regime::Sync,
             master_seed: 7,
             search: SearchConfig::default(),
-            search_overrides: Vec::new(),
             threads: 1,
         }
         .run()
@@ -164,7 +163,6 @@ mod tests {
             regime: Regime::Sync,
             master_seed: 7,
             search: SearchConfig::default(),
-            search_overrides: Vec::new(),
             threads: 1,
         }
         .run();
@@ -192,7 +190,6 @@ mod tests {
             regime: Regime::Sync,
             master_seed: 7,
             search: SearchConfig::default(),
-            search_overrides: Vec::new(),
             threads: 1,
         }
         .run();

@@ -23,11 +23,6 @@ pub struct Sweep {
     pub master_seed: u64,
     /// Search configuration for OPT / G-OPT.
     pub search: SearchConfig,
-    /// Per-node-count overrides of `search` — how `wsn-bench` threads its
-    /// adaptive budgets through (instance size is not known to a single
-    /// `SearchConfig`). First match wins; node counts without an entry use
-    /// `search`.
-    pub search_overrides: Vec<(usize, SearchConfig)>,
     /// Worker threads (1 = sequential; results are identical either way).
     pub threads: usize,
 }
@@ -42,17 +37,8 @@ impl Sweep {
             regime,
             master_seed,
             search: SearchConfig::default(),
-            search_overrides: Vec::new(),
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
         }
-    }
-
-    /// The search configuration a `nodes`-sized instance runs under.
-    pub fn search_for_nodes(&self, nodes: usize) -> &SearchConfig {
-        self.search_overrides
-            .iter()
-            .find(|(n, _)| *n == nodes)
-            .map_or(&self.search, |(_, cfg)| cfg)
     }
 
     /// Runs the sweep and aggregates per (algorithm, node count).
@@ -219,7 +205,6 @@ impl Sweep {
         let deployment = SyntheticDeployment::paper(nodes);
         let (topo, source) = deployment.sample(seed);
         let wake_seed = derive_seed(seed, WAKE_SEED_TAG, 0);
-        let search = self.search_for_nodes(nodes);
         let runs = self
             .algorithms
             .iter()
@@ -232,7 +217,7 @@ impl Sweep {
                         self.regime,
                         alg,
                         wake_seed,
-                        search,
+                        &self.search,
                         substrate,
                     ),
                 )
@@ -395,7 +380,6 @@ mod tests {
             regime: Regime::Sync,
             master_seed: 1234,
             search: SearchConfig::default(),
-            search_overrides: Vec::new(),
             threads,
         }
         .run()
@@ -417,23 +401,6 @@ mod tests {
             }
             assert_eq!(p.eccentricity.count(), 3);
         }
-    }
-
-    #[test]
-    fn search_override_selects_per_node_config() {
-        let mut s = Sweep::paper_grid(Regime::Sync, 1, 7);
-        s.search_overrides.push((
-            100,
-            SearchConfig {
-                branch_cap: 5,
-                ..SearchConfig::default()
-            },
-        ));
-        assert_eq!(s.search_for_nodes(100).branch_cap, 5);
-        assert_eq!(
-            s.search_for_nodes(150).branch_cap,
-            SearchConfig::default().branch_cap
-        );
     }
 
     #[test]

@@ -73,10 +73,11 @@
 //! wake-pattern windows restricted to the uninformed neighborhood, and
 //! the memo keys become `(StateId, pattern-class)` so phases that look
 //! alike over the remaining horizon share one entry (see the DESIGN note
-//! in `mlbs-core::search`). Superset-dominance pruning and
-//! frontier-weighted branch ordering ride on top, and
-//! [`bench::AdaptiveBudget`] derives per-instance search caps from a
-//! wall-clock target instead of regime constants.
+//! in `mlbs-core::search`). Superset-dominance pruning rides on top.
+//! OPT certifies a result as optimal when it meets the root lower bound,
+//! and otherwise re-searches a truncated beam with complete enumeration
+//! before it calls the result exact. [`bench::AdaptiveBudget`] is the one
+//! search configuration every regime and instance size runs.
 //!
 //! ## The conflict-model layer
 //!
@@ -191,9 +192,9 @@ pub use wsn_topology as topology;
 pub mod prelude {
     pub use mlbs_core::{
         bounds, run_pipeline, run_pipeline_model, run_pipeline_with, solve_gopt, solve_gopt_model,
-        solve_gopt_with, solve_opt, solve_opt_model, solve_opt_with, BranchOrder, BroadcastState,
-        ColorSelector, EModel, EModelSelector, MaxReceiversSelector, PipelineConfig,
-        ReliabilityReport, Schedule, ScheduleEntry, ScheduleError, SearchConfig, SearchOutcome,
+        solve_gopt_with, solve_opt, solve_opt_model, solve_opt_with, BroadcastState, ColorSelector,
+        EModel, EModelSelector, MaxReceiversSelector, PipelineConfig, ReliabilityReport, Schedule,
+        ScheduleEntry, ScheduleError, SearchConfig, SearchOutcome,
     };
     pub use wsn_anytime::{
         reschedule, solve_anytime, solve_anytime_cached, solve_anytime_reliable, AnytimeConfig,

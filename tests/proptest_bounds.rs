@@ -8,6 +8,13 @@
 //! The hop bound itself (`remaining_hops_profile`, a word-parallel BFS over
 //! the neighbour masks) must return exactly the profile of the queue BFS
 //! `metrics::bfs_hops_from_set`, and its maximum over the uninformed nodes.
+//!
+//! OPT's `exact` flag rests on these bounds (a result that meets the root
+//! bound is certified whatever the beam did) and on the lazy
+//! complete-enumeration pass. A beam of two sets per state truncates on
+//! most states, so it drives both; every result it flags exact must equal
+//! exhaustive OPT, and no result may beat exhaustive OPT. Half the cases
+//! starve the search of states, so that only the root bound can certify.
 
 use mlbs::core::bounds::{remaining_hops_profile, FloodBound};
 use mlbs::core::SearchConfig;
@@ -20,6 +27,22 @@ fn arb_tiny_topo() -> impl Strategy<Value = (Topology, NodeId)> {
     (5usize..11, 0u64..400).prop_map(|(n, seed)| {
         SyntheticDeployment {
             area: Rect::with_size(20.0, 20.0),
+            nodes: n,
+            radius: 10.0,
+            ecc_range: None,
+            max_attempts: 10_000,
+            hole: None,
+        }
+        .sample(seed)
+    })
+}
+
+/// Connected deployments of 20–40 nodes, dense enough that states have
+/// several maximal sender sets, small enough for exhaustive OPT.
+fn arb_small_topo() -> impl Strategy<Value = (Topology, NodeId)> {
+    (20usize..41, 0u64..400).prop_map(|(n, seed)| {
+        SyntheticDeployment {
+            area: Rect::with_size(35.0, 35.0),
             nodes: n,
             radius: 10.0,
             ecc_range: None,
@@ -76,6 +99,61 @@ fn informed_set(n: usize, mode: usize, mut seed: u64) -> NodeSet {
 
 const RATES: [u32; 3] = [2, 5, 10];
 
+/// Runs OPT with a two-set beam and exhaustive OPT on one instance: the
+/// beam never beats the exhaustive optimum, and matches it when flagged
+/// exact. `starve` caps the beam at a third of the states exhaustive OPT
+/// evaluated.
+fn beam_against_exhaustive<S: WakeSchedule>(
+    topo: &Topology,
+    src: NodeId,
+    wake: &S,
+    starve: bool,
+    regime: &str,
+) -> Result<(), TestCaseError> {
+    let reference = solve_opt(
+        topo,
+        src,
+        wake,
+        &SearchConfig {
+            exhaustive: true,
+            branch_cap: usize::MAX,
+            ..SearchConfig::default()
+        },
+    );
+    prop_assert!(reference.exact && reference.stats.truncated_enumerations == 0);
+    let beam = solve_opt(
+        topo,
+        src,
+        wake,
+        &SearchConfig {
+            branch_cap: 2,
+            max_states: if starve {
+                reference.stats.states / 3
+            } else {
+                SearchConfig::default().max_states
+            },
+            ..SearchConfig::default()
+        },
+    );
+    beam.schedule.verify(topo, wake).unwrap();
+    prop_assert!(
+        beam.latency >= reference.latency,
+        "{}: beam latency {} below exhaustive OPT {}",
+        regime,
+        beam.latency,
+        reference.latency
+    );
+    if beam.exact {
+        prop_assert_eq!(
+            beam.latency,
+            reference.latency,
+            "{}: flagged exact but exhaustive OPT is shorter",
+            regime
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -117,6 +195,24 @@ proptest! {
             checked += 1;
         }
         prop_assert!(checked > 0, "the trace holds no evaluated state");
+    }
+
+    #[test]
+    fn exact_flag_is_a_proof(
+        (topo, src) in arb_small_topo(),
+        regime_idx in 0usize..4,
+        wake_seed in 0u64..1000,
+        starve in 0usize..2,
+    ) {
+        // Regime 0 is synchronous, 1..=3 are the duty rates.
+        let starve = starve == 1;
+        if regime_idx == 0 {
+            beam_against_exhaustive(&topo, src, &AlwaysAwake, starve, "sync")?;
+        } else {
+            let rate = RATES[regime_idx - 1];
+            let wake = WindowedRandom::with_windows(topo.len(), rate, wake_seed, 4);
+            beam_against_exhaustive(&topo, src, &wake, starve, &format!("rate {rate}"))?;
+        }
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! instances, the phase-folded search must return exactly the latency and
 //! exactness flag of the unfolded `(StateId, phase)` search, across cycle
 //! rates {2, 5, 10, 50} and both branch rules (OPT's maximal sets and
-//! G-OPT's greedy classes), with and without dominance pruning. The fold
-//! is a pure state-compression: any divergence is a soundness bug in the
-//! horizon ladder, the relevant-set restriction, or the dominance
-//! monotonicity argument.
+//! G-OPT's greedy classes). The fold is a pure state-compression: any
+//! divergence is a soundness bug in the horizon ladder or the
+//! relevant-set restriction.
 
-use mlbs::core::{BranchOrder, SearchConfig};
+use mlbs::core::SearchConfig;
 use mlbs::prelude::*;
 use proptest::prelude::*;
 
@@ -39,21 +38,17 @@ proptest! {
         (topo, src) in arb_small_topo(),
         rate_idx in 0usize..4,
         wake_seed in 0u64..1000,
-        dominance_bit in 0u64..2,
     ) {
         let rate = RATES[rate_idx];
-        let dominance = dominance_bit == 1;
         // Few windows keep the period (and the test) small while still
         // giving every phase a distinct wake pattern.
         let wake = WindowedRandom::with_windows(topo.len(), rate, wake_seed, 6);
         let folded = SearchConfig {
             phase_fold: true,
-            dominance,
             ..SearchConfig::default()
         };
         let unfolded = SearchConfig {
             phase_fold: false,
-            dominance: false,
             ..SearchConfig::default()
         };
 
@@ -62,7 +57,7 @@ proptest! {
         prop_assert_eq!(
             (of.latency, of.exact),
             (ou.latency, ou.exact),
-            "OPT diverged at rate {} (dominance={})", rate, dominance
+            "OPT diverged at rate {}", rate
         );
         of.schedule.verify(&topo, &wake).unwrap();
 
@@ -79,31 +74,5 @@ proptest! {
         // part of the contract too.
         prop_assert!(of.latency <= gf.latency);
         prop_assert!(of.stats.memo_entries <= ou.stats.memo_entries);
-    }
-
-    #[test]
-    fn frontier_ordering_and_overscan_preserve_exact_results(
-        (topo, src) in arb_small_topo(),
-        rate_idx in 0usize..4,
-        wake_seed in 0u64..1000,
-    ) {
-        // With an uncapped enumeration the branch *order* must not change
-        // the optimum: frontier-weighted + overscan is a speed feature.
-        let rate = RATES[rate_idx];
-        let wake = WindowedRandom::with_windows(topo.len(), rate, wake_seed, 6);
-        let reference = solve_opt(&topo, src, &wake, &SearchConfig::default());
-        let tuned = solve_opt(
-            &topo,
-            src,
-            &wake,
-            &SearchConfig {
-                branch_order: BranchOrder::FrontierWeighted,
-                overscan: 4,
-                dominance: true,
-                ..SearchConfig::default()
-            },
-        );
-        prop_assert!(reference.exact && tuned.exact, "cap hit on a tiny instance");
-        prop_assert_eq!(reference.latency, tuned.latency, "ordering changed the optimum");
     }
 }

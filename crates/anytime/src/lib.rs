@@ -70,9 +70,11 @@ mod tests {
     }
 
     #[test]
-    fn greedy_seed_verifies_on_paper_instances() {
-        for seed in 0..3u64 {
-            let (topo, src) = deploy::SyntheticDeployment::paper(150).sample(seed);
+    fn greedy_seed_verifies_on_paper_and_scaled_instances() {
+        let instances = (0..3u64)
+            .map(|seed| deploy::SyntheticDeployment::paper(150).sample(seed))
+            .chain([1_000, 10_000].map(|n| deploy::SyntheticDeployment::scaled(n).sample(3)));
+        for (topo, src) in instances {
             let cfg = AnytimeConfig {
                 budget: Budget::Iterations(0),
                 ..AnytimeConfig::default()

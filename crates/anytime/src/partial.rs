@@ -240,11 +240,6 @@ impl PartialSchedule {
         (self.slot_of[i] != UNASSIGNED).then_some(self.slot_of[i])
     }
 
-    /// Number of currently unassigned relays.
-    pub fn unassigned_len(&self) -> usize {
-        self.unassigned.len()
-    }
-
     /// Total conflicting pairs under the frozen structure (TabuCol
     /// objective).
     pub fn total_conflicts(&self) -> u64 {

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use wsn_anytime::{solve_anytime, AnytimeConfig, Budget};
 use wsn_dutycycle::{AlwaysAwake, WindowedRandom};
-use wsn_phy::{PhyModelSpec, SinrParams};
+use wsn_phy::{PhyModelSpec, ProtocolModel, SinrParams};
 use wsn_topology::deploy::SyntheticDeployment;
 
 fn budget(iters: u64) -> AnytimeConfig {
@@ -118,6 +118,32 @@ fn generous_budget_matches_exact_opt_on_pinned_instances() {
             "n=300 seed={seed}: anytime {} worse than beam search {}",
             out.latency,
             beam.latency
+        );
+    }
+}
+
+/// Scaled deployments of 300 and 1 000 nodes (deployment 3, 20 000
+/// iterations): the incumbent verifies, its improving-bound trace ends at
+/// the reported latency, and it never loses to the 26-approximation.
+#[test]
+fn anytime_never_loses_to_the_layered_baseline_on_scaled_deployments() {
+    for nodes in [300usize, 1_000] {
+        let (topo, src) = SyntheticDeployment::scaled(nodes).sample(3);
+        let out = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &budget(20_000));
+        assert!(
+            !out.trace.is_empty(),
+            "n={nodes}: empty improving-bound trace"
+        );
+        assert_eq!(out.trace.last().unwrap().latency, out.latency);
+        out.schedule
+            .verify(&topo, &AlwaysAwake)
+            .expect("anytime schedule must verify");
+        let baseline = wsn_baselines::schedule_26_approx(&topo, src);
+        assert!(
+            out.latency <= baseline.latency(),
+            "n={nodes}: anytime ({}) lost to the layered baseline ({})",
+            out.latency,
+            baseline.latency()
         );
     }
 }

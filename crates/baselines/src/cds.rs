@@ -4,7 +4,7 @@
 //! set (CDS): only CDS members relay, which reduces redundancy at some cost
 //! in latency flexibility. The paper cites this family as prior work; we
 //! provide a greedy CDS construction plus a layered scheduler restricted to
-//! it, used by the ablation benches.
+//! it.
 
 use mlbs_core::{Schedule, ScheduleEntry};
 use wsn_bitset::NodeSet;

@@ -16,8 +16,8 @@ pub enum LayeredMode {
     FixedColors,
     /// A stronger variant that re-runs the greedy coloring every slot
     /// within the layer, letting colors merge as conflicts disappear.
-    /// Still bound by the layer barrier — used by the ablation benches to
-    /// separate "barrier cost" from "stale coloring cost".
+    /// Still bound by the layer barrier, so it separates "barrier cost"
+    /// from "stale coloring cost".
     Recolor,
     /// The weakest (fully rigid, TDMA-like) variant: the per-layer
     /// coloring is a *precomputed schedule* — every member of every color

@@ -16,7 +16,8 @@
 //!
 //! Every binary accepts `--instances N`, `--seed S`, `--threads T` and
 //! `--csv PATH` (figures only) and prints a fixed-width table to stdout.
-//! Criterion micro/meso benches live in `benches/`.
+//! Performance is measured end to end by `e2e-bench/run.py` at the
+//! repository root, not by this crate.
 
 use mlbs_core::SearchConfig;
 use wsn_sim::{Algorithm, Regime, Sweep};
@@ -177,6 +178,9 @@ pub fn run_bounds_figure(name: &str, rate: u32, opts: &FigureOpts) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlbs_core::{solve_gopt_with, solve_opt_with, BroadcastState};
+    use wsn_dutycycle::WindowedRandom;
+    use wsn_topology::deploy::SyntheticDeployment;
 
     #[test]
     fn default_opts_are_sane() {
@@ -218,6 +222,29 @@ mod tests {
         assert_eq!(c.max_states, 300_000);
         assert_eq!(c.branch_cap, SearchConfig::default().branch_cap);
         assert!(c.phase_fold && !c.exhaustive);
+    }
+
+    /// The adaptive configuration on duty pins: the phase folder engages
+    /// on OPT at `(100 nodes, deployment 0, r = 50)` and `(200, 2, r = 10)`,
+    /// and G-OPT proves itself exact on the latter.
+    #[test]
+    fn adaptive_budget_folds_duty_opt_and_proves_duty_gopt() {
+        let mut substrate = BroadcastState::new();
+        for (nodes, seed, rate) in [(100usize, 0u64, 50u32), (200, 2, 10)] {
+            let (topo, src) = SyntheticDeployment::paper(nodes).sample(seed);
+            let wake = WindowedRandom::new(topo.len(), rate, seed ^ 0x57a6_6e8d);
+            let cfg = AdaptiveBudget::default().config_for(Regime::Duty { rate }, nodes);
+            let opt = solve_opt_with(&topo, src, &wake, &cfg, &mut substrate);
+            assert!(
+                opt.stats.phase_classes > 0,
+                "n={nodes} r={rate}: phase folder never engaged"
+            );
+            assert!(opt.stats.memo_entries > 0, "n={nodes} r={rate}: empty memo");
+            if (nodes, seed, rate) == (200, 2, 10) {
+                let gopt = solve_gopt_with(&topo, src, &wake, &cfg, &mut substrate);
+                assert!(gopt.exact, "G-OPT lost its proof on the duty pin");
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   *conflicting* candidate announced a higher one. Winners are
 //!   conflict-free by the total priority order, so schedules still verify;
 //!   the cost of locality is that some deferrals are unnecessary (a
-//!   deferred node's dominator may itself defer), which the tests and
-//!   benches measure against the centralized pipeline.
+//!   deferred node's dominator may itself defer), which the tests
+//!   measure against the centralized pipeline.
 
 mod econstruct;
 mod knowledge;

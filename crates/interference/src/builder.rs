@@ -24,17 +24,18 @@
 //!   candidates present on both sides of a churn keep their rows (carried
 //!   over under the new indexing).
 //!
-//! Retested pairs get their witness set computed once and cached for the
+//! For models whose predicate costs more than a witness scan
+//! ([`ConflictModel::prefers_witness_cache`], e.g. SINR's gain
+//! arithmetic), a pair's witness set is computed once and cached for the
 //! lifetime of an instance, so a retest scans a handful of witness nodes
-//! instead of re-evaluating the predicate (for the protocol model below
-//! [`WITNESS_RETEST_MIN_UNIVERSE`] the fused word-parallel triple
-//! intersection is faster and the cache stays cold; SINR-style models,
-//! whose predicate costs gain arithmetic, always prefer the cache). The
-//! witness lists themselves live in one grow-only arena (`Vec<u32>`) with
-//! the map holding `(offset, len)` handles — cold population appends to a
-//! single allocation instead of boxing a slice per pair. Row storage,
-//! index maps, the witness map and arena are scratch owned by the builder;
-//! steady-state updates allocate next to nothing.
+//! instead of re-evaluating the predicate. The protocol model's fused
+//! word-parallel triple intersection is cheaper than that scan, so its
+//! pair tests always call the predicate. The witness lists live in one
+//! grow-only arena (`Vec<u32>`) with the map holding `(offset, len)`
+//! handles — cold population appends to a single allocation instead of
+//! boxing a slice per pair. Row storage, index maps, the witness map and
+//! arena are scratch owned by the builder; steady-state updates allocate
+//! next to nothing.
 //!
 //! Caches are keyed on both [`wsn_topology::Topology::token`] and
 //! [`ConflictModel::fingerprint`]: handing the builder a different
@@ -85,21 +86,6 @@ impl ConflictStats {
 
 /// Sentinel for "node is not a candidate" in the slot maps.
 const NO_SLOT: u32 = u32::MAX;
-
-/// Default universe size (in nodes) above which retests go through the
-/// cached witness sets. Below it a `NodeSet` spans only a few words and the
-/// fused triple intersection is faster than any cache (measured on the
-/// paper grid); above it witness scans avoid touching ever-wider word rows
-/// — up to the point where the predicate's own degree-local path takes
-/// over (universe > 64·(deg u + deg v), measured at 10k nodes), past
-/// which retests go fresh again.
-/// Tunable per builder via
-/// [`ConflictGraphBuilder::set_witness_retest_min_universe`]; the
-/// `witness_threshold` group in the `substrates` bench measures both sides
-/// of the crossover so this constant can be re-derived instead of trusted.
-/// Models with [`ConflictModel::prefers_witness_cache`] (SINR) bypass the
-/// threshold: their predicate is always costlier than a witness scan.
-pub const WITNESS_RETEST_MIN_UNIVERSE: usize = 1024;
 
 /// Candidate count above which a from-scratch build enumerates pairs
 /// through a spatial grid (when the model certifies a
@@ -157,8 +143,6 @@ pub struct ConflictGraphBuilder {
     /// and witness caches never mix conflict regimes.
     model_fp: u64,
     universe: usize,
-    /// Universe size at which retests switch to cached witness scans.
-    witness_min_universe: usize,
     stats: ConflictStats,
 }
 
@@ -194,26 +178,8 @@ impl ConflictGraphBuilder {
             topo_token: 0,
             model_fp: 0,
             universe: 0,
-            witness_min_universe: WITNESS_RETEST_MIN_UNIVERSE,
             stats: ConflictStats::default(),
         }
-    }
-
-    /// The universe size at which retests switch from fused predicate
-    /// calls to cached witness scans
-    /// ([`WITNESS_RETEST_MIN_UNIVERSE`] by default).
-    #[inline]
-    pub fn witness_retest_min_universe(&self) -> usize {
-        self.witness_min_universe
-    }
-
-    /// Overrides the witness-retest crossover for this builder (`0` =
-    /// always use the witness cache, `usize::MAX` = never). The setting
-    /// survives [`ConflictGraphBuilder::reset`] — it is a tuning knob, not
-    /// cached state — so benchmarks can re-measure the default crossover on
-    /// their own hardware.
-    pub fn set_witness_retest_min_universe(&mut self, min_universe: usize) {
-        self.witness_min_universe = min_universe;
     }
 
     /// Invalidates all cached state and re-sizes for a universe of `n`
@@ -352,11 +318,14 @@ impl ConflictGraphBuilder {
             .sum()
     }
 
-    /// Evaluates the conflict predicate for one *fresh* pair (full builds,
-    /// newcomer rows). Models that prefer the witness cache evaluate
-    /// through it — the expensive predicate arithmetic runs once per pair
-    /// per instance — everyone else calls the fused predicate directly.
-    fn pair_conflicts_fresh<M: ConflictModel>(
+    /// Evaluates the conflict predicate for one pair: a fresh pair (full
+    /// builds, newcomer rows) or a retest of a pair whose edge state may
+    /// have changed. Models that prefer the witness cache evaluate through
+    /// it: the expensive predicate arithmetic runs once per pair per
+    /// instance, and retests scan a handful of cached witness nodes as they
+    /// drain out of `W̄`. Everyone else calls the fused predicate directly.
+    /// Graphs do not depend on the path; `pair_tests` counts one either way.
+    fn pair_conflicts<M: ConflictModel>(
         &mut self,
         model: &M,
         topo: &Topology,
@@ -373,41 +342,6 @@ impl ConflictGraphBuilder {
         } else {
             model.conflicts(topo, u, v, unf)
         }
-    }
-
-    /// Retests a pair whose edge state may have changed. On wide universes
-    /// (or always, for cache-preferring models) the cached witness set
-    /// pays: the same pairs are retested over and over as witnesses drain
-    /// out of `W̄`, and scanning a handful of cached witness nodes beats
-    /// re-evaluating the predicate. Below the threshold the fused
-    /// predicate is a few words long and wins outright (measured on the
-    /// paper grid), so the cache stays cold there.
-    fn pair_retest<M: ConflictModel>(
-        &mut self,
-        model: &M,
-        topo: &Topology,
-        u: NodeId,
-        v: NodeId,
-        unf: &NodeSet,
-    ) -> bool {
-        if !model.prefers_witness_cache() && self.witness_min_universe > 0 {
-            // The fresh predicate wins on both sides of the cache band:
-            // below `witness_min_universe` the fused bitset intersection
-            // spans only a few words, and above 64·(deg u + deg v) the
-            // protocol predicate switches to its degree-local sorted-merge
-            // path — O(du+dv) regardless of universe width — which beats
-            // cached witness scans at 10k nodes. Forcing via the knob still works:
-            // 0 = always cache, `usize::MAX` = never.
-            let degree_local = self.universe > 64 * (topo.degree(u) + topo.degree(v));
-            if self.universe < self.witness_min_universe || degree_local {
-                return self.pair_conflicts_fresh(model, topo, u, v, unf);
-            }
-        }
-        let (off, len) = self.witness_range(model, topo, u, v);
-        self.stats.pair_tests += 1;
-        self.warena[off..off + len]
-            .iter()
-            .any(|&x| unf.contains(x as usize))
     }
 
     /// The arena span of the pair's cached witness set, computing and
@@ -483,7 +417,7 @@ impl ConflictGraphBuilder {
             grid.for_each_pair_within(topo.positions(), range, |a, b| {
                 let i = self.slot_of[a as usize] as usize;
                 let j = self.slot_of[b as usize] as usize;
-                if self.pair_conflicts_fresh(model, topo, NodeId(a), NodeId(b), unf) {
+                if self.pair_conflicts(model, topo, NodeId(a), NodeId(b), unf) {
                     self.graph.rows[i].insert(j);
                     self.graph.rows[j].insert(i);
                 }
@@ -491,7 +425,7 @@ impl ConflictGraphBuilder {
         } else {
             for i in 0..k {
                 for j in (i + 1)..k {
-                    if self.pair_conflicts_fresh(model, topo, candidates[i], candidates[j], unf) {
+                    if self.pair_conflicts(model, topo, candidates[i], candidates[j], unf) {
                         self.graph.rows[i].insert(j);
                         self.graph.rows[j].insert(i);
                     }
@@ -540,7 +474,7 @@ impl ConflictGraphBuilder {
                             let b = self.adj_slots[b_pos] as usize;
                             if self.graph.rows[a].contains(b) {
                                 let (u, v) = (self.graph.candidates[a], self.graph.candidates[b]);
-                                if !self.pair_retest(model, topo, u, v, unf) {
+                                if !self.pair_conflicts(model, topo, u, v, unf) {
                                     self.graph.rows[a].remove(b);
                                     self.graph.rows[b].remove(a);
                                 }
@@ -626,7 +560,7 @@ impl ConflictGraphBuilder {
                         self.graph.rows[a].insert(b);
                         self.graph.rows[b].insert(a);
                     }
-                } else if has_edge && !self.pair_retest(model, topo, u, v, unf) {
+                } else if has_edge && !self.pair_conflicts(model, topo, u, v, unf) {
                     self.graph.rows[a].remove(b);
                     self.graph.rows[b].remove(a);
                 }
@@ -699,7 +633,7 @@ impl ConflictGraphBuilder {
                             let b = self.adj_slots[b_pos] as usize;
                             if self.graph.rows[a].contains(b) {
                                 let (u, v) = (self.graph.candidates[a], self.graph.candidates[b]);
-                                if !self.pair_retest(model, topo, u, v, unf) {
+                                if !self.pair_conflicts(model, topo, u, v, unf) {
                                     self.graph.rows[a].remove(b);
                                     self.graph.rows[b].remove(a);
                                 }
@@ -750,7 +684,7 @@ impl ConflictGraphBuilder {
                 if b == a || (self.slot_of[v.idx()] == NO_SLOT && b < a) {
                     continue; // self, or newcomer pair already tested
                 }
-                if self.pair_conflicts_fresh(model, topo, u, v, unf) {
+                if self.pair_conflicts(model, topo, u, v, unf) {
                     self.graph.rows[a].insert(b);
                     self.graph.rows[b].insert(a);
                 }
@@ -977,6 +911,10 @@ mod tests {
         let scratch = ConflictGraph::build_with_model(&m, &t, &cands, &unf);
         assert_graphs_equal(b.update_with(&m, &t, &cands, &unf), &scratch);
         assert!(b.stats().delta_updates > 0, "SINR delta path exercised");
+        assert!(
+            !b.witness.is_empty(),
+            "SINR retests ran through the witness cache"
+        );
     }
 
     #[test]
@@ -1000,55 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn witness_retest_path_matches_scratch_on_wide_universe() {
-        // Above WITNESS_RETEST_MIN_UNIVERSE retests run through the cached
-        // witness sets; walk a shrink sequence on a 1100-node line and
-        // check bit-identity against from-scratch builds.
-        let t = line(1100);
-        let cands: Vec<NodeId> = (500..540).map(|i| NodeId(i as u32)).collect();
-        let mut b = ConflictGraphBuilder::new();
-        let mut unf = NodeSet::full(1100);
-        b.update(&t, &cands, &unf);
-        for step in 0..6usize {
-            // Inform a clump near the candidates so edges lose witnesses.
-            for d in (498 + step * 8)..(498 + step * 8 + 8) {
-                unf.remove(d);
-            }
-            let scratch = ConflictGraph::build(&t, &cands, &unf);
-            assert_graphs_equal(b.update(&t, &cands, &unf), &scratch);
-        }
-        assert!(b.stats().delta_updates > 0);
-    }
-
-    #[test]
-    fn witness_threshold_is_tunable_without_changing_results() {
-        // Force the witness-cache path on a narrow universe (and the fused
-        // path on a wide one): graphs must stay bit-identical to scratch
-        // builds either way — the threshold is a speed knob, not semantics.
-        for forced in [0usize, usize::MAX] {
-            let t = line(40);
-            let cands: Vec<NodeId> = (10..30).map(|i| NodeId(i as u32)).collect();
-            let mut b = ConflictGraphBuilder::new();
-            b.set_witness_retest_min_universe(forced);
-            assert_eq!(b.witness_retest_min_universe(), forced);
-            let mut unf = NodeSet::full(40);
-            b.update(&t, &cands, &unf);
-            for step in 0..8usize {
-                unf.remove(step + 11);
-                let scratch = ConflictGraph::build(&t, &cands, &unf);
-                assert_graphs_equal(b.update(&t, &cands, &unf), &scratch);
-            }
-            // The knob survives a reset (it is configuration, not cache).
-            b.reset(40);
-            assert_eq!(b.witness_retest_min_universe(), forced);
-        }
-        assert_eq!(
-            ConflictGraphBuilder::new().witness_retest_min_universe(),
-            WITNESS_RETEST_MIN_UNIVERSE
-        );
-    }
-
-    #[test]
     fn row_accounting_adds_up() {
         let t = line(12);
         let cands: Vec<NodeId> = (0..6).map(|i| NodeId(i as u32)).collect();
@@ -1066,22 +955,22 @@ mod tests {
 
     #[test]
     fn witness_arena_grows_once_per_pair() {
-        // The arena-backed cache: retesting the same pairs over and over
-        // must not grow the arena after first touch.
+        // The arena-backed cache (SINR prefers it): retesting the same
+        // pairs over and over must not grow the arena after first touch.
         let t = line(40);
+        let m = SinrModel::new(SinrParams::calibrated(t.radius(), 3.0, 1.5), &t);
         let cands: Vec<NodeId> = (10..30).map(|i| NodeId(i as u32)).collect();
         let mut b = ConflictGraphBuilder::new();
-        b.set_witness_retest_min_universe(0); // force the cache on
         let mut unf = NodeSet::full(40);
-        b.update(&t, &cands, &unf);
+        b.update_with(&m, &t, &cands, &unf);
         unf.remove(15);
-        b.update(&t, &cands, &unf);
+        b.update_with(&m, &t, &cands, &unf);
         let (pairs, arena) = (b.witness.len(), b.warena.len());
         assert!(pairs > 0, "cache populated");
         for step in 0..6usize {
             unf.remove(16 + step);
             unf.insert(15 + step); // churn back and forth over the same pairs
-            b.update(&t, &cands, &unf);
+            b.update_with(&m, &t, &cands, &unf);
         }
         assert!(b.witness.len() >= pairs);
         // Every arena entry is owned by exactly one map handle.

@@ -28,7 +28,7 @@
 
 mod builder;
 
-pub use builder::{ConflictGraphBuilder, ConflictStats, WITNESS_RETEST_MIN_UNIVERSE};
+pub use builder::{ConflictGraphBuilder, ConflictStats};
 pub use wsn_phy::ReceptionOutcome;
 
 use wsn_bitset::NodeSet;

@@ -193,12 +193,6 @@ impl SinrModel {
         }
     }
 
-    /// The cached gain table.
-    #[inline]
-    pub fn gain_table(&self) -> &GainTable {
-        &self.gains
-    }
-
     /// `true` when a signal of gain `g_sig` decodes against a single
     /// interferer of gain `g_int` (0 = no interferer in cutoff).
     #[inline]

@@ -110,11 +110,6 @@ impl LinkEstimator {
         }
     }
 
-    /// Attempts currently in `u → v`'s window.
-    pub fn samples(&self, topo: &Topology, u: NodeId, v: NodeId) -> u32 {
-        self.seen[self.slot_of(topo, u, v)]
-    }
-
     /// The fused delivery estimate for `u → v`, or `None` below
     /// `min_samples` attempts (no evidence — keep the prior).
     pub fn estimate(&self, topo: &Topology, u: NodeId, v: NodeId, min_samples: u32) -> Option<f64> {

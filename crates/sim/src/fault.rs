@@ -188,19 +188,6 @@ pub struct FaultyOutcome {
     pub stranded_transmissions: usize,
 }
 
-impl FaultyOutcome {
-    /// Fraction of *alive* nodes covered (dead nodes are owed nothing).
-    pub fn alive_coverage(&self, n: usize) -> f64 {
-        let alive = n - self.dead.len();
-        let covered_alive = self
-            .covered
-            .iter()
-            .filter(|&u| !self.dead.iter().any(|d| d.idx() == u))
-            .count();
-        covered_alive as f64 / alive.max(1) as f64
-    }
-}
-
 /// Replays `schedule` under per-link `quality` with `script`'s faults
 /// applied slot-by-slot: dead senders skip their slots (and dead nodes
 /// stop receiving), flapped links deliver nothing while down, bursts add

@@ -62,16 +62,6 @@ impl Topology {
         Self::from_parts(positions, radius, Csr::from_edges(n, &edges))
     }
 
-    /// Builds a topology from an explicit edge list, bypassing the UDG rule.
-    ///
-    /// Used by tests that need a specific graph regardless of geometry; the
-    /// paper fixtures use [`Topology::unit_disk`] so geometry and adjacency
-    /// stay consistent.
-    pub fn from_edge_list(positions: Vec<Point>, radius: f64, edges: &[(NodeId, NodeId)]) -> Self {
-        let n = positions.len();
-        Self::from_parts(positions, radius, Csr::from_edges(n, edges))
-    }
-
     fn from_parts(positions: Vec<Point>, radius: f64, csr: Csr) -> Self {
         Topology {
             positions,

@@ -81,8 +81,7 @@ fn broadcast_storm_reproduces_reference_17() {
 fn scalar_ablation_is_comparable_but_not_dominant() {
     // Both estimates are heuristics, so neither dominates instance-wise;
     // the invariants are: both verify, both are bounded below by G-OPT,
-    // and they stay within a narrow band of each other (the interesting
-    // quantitative comparison lives in the ablation benches).
+    // and they stay within a narrow band of each other.
     use mlbs::core::{ScalarESelector, ScalarEdgeDistance};
     let mut dir_sum = 0u64;
     let mut flat_sum = 0u64;

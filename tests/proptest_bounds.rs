@@ -254,3 +254,17 @@ proptest! {
         prop_assert_eq!(dist, oracle);
     }
 }
+
+/// The same identity on paper-grid's heaviest instance (300 nodes,
+/// deployment 1), from a mid-search informed set: everything within three
+/// hops of the source.
+#[test]
+fn hop_profile_matches_the_queue_bfs_on_the_heavy_instance() {
+    let n = 300;
+    let (topo, src) = SyntheticDeployment::paper(n).sample(0x5EED_2012 ^ ((n as u64) << 16) ^ 1);
+    let hops = metrics::bfs_hops(&topo, src);
+    let informed = NodeSet::from_indices(n, (0..n).filter(|&u| hops[u] <= 3));
+    assert!(!informed.is_full(), "the informed set must be mid-search");
+    let (_, dist) = remaining_hops_profile(&topo, &informed);
+    assert_eq!(dist, metrics::bfs_hops_from_set(&topo, &informed));
+}

@@ -240,12 +240,6 @@ impl PartialSchedule {
         (self.slot_of[i] != UNASSIGNED).then_some(self.slot_of[i])
     }
 
-    /// Total conflicting pairs under the frozen structure (TabuCol
-    /// objective).
-    pub fn total_conflicts(&self) -> u64 {
-        self.total_conf
-    }
-
     /// Frozen-structure cost of placing relay `i` at slot `t`: the number
     /// of partners already sitting in `t` with a live deadline. `O(degree)`.
     pub fn move_cost(&self, i: usize, t: Slot) -> u32 {
@@ -629,7 +623,7 @@ mod tests {
             }
         }
         assert!(partial.iter > 0, "the pass must have made moves");
-        assert!(partial.total_conflicts() > 0 && partial.conf.iter().any(|&c| c > 0));
+        assert!(partial.total_conf > 0 && partial.conf.iter().any(|&c| c > 0));
         assert_ne!(
             partial.slot_of, partial.frozen_slot_of,
             "the squash moved relays"

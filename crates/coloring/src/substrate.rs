@@ -145,16 +145,10 @@ impl BroadcastState {
         &self.candidates
     }
 
-    /// The conflict graph of the loaded state, produced incrementally from
-    /// the previously loaded one (protocol model).
-    pub fn conflict_graph(&mut self, topo: &Topology) -> &ConflictGraph {
-        self.conflict_graph_with(topo, &ProtocolModel)
-    }
-
-    /// As [`BroadcastState::conflict_graph`], under an arbitrary
-    /// [`ConflictModel`]. The shared builder keys its caches on the model
-    /// fingerprint, so alternating models on one substrate is safe (each
-    /// switch costs a rebuild).
+    /// The conflict graph of the loaded state under `model`, produced
+    /// incrementally from the previously loaded one. The shared builder
+    /// keys its caches on the model fingerprint, so alternating models on
+    /// one substrate is safe (each switch costs a rebuild).
     pub fn conflict_graph_with<M: ConflictModel>(
         &mut self,
         topo: &Topology,
@@ -272,7 +266,7 @@ mod tests {
         let w = NodeSet::from_indices(12, [11usize, 0, 1, 2]);
         state.load(&f.topo, &w);
         let scratch = ConflictGraph::build(&f.topo, state.candidates(), state.uninformed());
-        let cg = state.conflict_graph(&f.topo);
+        let cg = state.conflict_graph_with(&f.topo, &ProtocolModel);
         assert_eq!(cg.candidates(), scratch.candidates());
         for i in 0..cg.len() {
             assert_eq!(cg.row(i), scratch.row(i));

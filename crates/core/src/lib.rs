@@ -62,7 +62,7 @@ mod schedule;
 mod search;
 mod trace;
 
-pub use emodel::{EModel, EModelSelector, EModelStats, ScalarESelector, ScalarEdgeDistance};
+pub use emodel::{EModel, EModelSelector};
 pub use pipeline::{
     run_pipeline, run_pipeline_model, run_pipeline_with, ColorSelector, MaxReceiversSelector,
     PipelineConfig,

@@ -1,13 +1,17 @@
 //! Distributed E-model construction by asynchronous message passing.
 //!
-//! The centralized `EModel::build` is a shortest-path computation; the
-//! proactive protocol the paper describes (§IV-E, Theorem 3) is its
-//! message-passing equivalent: edge nodes announce `E_i = 0`, every node
-//! re-evaluates Eq. (9)/(11) whenever a neighbor announces a new tuple,
-//! and announces its own tuple when a value changes. We simulate exactly
-//! that — including the paper's two phases, where hole-boundary local
-//! minima self-promote to 0 only after the first phase goes quiet, and
-//! phase 2 announcements may only fill values that are still `∞`.
+//! The centralized `EModel::build` sweeps each quadrant's DAG once in
+//! coordinate order; the proactive protocol the paper describes (§IV-E,
+//! Theorem 3) is its message-passing equivalent: edge nodes announce
+//! `E_i = 0`, every node re-evaluates Eq. (9)/(11) whenever a neighbor
+//! announces a new tuple, and announces its own tuple when a value
+//! changes. We simulate exactly that — including the paper's two phases,
+//! where hole-boundary local minima self-promote to 0 only after the first
+//! phase goes quiet, and phase 2 announcements may only fill values that
+//! are still `∞`. Each node's last announcement carries its final tuple,
+//! so every value settles to the minimum of the same `t(u,v) + E_i(v)`
+//! sums the sweep takes, and the two agree bit for bit
+//! ([`matches_centralized`]).
 //!
 //! The interesting output is [`DistributedEStats`]: how many tuple
 //! announcements the protocol really sends, which is the quantity
@@ -154,14 +158,14 @@ fn run_phase<S: WakeSchedule>(
 }
 
 /// Convenience check used by tests and examples: do the distributed values
-/// match the centralized fixpoint exactly?
+/// match the centralized fixpoint bit for bit?
 pub fn matches_centralized<S: WakeSchedule>(topo: &Topology, wake: &S) -> bool {
     let (dist, _) = distributed_emodel(topo, wake);
     let central = EModel::build(topo, wake);
     topo.nodes().all(|u| {
         let c = central.tuple(u);
         let d = dist[u.idx()];
-        (0..4).all(|q| (c[q] - d[q]).abs() < 1e-9)
+        (0..4).all(|q| c[q].to_bits() == d[q].to_bits())
     })
 }
 

@@ -157,21 +157,6 @@ impl FaultScript {
         }
         FaultScript { events }
     }
-
-    /// The nodes dead by slot `at` (inclusive).
-    pub fn dead_by(&self, at: Slot) -> Vec<NodeId> {
-        let mut dead: Vec<NodeId> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Fault::NodeDeath { node, at: t } if *t <= at => Some(*node),
-                _ => None,
-            })
-            .collect();
-        dead.sort_unstable();
-        dead.dedup();
-        dead
-    }
 }
 
 /// Outcome of one faulty replay.
@@ -299,7 +284,10 @@ mod tests {
         let b = FaultScript::generate(&topo, &q, src, s.start, horizon, &p, 9);
         assert_eq!(a.events, b.events);
         assert!(!a.events.is_empty());
-        assert!(a.dead_by(horizon).iter().all(|&u| u != src));
+        assert!(a
+            .events
+            .iter()
+            .all(|e| !matches!(e, Fault::NodeDeath { node, .. } if *node == src)));
     }
 
     #[test]

@@ -24,16 +24,11 @@ use wsn_geom::{convex_hull, max_angular_gap};
 /// reasonably dense UDG deployment has neighbors in every 120° sector.
 pub const DEFAULT_GAP_THRESHOLD: f64 = 2.0 * std::f64::consts::FRAC_PI_3;
 
-/// Edge nodes of the network: convex-hull vertices plus angular-gap nodes.
+/// Edge nodes of the network: convex-hull vertices plus nodes whose
+/// largest angular gap is at least [`DEFAULT_GAP_THRESHOLD`].
 ///
-/// Returns a sorted, deduplicated list. Uses [`DEFAULT_GAP_THRESHOLD`]; see
-/// [`edge_nodes_with_threshold`] to tune.
+/// Returns a sorted, deduplicated list.
 pub fn edge_nodes(topo: &Topology) -> Vec<NodeId> {
-    edge_nodes_with_threshold(topo, DEFAULT_GAP_THRESHOLD)
-}
-
-/// Edge nodes with an explicit angular-gap threshold in radians.
-pub fn edge_nodes_with_threshold(topo: &Topology, gap_threshold: f64) -> Vec<NodeId> {
     let mut out: Vec<NodeId> = convex_hull(topo.positions())
         .into_iter()
         .map(|i| NodeId(i as u32))
@@ -45,18 +40,13 @@ pub fn edge_nodes_with_threshold(topo: &Topology, gap_threshold: f64) -> Vec<Nod
             .iter()
             .map(|&v| topo.position(v))
             .collect();
-        if max_angular_gap(&pu, &neighbor_pts) >= gap_threshold {
+        if max_angular_gap(&pu, &neighbor_pts) >= DEFAULT_GAP_THRESHOLD {
             out.push(u);
         }
     }
     out.sort_unstable();
     out.dedup();
     out
-}
-
-/// `true` when `u` is an edge node under the default threshold.
-pub fn is_edge_node(topo: &Topology, u: NodeId) -> bool {
-    edge_nodes(topo).contains(&u)
 }
 
 #[cfg(test)]
@@ -108,17 +98,6 @@ mod tests {
     #[test]
     fn isolated_node_is_edge() {
         let t = Topology::unit_disk(vec![Point::new(0.0, 0.0)], 1.0);
-        assert!(is_edge_node(&t, NodeId(0)));
-    }
-
-    #[test]
-    fn threshold_monotonicity() {
-        let t = grid5();
-        let strict = edge_nodes_with_threshold(&t, std::f64::consts::PI);
-        let loose = edge_nodes_with_threshold(&t, std::f64::consts::FRAC_PI_2);
-        // A lower threshold can only add edge nodes.
-        for u in &strict {
-            assert!(loose.contains(u));
-        }
+        assert_eq!(edge_nodes(&t), vec![NodeId(0)]);
     }
 }

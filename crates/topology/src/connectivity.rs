@@ -56,27 +56,6 @@ pub fn is_connected(topo: &Topology) -> bool {
     (1..topo.len() as u32).all(|i| uf.find(i) == root)
 }
 
-/// Component label per node (labels are the smallest node id in the
-/// component), plus the number of components.
-pub fn components(topo: &Topology) -> (Vec<u32>, usize) {
-    let n = topo.len();
-    let mut uf = UnionFind::new(n);
-    for (u, v) in topo.csr().edges() {
-        uf.union(u.0, v.0);
-    }
-    let mut label = vec![u32::MAX; n];
-    let mut count = 0;
-    for i in 0..n as u32 {
-        let r = uf.find(i) as usize;
-        if label[r] == u32::MAX {
-            label[r] = i; // first-seen id in the component is the smallest
-            count += 1;
-        }
-        label[i as usize] = label[r];
-    }
-    (label, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,9 +66,6 @@ mod tests {
     fn connected_path() {
         let t = Topology::unit_disk((0..4).map(|i| Point::new(i as f64, 0.0)).collect(), 1.0);
         assert!(is_connected(&t));
-        let (labels, count) = components(&t);
-        assert_eq!(count, 1);
-        assert!(labels.iter().all(|&l| l == 0));
     }
 
     #[test]
@@ -104,9 +80,6 @@ mod tests {
             1.0,
         );
         assert!(!is_connected(&t));
-        let (labels, count) = components(&t);
-        assert_eq!(count, 2);
-        assert_eq!(labels, vec![0, 0, 2, 2]);
     }
 
     #[test]
@@ -128,7 +101,5 @@ mod tests {
             1.0,
         );
         assert!(!is_connected(&t));
-        let (_, count) = components(&t);
-        assert_eq!(count, 2);
     }
 }

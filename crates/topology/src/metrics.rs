@@ -104,17 +104,6 @@ pub fn diameter(topo: &Topology) -> Option<u32> {
     Some(best)
 }
 
-/// Nodes at exactly hop distance `h` from `source` (a BFS layer, the unit
-/// the 26-/17-approximation baselines synchronize on).
-pub fn bfs_layer(topo: &Topology, source: NodeId, h: u32) -> Vec<NodeId> {
-    bfs_hops(topo, source)
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == h)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,14 +154,6 @@ mod tests {
         let t = path5();
         let w = NodeSet::from_indices(5, [0, 4]);
         assert_eq!(bfs_hops_from_set(&t, &w), vec![0, 1, 2, 1, 0]);
-    }
-
-    #[test]
-    fn layers_partition_reachable_nodes() {
-        let t = path5();
-        assert_eq!(bfs_layer(&t, NodeId(0), 0), vec![NodeId(0)]);
-        assert_eq!(bfs_layer(&t, NodeId(0), 2), vec![NodeId(2)]);
-        assert!(bfs_layer(&t, NodeId(0), 9).is_empty());
     }
 
     #[test]

@@ -170,17 +170,6 @@ impl Topology {
         2.0 * self.csr.edge_count() as f64 / self.len() as f64
     }
 
-    /// Neighbors of `u` lying in quadrant `q` of `u` (`N(u) ∩ Q_i(u)`),
-    /// the adjacency view the E-model relaxation runs on.
-    pub fn neighbors_in_quadrant(&self, u: NodeId, q: Quadrant) -> Vec<NodeId> {
-        let pu = self.position(u);
-        self.neighbors(u)
-            .iter()
-            .copied()
-            .filter(|&v| Quadrant::of(&pu, &self.position(v)) == Some(q))
-            .collect()
-    }
-
     /// `true` when `u` has at least one neighbor in quadrant `q`
     /// (`N(u) ∩ Q_i(u) ≠ ∅`), the emptiness test of Algorithm 2.
     pub fn has_neighbor_in_quadrant(&self, u: NodeId, q: Quadrant) -> bool {
@@ -306,10 +295,9 @@ mod tests {
         // From the center (0.5,0.5): corner 2 (1,1) is Q1, corner 3 (0,1) is
         // Q2, corner 0 (0,0) is Q3, corner 1 (1,0) is Q4.
         let c = NodeId(4);
-        assert_eq!(t.neighbors_in_quadrant(c, Quadrant::Q1), vec![NodeId(2)]);
-        assert_eq!(t.neighbors_in_quadrant(c, Quadrant::Q2), vec![NodeId(3)]);
-        assert_eq!(t.neighbors_in_quadrant(c, Quadrant::Q3), vec![NodeId(0)]);
-        assert_eq!(t.neighbors_in_quadrant(c, Quadrant::Q4), vec![NodeId(1)]);
+        for q in Quadrant::ALL {
+            assert!(t.has_neighbor_in_quadrant(c, q), "center misses {q:?}");
+        }
         // Corner 0 has no Q3 neighbor: everything is up-right of it.
         assert!(!t.has_neighbor_in_quadrant(NodeId(0), Quadrant::Q3));
         assert!(t.has_neighbor_in_quadrant(NodeId(0), Quadrant::Q1));

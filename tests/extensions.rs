@@ -78,47 +78,6 @@ fn broadcast_storm_reproduces_reference_17() {
 }
 
 #[test]
-fn scalar_ablation_is_comparable_but_not_dominant() {
-    // Both estimates are heuristics, so neither dominates instance-wise;
-    // the invariants are: both verify, both are bounded below by G-OPT,
-    // and they stay within a narrow band of each other.
-    use mlbs::core::{ScalarESelector, ScalarEdgeDistance};
-    let mut dir_sum = 0u64;
-    let mut flat_sum = 0u64;
-    for seed in 30..36u64 {
-        let (topo, src) = SyntheticDeployment::paper(150).sample(seed);
-        let em = EModel::build(&topo, &AlwaysAwake);
-        let scalar = ScalarEdgeDistance::build(&topo, &AlwaysAwake);
-        let dir = run_pipeline(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &mut EModelSelector::new(&em),
-            &PipelineConfig::default(),
-        );
-        let flat = run_pipeline(
-            &topo,
-            src,
-            &AlwaysAwake,
-            &mut ScalarESelector::new(&scalar),
-            &PipelineConfig::default(),
-        );
-        dir.verify(&topo, &AlwaysAwake).unwrap();
-        flat.verify(&topo, &AlwaysAwake).unwrap();
-        let gopt = solve_gopt(&topo, src, &AlwaysAwake, &SearchConfig::default());
-        assert!(dir.latency() >= gopt.latency);
-        assert!(flat.latency() >= gopt.latency);
-        dir_sum += dir.latency();
-        flat_sum += flat.latency();
-    }
-    let ratio = dir_sum as f64 / flat_sum as f64;
-    assert!(
-        (0.7..=1.3).contains(&ratio),
-        "directional ({dir_sum}) and scalar ({flat_sum}) diverged: ratio {ratio:.2}"
-    );
-}
-
-#[test]
 fn pipeline_to_barrier_latency_ratio_stays_below_0_7_across_rates() {
     // Lighter duty cycles broadcast slower; the E-model pipeline keeps its
     // latency well below the layered baseline's at every rate.

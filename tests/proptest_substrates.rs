@@ -88,7 +88,7 @@ proptest! {
     }
 
     #[test]
-    fn emodel_values_are_finite_chain_lengths(topo in arb_topo()) {
+    fn emodel_values_are_finite_chain_lengths(topo in arb_topo(), wake_seed in 0u64..1_000) {
         // Synchronous E values are hop counts along quadrant-monotone
         // chains; the strict quadrant order visits each node at most once,
         // so every value is finite and below n.
@@ -99,6 +99,18 @@ proptest! {
                 let v = em.value(u, q);
                 prop_assert!(v.is_finite());
                 prop_assert!((0.0..n).contains(&v), "E({u},{q:?}) = {v} out of range");
+            }
+        }
+        // The message-passing construction reaches the sweep's values bit
+        // for bit, with unit and with CWT weights.
+        let duty = WindowedRandom::new(topo.len(), 10, wake_seed);
+        for (central, (dist, _)) in [
+            (em, mlbs::distributed::distributed_emodel(&topo, &AlwaysAwake)),
+            (EModel::build(&topo, &duty), mlbs::distributed::distributed_emodel(&topo, &duty)),
+        ] {
+            for u in topo.nodes() {
+                let bits = |t: [f64; 4]| t.map(f64::to_bits);
+                prop_assert_eq!(bits(central.tuple(u)), bits(dist[u.idx()]), "tuple of {}", u);
             }
         }
     }

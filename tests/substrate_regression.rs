@@ -234,3 +234,37 @@ fn heavy_paper_grid_instance_search_path_pins() {
         );
     }
 }
+
+/// FNV-1a over every `E_i(u).to_bits()` of the E-model on paper-grid's 24
+/// instances: `n ∈ {50, …, 300}`, two deployments each, built under
+/// `AlwaysAwake` and under the duty schedule `WindowedRandom::new(n, 10,
+/// seed ^ 0xAAAA)`. Recorded on the heap-Dijkstra build; any construction
+/// must reproduce every value bit for bit.
+const EMODEL_VALUES_FNV: u64 = 0x416e_4127_7ece_c441;
+
+#[test]
+fn emodel_values_pin_on_paper_grid_instances() {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |em: &EModel, topo: &Topology| {
+        for u in topo.nodes() {
+            for x in em.tuple(u) {
+                for b in x.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+    };
+    for n in [50usize, 100, 150, 200, 250, 300] {
+        for d in 0..2u64 {
+            let seed = 0x5EED_2012 ^ ((n as u64) << 16) ^ d;
+            let (topo, _) = SyntheticDeployment::paper(n).sample(seed);
+            fold(&EModel::build(&topo, &AlwaysAwake), &topo);
+            let wake = WindowedRandom::new(n, 10, seed ^ 0xAAAA);
+            fold(&EModel::build(&topo, &wake), &topo);
+        }
+    }
+    assert_eq!(
+        hash, EMODEL_VALUES_FNV,
+        "E-model values drifted: {hash:#018x}"
+    );
+}

@@ -2,16 +2,13 @@
 //! passes against the incumbent until the budget runs out, keeping the
 //! best verified schedule and an improving-bound trace.
 //!
-//! After [`AnytimeConfig::stalls_before_kick`] failed passes the next pass
-//! is a diversification kick: a randomized greedy restart on an even pass
-//! number, a TabuCol squash-repair on an odd one. A kick and an acceptance
-//! both reset the stall counter, so with the default of 3 stalls the kicks
-//! from a clean start land on passes 4, 8, 12, …: always even, always a
-//! restart. A squash fires only after an acceptance on an odd pass shifts
-//! that phase.
+//! After three failed passes in a row the next pass is a diversification
+//! kick: a randomized greedy restart. A kick and an acceptance both reset
+//! the stall counter, so every pass is either one compression pass or one
+//! restart.
 //!
 //! The incumbent's [`PartialSchedule`] is frozen once and kept while the
-//! incumbent stands; each compress or squash pass rewinds it
+//! incumbent stands; each compression pass rewinds it
 //! ([`PartialSchedule::rewind`]) instead of freezing it again.
 //!
 //! There is one search chain ([`run_chain`]). [`solve_anytime`] runs it
@@ -44,7 +41,7 @@ pub enum Budget {
     /// Stop after this many milliseconds of wall-clock time.
     WallClockMs(u64),
     /// Stop after this many deterministic work units: local-search moves,
-    /// plus a setup charge of `relays / 8 + 1` per compress or squash pass
+    /// plus a setup charge of `relays / 8 + 1` per compression pass
     /// and `nodes / 64 + 1` per restart. The pass charge dates from when
     /// every pass froze the incumbent again. A freeze now happens once per
     /// incumbent and later passes rewind it, so the charge no longer
@@ -63,15 +60,16 @@ pub struct AnytimeConfig {
     pub seed: u64,
     /// Slot from which the source may first transmit.
     pub start_from: Slot,
-    /// Base tabu tenure (moves); the engines add dynamic terms.
-    pub tabu_tenure: u64,
-    /// Local-search moves a single pass may spend before giving up.
-    pub pass_move_cap: u64,
-    /// Failed passes before a diversification kick.
-    pub stalls_before_kick: u32,
-    /// Priority noise for randomized restart legalizations.
-    pub jitter: u32,
 }
+
+/// Base tabu tenure (moves); the compression pass adds dynamic terms.
+const TABU_TENURE: u64 = 7;
+/// Local-search moves a single pass may spend before giving up.
+const PASS_MOVE_CAP: u64 = 4_000;
+/// Failed passes before a randomized restart.
+const STALLS_BEFORE_KICK: u32 = 3;
+/// Priority noise for randomized restart legalizations.
+const RESTART_JITTER: u32 = 3;
 
 impl Default for AnytimeConfig {
     fn default() -> Self {
@@ -79,10 +77,6 @@ impl Default for AnytimeConfig {
             budget: Budget::Iterations(50_000),
             seed: 0x1CC5_2012,
             start_from: 1,
-            tabu_tenure: 7,
-            pass_move_cap: 4_000,
-            stalls_before_kick: 3,
-            jitter: 3,
         }
     }
 }
@@ -105,37 +99,6 @@ pub struct TracePoint {
     pub latency: Slot,
 }
 
-/// What produced a [`DetailPoint`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A candidate was accepted as the new incumbent.
-    Incumbent,
-    /// A compression/repair pass closed with this candidate latency
-    /// (accepted or not).
-    PassBest,
-    /// A randomized restart salvaged this candidate latency (accepted or
-    /// not).
-    RestartSalvage,
-}
-
-/// One point of the *detail* trace: every candidate the search produced,
-/// not only the accepted incumbents. At 100k nodes the incumbent trace can
-/// be a single entry while the search grinds through hundreds of passes —
-/// the detail trace is what makes that effort visible.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DetailPoint {
-    /// Milliseconds since the search started.
-    pub elapsed_ms: u64,
-    /// The candidate's latency.
-    pub latency: Slot,
-    /// What produced it.
-    pub kind: TraceKind,
-}
-
-/// Hard cap on detail-trace length so multi-hour runs cannot balloon the
-/// outcome; the incumbent trace is never truncated.
-const DETAIL_TRACE_CAP: usize = 16_384;
-
 /// Result of an anytime search.
 #[derive(Clone, Debug)]
 pub struct AnytimeOutcome {
@@ -147,14 +110,11 @@ pub struct AnytimeOutcome {
     /// Improving-bound trace, one point per incumbent (monotone
     /// non-increasing latency, starting with the greedy seed).
     pub trace: Vec<TracePoint>,
-    /// Every candidate produced (per-pass bests and restart salvages as
-    /// well as incumbents), capped at an internal length bound.
-    pub detail: Vec<DetailPoint>,
     /// Local-search moves spent.
     pub moves: u64,
-    /// Compression/repair passes attempted.
+    /// Passes attempted: compression passes plus restarts.
     pub passes: u64,
-    /// Diversification kicks (squash or randomized restart).
+    /// Diversification kicks (randomized restarts).
     pub restarts: u64,
     /// `true` when the incumbent hit the BFS-depth lower bound, proving
     /// optimality (the budget is then left unspent).
@@ -225,16 +185,6 @@ fn hints_of(schedule: &Schedule) -> Hints {
         hints.insert(entry.slot, entry.senders.clone());
     }
     hints
-}
-
-fn push_detail(detail: &mut Vec<DetailPoint>, clock: &Clock, latency: Slot, kind: TraceKind) {
-    if detail.len() < DETAIL_TRACE_CAP {
-        detail.push(DetailPoint {
-            elapsed_ms: clock.elapsed_ms(),
-            latency,
-            kind,
-        });
-    }
 }
 
 /// Anytime minimum-latency broadcast scheduling: greedy seed, then
@@ -350,14 +300,12 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         moves: clock.moves,
         latency: best.latency(),
     }];
-    let mut detail = Vec::new();
-    push_detail(&mut detail, &clock, best.latency(), TraceKind::Incumbent);
     wsn_obs::event_value("anytime.incumbent", best.latency() as i64);
     let mut passes = 0u64;
     let mut restarts = 0u64;
     let mut stalls = 0u32;
     // The frozen structure of `best`, kept while `best` stays the
-    // incumbent and rewound at the start of each compress or squash pass.
+    // incumbent and rewound at the start of each compression pass.
     let mut frozen: Option<PartialSchedule> = None;
     let mut freezes = 0u64;
     let mut freeze_reuses = 0u64;
@@ -379,11 +327,10 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
 
         passes += 1;
         let _pass_span = wsn_obs::span("anytime.pass");
-        let kick = stalls >= config.stalls_before_kick;
-        let restarted = kick && passes.is_multiple_of(2);
-        let candidate = if restarted {
-            // Kick A: randomized greedy restart (fresh construction with
-            // jittered priorities).
+        let kick = stalls >= STALLS_BEFORE_KICK;
+        let candidate = if kick {
+            // Randomized greedy restart (fresh construction with jittered
+            // priorities).
             restarts += 1;
             wsn_obs::event("anytime.restart");
             clock.moves += topo.len() as u64 / 64 + 1;
@@ -394,15 +341,14 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                 model,
                 &no_hints,
                 config.start_from,
-                config.jitter,
+                RESTART_JITTER,
                 ctx.dead,
                 &mut rng,
             ))
         } else {
-            // Compression pass (PARTIALCOL), or squash-repair (TabuCol)
-            // when kicked: both search the frozen conflict structure for
-            // an assignment one slot shorter, which the legalizer then
-            // re-simulates.
+            // Compression pass (PARTIALCOL): search the frozen conflict
+            // structure for an assignment one slot shorter, which the
+            // legalizer then re-simulates.
             let freeze = |builder: &mut ConflictGraphBuilder| {
                 PartialSchedule::from_schedule_masked(&best, topo, model, builder, ctx.dead)
             };
@@ -424,22 +370,11 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
             // The setup charge is the budget contract, billed whether the
             // structure was frozen or rewound.
             clock.moves += partial.relays().len() as u64 / 8 + 1;
-            let started = if kick {
-                restarts += 1;
-                wsn_obs::event("anytime.squash_kick");
-                partial.begin_squash(wake, &mut rng)
-            } else {
-                partial.begin_compress()
-            };
             let mut solved = false;
-            if started {
+            if partial.begin_compress() {
                 let mut pass_moves = 0u64;
                 loop {
-                    let step = if kick {
-                        partial.repair_step(wake, config.tabu_tenure, &mut rng)
-                    } else {
-                        partial.compress_step(wake, config.tabu_tenure, &mut rng)
-                    };
+                    let step = partial.compress_step(wake, TABU_TENURE, &mut rng);
                     clock.moves += 1;
                     pass_moves += 1;
                     match step {
@@ -450,7 +385,7 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                         StepOutcome::Stuck => break,
                         StepOutcome::Progress => {}
                     }
-                    if pass_moves >= config.pass_move_cap || clock.mid_pass_exhausted(pass_moves) {
+                    if pass_moves >= PASS_MOVE_CAP || clock.mid_pass_exhausted(pass_moves) {
                         break;
                     }
                 }
@@ -472,41 +407,25 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         };
 
         match candidate {
-            Some(cand) => {
-                let kind = if restarted {
-                    TraceKind::RestartSalvage
-                } else {
-                    TraceKind::PassBest
-                };
-                push_detail(&mut detail, &clock, cand.latency(), kind);
+            Some(cand)
                 if cand.latency() < best.latency()
                     && cand
                         .verify_covering_with_model(topo, wake, model, ctx.dead)
-                        .is_ok()
-                {
-                    best = cand;
-                    frozen = None;
-                    trace.push(TracePoint {
-                        elapsed_ms: clock.elapsed_ms(),
-                        moves: clock.moves,
-                        latency: best.latency(),
-                    });
-                    push_detail(&mut detail, &clock, best.latency(), TraceKind::Incumbent);
-                    wsn_obs::event_value("anytime.incumbent", best.latency() as i64);
-                    stalls = 0;
-                } else {
-                    stalls += 1;
-                    if kick {
-                        stalls = 0; // a kick resets the stall counter either way
-                    }
-                }
+                        .is_ok() =>
+            {
+                best = cand;
+                frozen = None;
+                trace.push(TracePoint {
+                    elapsed_ms: clock.elapsed_ms(),
+                    moves: clock.moves,
+                    latency: best.latency(),
+                });
+                wsn_obs::event_value("anytime.incumbent", best.latency() as i64);
+                stalls = 0;
             }
-            None => {
-                stalls += 1;
-                if kick {
-                    stalls = 0;
-                }
-            }
+            // A kick resets the stall counter either way.
+            _ if kick => stalls = 0,
+            _ => stalls += 1,
         }
 
         if matches!(config.budget, Budget::WallClockMs(_)) {
@@ -543,7 +462,6 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         schedule: best,
         latency,
         trace,
-        detail,
         moves: clock.moves,
         passes,
         restarts,

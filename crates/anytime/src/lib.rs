@@ -14,8 +14,8 @@
 //!    the freeze happens once per incumbent, and every later pass against
 //!    the same incumbent rewinds it in `O(relays + window)`,
 //! 3. PARTIALCOL compression passes (evict the last slot, re-place its
-//!    relays under tabu tenure) and TabuCol squash-repair kicks search for
-//!    assignments one slot shorter,
+//!    relays under tabu tenure) search for assignments one slot shorter,
+//!    and a randomized greedy restart follows three failed passes in a row,
 //! 4. every candidate is re-simulated by the legalizer and re-verified
 //!    under the real [`ConflictModel`](wsn_phy::ConflictModel) before it
 //!    may become the incumbent, and each acceptance appends to the
@@ -25,9 +25,10 @@
 //! always valid, with the latency-vs-time trace that anytime algorithms
 //! are judged by. Budgets are wall-clock for benchmarking or
 //! iteration-counted for bit-reproducible sweeps ([`Budget`]). An
-//! iteration budget bills each pass a setup charge proportional to the
-//! relay count; since passes rewind instead of re-freezing, that charge
-//! is a budget contract kept for reproducibility, not work done.
+//! iteration budget bills each compression pass a setup charge
+//! proportional to the relay count; since passes rewind instead of
+//! re-freezing, that charge is a budget contract kept for
+//! reproducibility, not work done.
 //!
 //! There is one search chain. [`solve_anytime_cached`] runs it through a
 //! [`ScheduleCache`], which warm-starts repeat solves of a held instance
@@ -42,8 +43,7 @@ mod repair;
 
 pub use cache::ScheduleCache;
 pub use driver::{
-    solve_anytime, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, DetailPoint,
-    TraceKind, TracePoint,
+    solve_anytime, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, TracePoint,
 };
 pub use partial::{PartialSchedule, StepOutcome};
 pub use reliable::{plan_repeats, solve_anytime_reliable, ReliableOutcome, MAX_REPEAT};
@@ -101,14 +101,6 @@ mod tests {
             assert!(pair[1].elapsed_ms >= pair[0].elapsed_ms);
         }
         assert_eq!(out.trace.last().unwrap().latency, out.latency);
-        // The detail trace sees every candidate, not only incumbents: with
-        // thousands of passes it must be strictly richer than the
-        // incumbent trace.
-        assert!(out.detail.len() > out.trace.len());
-        assert!(out
-            .detail
-            .iter()
-            .any(|d| matches!(d.kind, TraceKind::PassBest | TraceKind::RestartSalvage)));
     }
 
     #[test]

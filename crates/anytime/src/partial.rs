@@ -13,20 +13,14 @@
 //! not a theorem — the legalizer re-simulates every candidate under the
 //! real model before it can become the incumbent.
 //!
-//! Two move disciplines share this state, both classic graph-coloring
-//! local searches transplanted onto slots-with-deadlines:
-//!
-//! * **PARTIALCOL** ([`PartialSchedule::begin_compress`] +
-//!   [`PartialSchedule::compress_step`]): evict the last occupied slot,
-//!   then repeatedly place an unassigned relay into its cheapest feasible
-//!   slot, evicting whoever it collides with (tabu forbids the evictee's
-//!   old slot for a tenure). Success = no unassigned relays ⇒ a schedule
-//!   hint one slot shorter.
-//! * **TabuCol** ([`PartialSchedule::begin_squash`] +
-//!   [`PartialSchedule::repair_step`]): force the last slot's relays into
-//!   random earlier slots (conflicts allowed), then reassign conflicted
-//!   relays toward zero total conflicts, tabu on the (relay, old-slot)
-//!   pair, aspiration on conflict-free placements.
+//! The move discipline is PARTIALCOL, a classic graph-coloring local
+//! search transplanted onto slots-with-deadlines
+//! ([`PartialSchedule::begin_compress`] +
+//! [`PartialSchedule::compress_step`]): evict the last occupied slot, then
+//! repeatedly place an unassigned relay into its cheapest feasible slot,
+//! evicting whoever it collides with (tabu forbids the evictee's old slot
+//! for a tenure). Success = no unassigned relays ⇒ a schedule hint one
+//! slot shorter.
 //!
 //! The frozen structure depends only on the schedule it was frozen from,
 //! so one freeze serves every pass against the same incumbent:
@@ -48,10 +42,10 @@ use crate::legalize::Hints;
 /// Sentinel slot for "relay currently unassigned".
 const UNASSIGNED: Slot = Slot::MAX;
 
-/// One step of a local-search discipline.
+/// One step of a compression pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
-    /// The target condition is met (no unassigned relays / no conflicts).
+    /// No relay is left unassigned.
     Done,
     /// A move was made; keep stepping.
     Progress,
@@ -93,13 +87,8 @@ pub struct PartialSchedule {
     /// Scratch per-offset move costs plus the touched offsets.
     cost: Vec<u32>,
     touched: Vec<u32>,
-    /// PARTIALCOL: currently evicted relays.
+    /// Currently evicted relays.
     unassigned: Vec<u32>,
-    /// TabuCol: per-relay conflict count and total conflicting pairs.
-    conf: Vec<u32>,
-    total_conf: u64,
-    /// TabuCol: queue of possibly-conflicted relays (lazily filtered).
-    conflicted: Vec<u32>,
 }
 
 impl PartialSchedule {
@@ -196,9 +185,6 @@ impl PartialSchedule {
             cost: vec![0; window],
             touched: Vec::new(),
             unassigned: Vec::new(),
-            conf: vec![0; k],
-            total_conf: 0,
-            conflicted: Vec::new(),
             relays,
         };
         // Fills the buckets, so a freeze and a rewind order them alike.
@@ -210,7 +196,7 @@ impl PartialSchedule {
     /// since: the frozen assignment, its slot buckets in ascending relay
     /// order (bucket order feeds the RNG-indexed unassigned stack; the
     /// freeze fills its buckets by calling this), the full window, and
-    /// empty tabu, eviction and conflict state. `O(relays + window)`; the
+    /// empty tabu and eviction state. `O(relays + window)`; the
     /// conflict builder is not consulted.
     pub fn rewind(&mut self) {
         self.slot_of.copy_from_slice(&self.frozen_slot_of);
@@ -225,9 +211,6 @@ impl PartialSchedule {
             self.cost[idx as usize] = 0;
         }
         self.unassigned.clear();
-        self.conf.fill(0);
-        self.total_conf = 0;
-        self.conflicted.clear();
     }
 
     /// The relay list (the assignment's index space).
@@ -297,79 +280,6 @@ impl PartialSchedule {
         }
     }
 
-    /// Starts a TabuCol pass: forces every relay of the last occupied slot
-    /// into a random earlier feasible slot (conflicts allowed), then
-    /// recomputes the conflict counters. Returns `false` when the window
-    /// cannot shrink or some squashed relay has no feasible slot.
-    pub fn begin_squash<S: WakeSchedule>(&mut self, wake: &S, rng: &mut StdRng) -> bool {
-        let Some(off) = self.last_occupied() else {
-            return false;
-        };
-        if off == 0 {
-            return false;
-        }
-        self.cap = self.start + off as Slot - 1;
-        for i in std::mem::take(&mut self.buckets[off]) {
-            self.slot_of[i as usize] = UNASSIGNED;
-            let feasible: Vec<Slot> = self.feasible_slots(i as usize, wake).collect();
-            if feasible.is_empty() {
-                return false;
-            }
-            let t = feasible[rng.random_range(0..feasible.len())];
-            self.slot_of[i as usize] = t;
-            self.buckets[(t - self.start) as usize].push(i);
-        }
-        self.recount_conflicts();
-        true
-    }
-
-    /// One TabuCol move: reassign a conflicted relay to the slot minimizing
-    /// its conflict count (tabu on the slot it leaves, aspiration on
-    /// conflict-free placements).
-    pub fn repair_step<S: WakeSchedule>(
-        &mut self,
-        wake: &S,
-        tenure: u64,
-        rng: &mut StdRng,
-    ) -> StepOutcome {
-        if self.total_conf == 0 {
-            return StepOutcome::Done;
-        }
-        let x = loop {
-            let Some(c) = self.conflicted.pop() else {
-                // Lazy queue drained while conflicts remain: rebuild it.
-                self.conflicted = (0..self.conf.len() as u32)
-                    .filter(|&i| self.conf[i as usize] > 0)
-                    .collect();
-                debug_assert!(!self.conflicted.is_empty());
-                continue;
-            };
-            if self.conf[c as usize] > 0 {
-                if c == self.src {
-                    // The source is pinned; a conflict on it cannot be
-                    // repaired by moving it.
-                    return StepOutcome::Stuck;
-                }
-                break c as usize;
-            }
-        };
-        let old = self.slot_of[x];
-        let Some(t) = self.best_slot(x, wake, rng) else {
-            return StepOutcome::Stuck;
-        };
-        if t != old {
-            self.unplace(x);
-            self.tabu.insert((x as u32, old), self.iter + tenure);
-            self.place_counting(x, t);
-        }
-        self.iter += 1;
-        if self.total_conf == 0 {
-            StepOutcome::Done
-        } else {
-            StepOutcome::Progress
-        }
-    }
-
     /// Extracts the current assignment as legalizer hints (assigned relays
     /// only), slot-keyed.
     pub fn hints(&self) -> Hints {
@@ -392,17 +302,6 @@ impl PartialSchedule {
         }
         let at = rng.random_range(0..self.unassigned.len());
         Some(self.unassigned.swap_remove(at) as usize)
-    }
-
-    /// Wake-feasible target slots for relay `i` within the window.
-    fn feasible_slots<'a, S: WakeSchedule>(
-        &'a self,
-        i: usize,
-        wake: &'a S,
-    ) -> impl Iterator<Item = Slot> + 'a {
-        let lo = self.earliest[i].max(self.start + 1);
-        let node = self.relays[i].idx();
-        (lo..=self.cap).filter(move |&t| wake.can_send(node, t))
     }
 
     /// The cheapest non-tabu feasible slot for relay `i` (aspiration:
@@ -493,73 +392,6 @@ impl PartialSchedule {
             .expect("assigned relay sits in its bucket");
         bucket.swap_remove(at);
     }
-
-    /// TabuCol bookkeeping: removes `x` from its slot, updating conflict
-    /// counters.
-    fn unplace(&mut self, x: usize) {
-        let t = self.slot_of[x];
-        self.remove_from_bucket(x);
-        let adj = std::mem::take(&mut self.adj[x]);
-        for &(j, dl) in &adj {
-            let j = j as usize;
-            if self.slot_of[j] == t && t <= dl {
-                self.conf[x] -= 1;
-                self.conf[j] -= 1;
-                self.total_conf -= 1;
-            }
-        }
-        self.adj[x] = adj;
-        self.slot_of[x] = UNASSIGNED;
-    }
-
-    /// TabuCol bookkeeping: places `x` at `t`, updating conflict counters
-    /// and enqueueing newly conflicted partners.
-    fn place_counting(&mut self, x: usize, t: Slot) {
-        self.slot_of[x] = t;
-        self.buckets[(t - self.start) as usize].push(x as u32);
-        let adj = std::mem::take(&mut self.adj[x]);
-        for &(j, dl) in &adj {
-            let j = j as usize;
-            if self.slot_of[j] == t && t <= dl {
-                self.conf[x] += 1;
-                if self.conf[j] == 0 {
-                    self.conflicted.push(j as u32);
-                }
-                self.conf[j] += 1;
-                self.total_conf += 1;
-            }
-        }
-        self.adj[x] = adj;
-        if self.conf[x] > 0 {
-            self.conflicted.push(x as u32);
-        }
-    }
-
-    /// Recomputes all conflict counters from scratch (pass setup).
-    fn recount_conflicts(&mut self) {
-        self.conf.iter_mut().for_each(|c| *c = 0);
-        self.total_conf = 0;
-        self.conflicted.clear();
-        for i in 0..self.relays.len() {
-            let t = self.slot_of[i];
-            if t == UNASSIGNED {
-                continue;
-            }
-            for &(j, dl) in &self.adj[i] {
-                let j = j as usize;
-                if j > i && self.slot_of[j] == t && t <= dl {
-                    self.conf[i] += 1;
-                    self.conf[j] += 1;
-                    self.total_conf += 1;
-                }
-            }
-        }
-        for i in 0..self.conf.len() {
-            if self.conf[i] > 0 {
-                self.conflicted.push(i as u32);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -600,6 +432,8 @@ mod tests {
     #[test]
     fn rewind_after_compress_moves_equals_fresh_freeze() {
         let (topo, schedule, mut builder, mut partial) = frozen(80, 2);
+        let last = partial.last_occupied().unwrap();
+        assert!(last > 0);
         let mut rng = StdRng::seed_from_u64(1);
         assert!(partial.begin_compress());
         for _ in 0..50 {
@@ -609,38 +443,9 @@ mod tests {
         }
         assert!(partial.iter > 0, "the pass must have made moves");
         assert!(!partial.tabu.is_empty() && !partial.unassigned.is_empty());
-        assert_rewinds_to_fresh(&mut partial, &topo, &schedule, &mut builder);
-    }
-
-    #[test]
-    fn rewind_after_squash_repair_equals_fresh_freeze() {
-        let (topo, schedule, mut builder, mut partial) = frozen(80, 2);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(partial.begin_squash(&AlwaysAwake, &mut rng));
-        for _ in 0..50 {
-            if partial.repair_step(&AlwaysAwake, 7, &mut rng) != StepOutcome::Progress {
-                break;
-            }
-        }
-        assert!(partial.iter > 0, "the pass must have made moves");
-        assert!(partial.total_conf > 0 && partial.conf.iter().any(|&c| c > 0));
-        assert_ne!(
-            partial.slot_of, partial.frozen_slot_of,
-            "the squash moved relays"
-        );
-        assert_rewinds_to_fresh(&mut partial, &topo, &schedule, &mut builder);
-    }
-
-    #[test]
-    fn rewind_after_failed_squash_equals_fresh_freeze() {
-        let (topo, schedule, mut builder, mut partial) = frozen(80, 0);
-        let last = partial.last_occupied().unwrap();
-        assert!(last > 0);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(!partial.begin_squash(&AlwaysAwake, &mut rng));
         assert!(
             partial.buckets[last].is_empty(),
-            "the failed squash emptied the last bucket"
+            "the pass emptied the last bucket"
         );
         assert_rewinds_to_fresh(&mut partial, &topo, &schedule, &mut builder);
         assert_eq!(partial.last_occupied(), Some(last));

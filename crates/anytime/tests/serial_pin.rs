@@ -10,7 +10,7 @@
 use wsn_anytime::{
     solve_anytime, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, ScheduleCache,
 };
-use wsn_dutycycle::AlwaysAwake;
+use wsn_dutycycle::{AlwaysAwake, WindowedRandom};
 use wsn_phy::ProtocolModel;
 use wsn_topology::deploy;
 
@@ -83,9 +83,47 @@ fn cold_cached_solve_is_the_serial_chain() {
         // Traces carry wall-clock stamps; compare the deterministic parts.
         let lat = |t: &[wsn_anytime::TracePoint]| t.iter().map(|p| p.latency).collect::<Vec<_>>();
         assert_eq!(lat(&cold.trace), lat(&serial.trace));
-        let det = |d: &[wsn_anytime::DetailPoint]| {
-            d.iter().map(|p| (p.latency, p.kind)).collect::<Vec<_>>()
+    }
+}
+
+/// The duty-cycled chain: `(n, deployment seed, rate, iteration budget)`
+/// → expected `(latency, moves, passes, restarts, entries, sig)` under
+/// `WindowedRandom::new(n, rate, seed ^ 0xD00F)`. In the `paper(70)` row
+/// an acceptance on an odd pass moves the kicks onto odd passes.
+#[allow(clippy::type_complexity)]
+const DUTY_PINS: [((usize, u64, u32, u64), (u64, u64, u64, u64, usize, u64)); 2] = [
+    (
+        (120, 5, 10, 10_000),
+        (17, 10_004, 2_011, 502, 14, 11_156_812_406_986_021_272),
+    ),
+    (
+        (70, 19, 5, 4_000),
+        (21, 4_001, 941, 235, 16, 14_884_184_041_424_537_058),
+    ),
+];
+
+#[test]
+fn duty_cycled_chain_is_pinned() {
+    for ((n, seed, rate, budget), expected) in DUTY_PINS {
+        let (topo, src) = deploy::SyntheticDeployment::paper(n).sample(seed);
+        let wake = WindowedRandom::new(topo.len(), rate, seed ^ 0xD00F);
+        let cfg = AnytimeConfig {
+            budget: Budget::Iterations(budget),
+            ..AnytimeConfig::default()
         };
-        assert_eq!(det(&cold.detail), det(&serial.detail));
+        let out = solve_anytime(&topo, src, &wake, &ProtocolModel, &cfg);
+        out.schedule.verify(&topo, &wake).unwrap();
+        assert_eq!(
+            (
+                out.latency,
+                out.moves,
+                out.passes,
+                out.restarts,
+                out.schedule.entries.len(),
+                schedule_sig(&out),
+            ),
+            expected,
+            "n={n} seed={seed} rate={rate}: duty-cycled chain drifted from its pin"
+        );
     }
 }

@@ -255,7 +255,6 @@ fn run_with<S: WakeSchedule>(
                 ),
                 seed: 0x1CC5_2012 ^ u64::from(source.0) ^ ((topo.len() as u64) << 32),
                 start_from: start,
-                ..wsn_anytime::AnytimeConfig::default()
             };
             let out = wsn_anytime::solve_anytime(topo, source, wake, &ProtocolModel, &cfg);
             exact = Some(out.proved_optimal);

@@ -76,11 +76,15 @@ proptest! {
         // The enabled run must actually have recorded something.
         prop_assert_eq!(rec.counter_value("anytime.solves"), 1);
         prop_assert!(rec.counter_value("anytime.moves") >= on.moves);
-        // One freeze per incumbent at most; every other compress or squash
-        // pass rewinds the frozen structure, and restarts do neither.
+        // One freeze per incumbent at most. Every pass is one compression
+        // pass, which freezes or rewinds the frozen structure, or one
+        // restart, which does neither.
         let freezes = rec.counter_value("anytime.freezes");
         prop_assert!(freezes <= on.trace.len() as u64);
-        prop_assert!(freezes + rec.counter_value("anytime.freeze_reuses") <= on.passes);
+        prop_assert_eq!(
+            freezes + rec.counter_value("anytime.freeze_reuses") + on.restarts,
+            on.passes
+        );
     }
 
     /// Same invariance under a degenerate-SINR model (the searcher's
@@ -225,7 +229,7 @@ fn stalled_passes_reuse_the_frozen_incumbent() {
     let reuses = rec.counter_value("anytime.freeze_reuses");
     assert!(freezes >= 1 && freezes <= out.trace.len() as u64);
     assert!(reuses > 0, "a stalled chain must rewind, not re-freeze");
-    assert!(freezes + reuses <= out.passes);
+    assert_eq!(freezes + reuses + out.restarts, out.passes);
 }
 
 /// Injected (non-global) recorders observe nothing from the global free

@@ -21,9 +21,14 @@
 //! decrease `x` and `Q4` decrease `y`. So each quadrant graph is a DAG, and
 //! walking the nodes sorted by that coordinate, far end first, reaches
 //! every `v ∈ Q_i(u)` before `u`. Nodes with equal coordinates are never
-//! related in that quadrant, so ties need no care. Each value is the
-//! minimum of the same candidate sums in whatever order they are taken,
-//! so the sweep equals a shortest-path relaxation bit for bit.
+//! related in that quadrant, so ties need no care and an unstable sort
+//! serves. Each value is the minimum of the same candidate sums in
+//! whatever order they are taken, so the sweep equals a shortest-path
+//! relaxation bit for bit.
+//!
+//! The quadrant-`i` walk scans each node's adjacency and skips the
+//! neighbors outside `Q_i(u)`, so each edge's `t(u,v)` is read once, in
+//! its quadrant's walk.
 //!
 //! Both passes run fused in the one walk. With `p1` the pass-1 value:
 //! `E_i(u) = p1(u)` when that is finite (pass 1 froze it); otherwise 0
@@ -57,7 +62,9 @@ impl EModel {
             NodeSet::from_indices(n, boundary::edge_nodes(topo).iter().map(|u| u.idx()));
         let sorted_by = |key: fn(&Point) -> f64| {
             let mut ids: Vec<NodeId> = topo.nodes().collect();
-            ids.sort_by(|&a, &b| key(&topo.position(a)).total_cmp(&key(&topo.position(b))));
+            ids.sort_unstable_by(|&a, &b| {
+                key(&topo.position(a)).total_cmp(&key(&topo.position(b)))
+            });
             ids
         };
         let (by_x, by_y) = (sorted_by(|p| p.x), sorted_by(|p| p.y));

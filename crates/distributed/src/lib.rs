@@ -13,9 +13,9 @@
 //! * [`distributed_emodel`] — the E-model built by asynchronous
 //!   message-passing relaxation, with per-node message accounting: the
 //!   protocol-level validation of Theorem 3. Seeds come from the *local*
-//!   angular-gap test alone, which provably coincides with the centralized
-//!   hull + gap rule (a hull vertex's neighbors fit in a half-plane, so
-//!   its gap is ≥ 180°);
+//!   angular-gap test, the centralized edge rule itself (a hull vertex's
+//!   neighbors fit in a half-plane, so its gap is ≥ 180° and no hull pass
+//!   is needed);
 //! * [`localized_broadcast`] — the localized scheduler: every candidate
 //!   announces its priority to its 2-hop neighborhood and transmits iff no
 //!   *conflicting* candidate announced a higher one. Winners are

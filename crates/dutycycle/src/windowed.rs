@@ -100,23 +100,41 @@ impl WindowedRandom {
     }
 
     /// The waits `v` imposes on a message `u` hands it, one per window of
-    /// the period, in window order. `u` sends once per window, at offset
-    /// `ou`; `v` relays at its own slot later in that window (offset
-    /// `ov > ou`), or else at its slot in the next window, wrapping at the
-    /// period. This is `cwt_after(v, t)` at each of `u`'s sending slots
-    /// `t`, in closed form.
-    fn edge_waits(&self, u: usize, v: usize) -> impl Iterator<Item = Slot> + '_ {
+    /// the period, folded with `fold` in window order. `u` sends once per
+    /// window, at offset `ou`; `v` relays at its own slot later in that
+    /// window (offset `ov > ou`), or else at its slot in the next window,
+    /// wrapping at the period. This is `cwt_after(v, t)` at each of `u`'s
+    /// sending slots `t`, in closed form.
+    ///
+    /// The loop reads the next window's offset from a shifted slice and
+    /// handles the last window's wrap after it, so it has no modulo and no
+    /// branch, and it vectorizes.
+    #[inline]
+    fn fold_waits(&self, u: usize, v: usize, fold: impl Fn(Slot, Slot) -> Slot) -> Slot {
         let (ru, rv) = (self.row(u), self.row(v));
         let rate = self.rate as Slot;
-        ru.iter().enumerate().map(move |(w, &ou)| {
-            let same = rv[w];
-            if same > ou {
-                (same - ou) as Slot
-            } else {
-                rate + rv[(w + 1) % rv.len()] as Slot - ou as Slot
-            }
-        })
+        let last = ru.len() - 1;
+        let inner = ru[..last]
+            .iter()
+            .zip(&rv[..last])
+            .zip(&rv[1..])
+            .fold(0, |acc, ((&ou, &same), &next)| {
+                fold(acc, wait(rate, ou, same, next))
+            });
+        fold(inner, wait(rate, ru[last], rv[last], rv[0]))
     }
+}
+
+/// The wait for a message handed over at offset `ou` of a window in which
+/// the receiver's own offset is `same` and the next window's is `next`:
+/// `same − ou` when `same > ou`, else `rate + next − ou`. Both selects
+/// compile to branch-free code, and the arithmetic is in `Slot`, so it is
+/// exact for every `u32` rate.
+#[inline]
+fn wait(rate: Slot, ou: u32, same: u32, next: u32) -> Slot {
+    let wrapped = same <= ou;
+    let relay = if wrapped { next } else { same };
+    relay as Slot + rate * Slot::from(wrapped) - ou as Slot
 }
 
 impl WakeSchedule for WindowedRandom {
@@ -147,12 +165,12 @@ impl WakeSchedule for WindowedRandom {
     /// The trait default bit for bit: the same integer total over the
     /// same `windows` sends, divided once.
     fn expected_cwt(&self, u: usize, v: usize) -> f64 {
-        let total: Slot = self.edge_waits(u, v).sum();
+        let total = self.fold_waits(u, v, |acc, w| acc + w);
         total as f64 / self.windows as f64
     }
 
     fn max_cwt(&self, u: usize, v: usize) -> Slot {
-        self.edge_waits(u, v).max().unwrap_or(0)
+        self.fold_waits(u, v, Slot::max)
     }
 }
 
@@ -286,9 +304,15 @@ mod tests {
     #[test]
     fn closed_form_cwt_equals_trait_defaults() {
         // Wraps at the period (windows = 1, 3), degenerates at rate 1, and
-        // runs the paper's rate over the default period.
+        // runs the paper's rate over the default period. Rates of 2^31 and
+        // above make a wrapped wait `rate + next − ou` overflow `u32`, so
+        // the closed form must not narrow it.
         let n = 12;
-        for (rate, windows) in [(10, 64), (1, 4), (7, 3), (10, 1), (2, 9)] {
+        let wide = [(1 << 31, 2), (u32::MAX, 1), (u32::MAX, 2), (u32::MAX, 3)];
+        for (rate, windows) in [(10, 64), (1, 4), (7, 3), (10, 1), (2, 9)]
+            .into_iter()
+            .chain(wide)
+        {
             let fast = WindowedRandom::with_windows(n, rate, 0x5eed ^ rate as u64, windows);
             let slow = DefaultCwt(fast.clone());
             for u in 0..n {

@@ -5,8 +5,9 @@
 //! from plane geometry:
 //!
 //! * [`Point`] — node positions, distances;
-//! * [`convex_hull`] — Andrew's monotone chain, used to seed network-edge
-//!   detection (the paper's reference \[3\]);
+//! * [`convex_hull`] — Andrew's monotone chain, the paper's network-edge
+//!   seeds (reference \[3\]); the angular-gap test flags every hull
+//!   vertex, and tests use the hull as its oracle;
 //! * [`Quadrant`] — the quadrant partition `Q_1(u)..Q_4(u)` around a node,
 //!   which indexes the E-model 4-tuple (§IV-E);
 //! * [`max_angular_gap`] — the largest empty angular sector among a node's

@@ -17,7 +17,8 @@
 //!   UDG edges (uniform or synthetic distance-correlated loss with
 //!   flap-prone edges), the substrate of every loss-aware path;
 //! * [`boundary`] — the network-edge detection used to seed the E-model
-//!   (convex hull + angular-gap boundary construction; paper refs \[3\], \[6\]);
+//!   (angular-gap boundary construction, which flags every convex-hull
+//!   vertex; paper refs \[3\], \[6\]);
 //! * [`fixtures`] — the paper's Figure 1 and Figure 2 example networks,
 //!   reconstructed so the UDG reproduces Table II/III/IV exactly.
 

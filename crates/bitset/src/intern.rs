@@ -150,12 +150,13 @@ impl SetInterner {
 /// caller-chosen `namespace`, to dense collision-free `u32` ids.
 ///
 /// This is the [`SetInterner`] idea generalized for the phase-folding
-/// tables of the duty-cycle search: wake-pattern windows are not
-/// fixed-universe [`NodeSet`]s (their width depends on the fold horizon),
-/// and per-node windows must not unify with per-level joint signatures, so
-/// every sequence carries a namespace that is part of its identity. Equal
-/// ids imply equal `(namespace, words)` pairs *by construction* — the hash
-/// only picks the bucket, full comparison settles it.
+/// tables of the duty-cycle search: wake-pattern signatures are not
+/// fixed-universe [`NodeSet`]s (their width depends on the fold horizon
+/// and the relevant set), and signatures of different fold levels must not
+/// unify, so every sequence carries a namespace that is part of its
+/// identity. Equal ids imply equal `(namespace, words)` pairs *by
+/// construction* — the hash only picks the bucket, full comparison
+/// settles it.
 ///
 /// # Examples
 ///

@@ -12,8 +12,10 @@
 //! From a state `(W, t)` — informed set `W`, every member free to send from
 //! slot `t` on — no schedule completes before:
 //!
-//! * [`remaining_hops_profile`]: the farthest uninformed node in hops. Each
-//!   slot extends the informed set by at most one hop.
+//! * [`HopBound`]: the farthest uninformed node in hops. Each slot
+//!   launches at most one conflict-free advance, which extends the
+//!   informed set by at most one hop, so a node `h` hops away needs at
+//!   least `h` further slots.
 //! * [`FloodBound`]: the completion slot of a conflict-free flood under the
 //!   same wake schedule. Every informed node sends at its first sending
 //!   slot `wake.next_send(u, ready)`; a node reached in slot `s` is ready
@@ -72,51 +74,86 @@ pub fn max_neighbor_wait<S: WakeSchedule>(topo: &Topology, wake: &S) -> Slot {
 }
 
 /// Admissible lower bound on the remaining broadcast delay from informed
-/// set `W`: the farthest uninformed node in hops. Each slot launches at
-/// most one conflict-free advance, which extends the informed set by at
-/// most one hop, so at least `h` further slots are needed to reach a node
-/// `h` hops away. Also returns the per-node BFS hop distances from `W` the
-/// bound was computed from.
-///
-/// The BFS is level-synchronous over the neighbour masks: the next level
-/// is `∪ N(frontier) \ reached`, one word-parallel union per node, so each
-/// node costs `n / 64` words instead of a walk over its adjacency list.
-/// Unreached nodes keep [`metrics::UNREACHABLE`] (as in
-/// [`metrics::bfs_hops_from_set`]) and then set the bound to it.
-pub fn remaining_hops_profile(topo: &Topology, informed: &NodeSet) -> (Slot, Vec<u32>) {
-    let n = topo.len();
-    let mut dist = vec![metrics::UNREACHABLE; n];
-    for u in informed.iter() {
-        dist[u] = 0;
+/// set `W`: the farthest uninformed node in hops (see the module doc), with
+/// the scratch it reuses across calls so a search allocates nothing per
+/// state.
+#[derive(Debug, Default)]
+pub struct HopBound {
+    /// Bitset words of the nodes reached so far.
+    reached: Vec<u64>,
+    /// Bitset words of the current BFS level.
+    frontier: Vec<u64>,
+    /// Bitset words of the level being built.
+    next: Vec<u64>,
+}
+
+impl HopBound {
+    /// Empty scratch; it grows to the topology on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let mut reached = informed.clone();
-    let mut frontier = informed.clone();
-    let mut next = NodeSet::new(n);
-    let mut far = 0;
-    loop {
-        next.clear();
-        for u in frontier.iter() {
-            next.union_with(topo.neighbor_set(NodeId(u as u32)));
+
+    /// The farthest uninformed node's hop distance from `informed`; `0`
+    /// when every node is informed.
+    ///
+    /// A level-synchronous BFS over the neighbour masks: the next level is
+    /// `∪ N(frontier) \ reached`, one word-parallel union per frontier
+    /// node. Unreached nodes on a disconnected topology set the bound to
+    /// [`metrics::UNREACHABLE`].
+    pub fn lower_bound(&mut self, topo: &Topology, informed: &NodeSet) -> Slot {
+        let n = topo.len();
+        let mut unreached = n - informed.len();
+        if unreached == 0 {
+            return 0;
         }
-        next.difference_with(&reached);
-        if next.is_empty() {
-            break;
+        let HopBound {
+            reached,
+            frontier,
+            next,
+        } = self;
+        reached.clear();
+        reached.extend_from_slice(informed.words());
+        frontier.clear();
+        frontier.extend_from_slice(informed.words());
+        next.resize(reached.len(), 0);
+        let mut far = 0;
+        while unreached > 0 {
+            next.fill(0);
+            for (wi, &word) in frontier.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let u = wi * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let nbrs = topo.neighbor_set(NodeId(u as u32)).words();
+                    for (acc, &w) in next.iter_mut().zip(nbrs) {
+                        *acc |= w;
+                    }
+                }
+            }
+            for (acc, &seen) in next.iter_mut().zip(reached.iter()) {
+                *acc &= !seen;
+            }
+            let mut level = 0;
+            for (seen, &w) in reached.iter_mut().zip(next.iter()) {
+                *seen |= w;
+                level += w.count_ones() as usize;
+            }
+            if level == 0 {
+                break;
+            }
+            far += 1;
+            unreached -= level;
+            std::mem::swap(frontier, next);
         }
-        far += 1;
-        for v in next.iter() {
-            dist[v] = far;
+        debug_assert!(
+            unreached == 0,
+            "lower bound undefined on disconnected instances"
+        );
+        if unreached > 0 {
+            far = metrics::UNREACHABLE;
         }
-        reached.union_with(&next);
-        std::mem::swap(&mut frontier, &mut next);
+        far as Slot
     }
-    debug_assert!(
-        reached.is_full(),
-        "lower bound undefined on disconnected instances"
-    );
-    if !reached.is_full() {
-        far = metrics::UNREACHABLE;
-    }
-    (far as Slot, dist)
 }
 
 /// The wake-aware flood bound (see the module doc), with the scratch it
@@ -253,7 +290,7 @@ mod tests {
         // and the optimum is exactly 2.
         let f = fixtures::fig2a();
         let w = NodeSet::from_indices(5, [f.source.idx()]);
-        assert_eq!(remaining_hops_profile(&f.topo, &w).0, 2);
+        assert_eq!(HopBound::new().lower_bound(&f.topo, &w), 2);
         let out = crate::solve_gopt(
             &f.topo,
             f.source,
@@ -266,7 +303,7 @@ mod tests {
     #[test]
     fn lower_bound_zero_when_one_hop_remains_nowhere() {
         let f = fixtures::fig2a();
-        assert_eq!(remaining_hops_profile(&f.topo, &NodeSet::full(5)).0, 0);
+        assert_eq!(HopBound::new().lower_bound(&f.topo, &NodeSet::full(5)), 0);
     }
 
     #[test]
@@ -278,7 +315,7 @@ mod tests {
         let wake = ExplicitSchedule::new(vec![vec![2], vec![4, 13], vec![4], vec![9], vec![9]], 20);
         let w = NodeSet::from_indices(5, [f.source.idx()]);
         let mut flood = FloodBound::new();
-        assert_eq!(remaining_hops_profile(&f.topo, &w).0, 2);
+        assert_eq!(HopBound::new().lower_bound(&f.topo, &w), 2);
         assert_eq!(flood.lower_bound(&f.topo, &wake, &w, 2, Slot::MAX), 3);
         // A budget the flood proves too small comes back as budget + 1.
         assert_eq!(flood.lower_bound(&f.topo, &wake, &w, 2, 1), 2);

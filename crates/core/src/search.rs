@@ -62,17 +62,20 @@
 //!   `rem ≤ H` or lower bound `lb ≤ H + 1`. The searcher builds a geometric
 //!   horizon ladder (8, 32, 128, … capped below the period and the seeded
 //!   root budget), renders the schedule once into a
-//!   [`wsn_dutycycle::WakePatternTable`], and interns per-node windows and
-//!   per-state joint signatures into collision-free dense ids
+//!   [`wsn_dutycycle::WakePatternTable`], and interns each state's joint
+//!   signature — the relevant nodes' windows, in node order, packed back
+//!   to back as raw bits — into a collision-free dense id
 //!   ([`wsn_bitset::WordSeqInterner`]); the memo key becomes
-//!   `(StateId, pattern-class)`. An exact result is stored at the smallest
-//!   horizon certifying it, so short remainders — the bulk of the state
-//!   space — fold across the thousands of phases that look alike near the
-//!   end of a broadcast. Lookups probe every ladder level plus the raw
-//!   phase (the store of last resort), and never insert signatures, so
-//!   misses cost nothing. Reconstruction re-derives any suffix whose
-//!   memoized choices came from a folded phase by re-running the (warm)
-//!   search from that state.
+//!   `(StateId, pattern-class)`. The signature needs no per-node ids:
+//!   `R(W)` is a function of `W`, whose id is the other half of the key,
+//!   so a window's position in the signature names its node. An exact
+//!   result is stored at the smallest horizon certifying it, so short
+//!   remainders — the bulk of the state space — fold across the
+//!   thousands of phases that look alike near the end of a broadcast.
+//!   Lookups probe every ladder level plus the raw phase (the store of
+//!   last resort), and never insert signatures, so misses cost nothing.
+//!   Reconstruction re-derives any suffix whose memoized choices came
+//!   from a folded phase by re-running the (warm) search from that state.
 //! * **Superset dominance** (OPT on one channel, outside exhaustive mode).
 //!   For the all-colors value function, `W ⊆ W'` implies
 //!   `rem(W) ≥ rem(W')` (the larger set can simulate any continuation of
@@ -104,7 +107,7 @@
 //!   flagged inexact. Complete enumeration cannot be the default: on the
 //!   300-node paper instances a state can have more than 10⁶ maximal sets.
 
-use crate::bounds::{remaining_hops_profile, FloodBound};
+use crate::bounds::{FloodBound, HopBound};
 use crate::pipeline::{run_pipeline_model, MaxReceiversSelector, PipelineConfig};
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::trace::{SearchTrace, TraceOption, TraceState};
@@ -193,8 +196,10 @@ pub struct SearchStats {
     /// memoized states after phase folding (equals the distinct
     /// `(W, phase)` keys when folding is off or trivial).
     pub memo_entries: usize,
-    /// Distinct joint wake-pattern classes interned by the phase folder
-    /// (0 when folding is off or the schedule has period 1).
+    /// Distinct joint wake-pattern signatures interned by the phase
+    /// folder, counted per fold level across all states: two states whose
+    /// relevant windows pack to the same bits share one class (0 when
+    /// folding is off or the schedule has period 1).
     pub phase_classes: usize,
     /// Branches or states pruned by superset dominance (memo-store scans
     /// plus sibling coverage subsumption).
@@ -396,23 +401,19 @@ fn is_superset(sup: &[u64], sub: &[u64]) -> bool {
 }
 
 /// The phase-folding tables: a rendered wake schedule, the horizon ladder,
-/// and the interners that canonicalize restricted wake-pattern windows to
-/// dense collision-free class ids (see the module-level DESIGN note).
+/// and the interner that canonicalizes restricted wake-pattern signatures
+/// to dense collision-free class ids (see the module-level DESIGN note).
 struct PhaseFolder {
     table: WakePatternTable,
     /// Ascending fold horizons, all `< period`; the last is the first
     /// ladder rung at or above the root budget (so every non-exhaustive
     /// remainder has a certifying level) unless the period clamps earlier.
     levels: Vec<u32>,
-    /// Per-node wake windows, namespaced by `(level, node)`.
-    windows: WordSeqInterner,
-    /// Per-state joint signatures over the relevant set, namespaced by
-    /// level.
+    /// Joint signatures — the relevant nodes' windows, packed — namespaced
+    /// by level.
     joints: WordSeqInterner,
     /// Scratch: the relevant set `R(W)` of the state being keyed.
     relevant: NodeSet,
-    /// Scratch: per-node window ids of the current signature.
-    ids: Vec<u32>,
     /// Scratch: the packed joint signature.
     packed: Vec<u64>,
     /// Scratch: window extraction buffer.
@@ -436,13 +437,12 @@ impl PhaseFolder {
         if levels.is_empty() {
             return None;
         }
+        debug_assert!(levels.iter().all(|&h| 64 % h == 0 || h % 64 == 0));
         Some(PhaseFolder {
             table: WakePatternTable::build(wake, n),
             levels,
-            windows: WordSeqInterner::new(),
             joints: WordSeqInterner::new(),
             relevant: NodeSet::new(n),
-            ids: Vec::new(),
             packed: Vec::new(),
             wbuf: Vec::new(),
         })
@@ -460,38 +460,35 @@ impl PhaseFolder {
     }
 
     /// The memo key of the prepared state at fold level `li` and `phase`.
-    /// With `insert` false (lookups) the key exists only if the exact
-    /// signature was interned by an earlier store; misses return `None`
-    /// without touching the arenas.
+    /// The signature is every relevant node's `horizon`-bit window, in
+    /// node order, packed back to back. With `insert` false (lookups) the
+    /// key exists only if the exact signature was interned by an earlier
+    /// store; misses return `None` without touching the arena.
     fn key_at(&mut self, li: usize, phase: Slot, insert: bool) -> Option<u64> {
         let PhaseFolder {
             table,
             levels,
-            windows,
             joints,
             relevant,
-            ids,
             packed,
             wbuf,
         } = self;
         let horizon = levels[li];
-        ids.clear();
+        // Every horizon is 8·4^k: a window fills whole words or packs
+        // evenly into one, so none straddles a word boundary.
+        let used = (horizon as usize).min(64);
+        packed.clear();
+        let mut bits = 0usize;
         for u in relevant.iter() {
             wbuf.clear();
             table.window(u, phase, horizon, wbuf);
-            let ns = ((li as u64) << 32) | u as u64;
-            let id = if insert {
-                windows.intern(ns, wbuf)
-            } else {
-                windows.get(ns, wbuf)?
-            };
-            ids.push(id);
-        }
-        packed.clear();
-        packed.push(ids.len() as u64);
-        for pair in ids.chunks(2) {
-            let hi = pair.get(1).copied().unwrap_or(u32::MAX) as u64;
-            packed.push(((pair[0] as u64) << 32) | hi);
+            for &w in wbuf.iter() {
+                match bits % 64 {
+                    0 => packed.push(w),
+                    off => *packed.last_mut().expect("a partial word is open") |= w << off,
+                }
+                bits += used;
+            }
         }
         let joint = if insert {
             joints.intern(li as u64, packed)
@@ -558,6 +555,8 @@ struct Searcher<'a, S: WakeSchedule, M: ConflictModel> {
     /// Shared substrate: scratch sets, candidate buffers, and the
     /// incrementally-maintained conflict graph.
     state: &'a mut BroadcastState,
+    /// Scratch for the per-state hop bound.
+    hops: HopBound,
     /// Scratch for the per-state wake-aware flood bound.
     flood: FloodBound,
     /// Scratch: the uninformed set of the state being branched (channel
@@ -600,6 +599,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             gave_up: false,
             state_limit: config.max_states,
             state,
+            hops: HopBound::new(),
             flood: FloodBound::new(),
             unf_scratch: NodeSet::new(topo.len()),
             stats: SearchStats::default(),
@@ -724,7 +724,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
     /// is capped at `latency + 1`, which is all a comparison with
     /// `latency` needs.
     fn root_bound(&mut self, w0: &NodeSet, t_s: Slot, latency: Slot) -> Slot {
-        let hop = remaining_hops_profile(self.topo, w0).0;
+        let hop = self.hops.lower_bound(self.topo, w0);
         if self.wake.period() > 1 {
             hop.max(
                 self.flood
@@ -903,7 +903,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         self.stats.states += 1;
 
         // Admissible lower bound: farthest uninformed node in hops.
-        let hop_lb = remaining_hops_profile(self.topo, informed).0;
+        let hop_lb = self.hops.lower_bound(self.topo, informed);
         let mut lb = hop_lb.max(known_lb);
         if hop_lb > budget {
             self.stats.pruned += 1;
@@ -1248,6 +1248,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use wsn_dutycycle::{AlwaysAwake, ExplicitSchedule, WindowedRandom};
     use wsn_topology::{deploy, fixtures};
 
@@ -1385,6 +1386,63 @@ mod tests {
         // …but flagged inexact.
         assert!(!out.exact);
         assert!(out.stats.state_cap_hit);
+    }
+
+    /// Two phases share a fold key exactly when the relevant nodes'
+    /// windows agree, at every ladder level: the 8- and 32-slot levels
+    /// pack several windows per word, the 128- and 512-slot levels span
+    /// several words per window. Across states a key names the packed
+    /// bits and nothing else, so two states may share a class; the memo
+    /// tells them apart by their `StateId`.
+    #[test]
+    fn fold_keys_name_the_restricted_windows() {
+        let f = fixtures::fig2a();
+        let n = f.topo.len();
+        let wake = WindowedRandom::with_windows(n, 50, 7, 64);
+        let mut folder = PhaseFolder::new(&wake, n, 300).expect("period 3200 folds");
+        assert_eq!(folder.levels, [8, 32, 128, 512]);
+        // The source alone (every node relevant), and all but node "5"
+        // (only its neighbour "2" is relevant).
+        let sets = [
+            NodeSet::from_indices(n, [f.source.idx()]),
+            NodeSet::from_indices(n, [0, 1, 2, 3]),
+        ];
+        // Shared by both sets: each key against its level and packed bits.
+        let mut by_packed: HashMap<(usize, Vec<u64>), u64> = HashMap::new();
+        let mut packed_of: HashMap<u64, (usize, Vec<u64>)> = HashMap::new();
+        let mut keys_of_set: Vec<HashSet<u64>> = Vec::new();
+        for informed in &sets {
+            folder.prepare(&f.topo, informed);
+            let mut keys = HashSet::new();
+            for li in 0..folder.levels.len() {
+                let mut by_windows: HashMap<Vec<u64>, u64> = HashMap::new();
+                let mut by_key: HashMap<u64, Vec<u64>> = HashMap::new();
+                for phase in 0..wake.period() {
+                    let mut windows = Vec::new();
+                    for u in folder.relevant.iter() {
+                        folder
+                            .table
+                            .window(u, phase, folder.levels[li], &mut windows);
+                    }
+                    let key = folder.key_at(li, phase, true).expect("insert yields a key");
+                    let sig = (li, folder.packed.clone());
+                    assert_eq!(folder.key_at(li, phase, false), Some(key));
+                    assert_eq!(*by_windows.entry(windows.clone()).or_insert(key), key);
+                    assert_eq!(*by_key.entry(key).or_insert(windows.clone()), windows);
+                    assert_eq!(*by_packed.entry(sig.clone()).or_insert(key), key);
+                    assert_eq!(*packed_of.entry(key).or_insert(sig.clone()), sig);
+                    keys.insert(key);
+                }
+            }
+            keys_of_set.push(keys);
+        }
+        // At rate 50 most 8-slot windows are asleep: the all-zero word is
+        // one class for both sets.
+        assert!(keys_of_set[0]
+            .intersection(&keys_of_set[1])
+            .next()
+            .is_some());
+        assert_eq!(folder.joints.len(), by_packed.len());
     }
 
     /// The duty-cycle configurations the folding tests sweep.

@@ -45,8 +45,10 @@ pub struct WakePatternTable {
 impl WakePatternTable {
     /// Renders `wake` for nodes `0..n`.
     ///
-    /// Walks each node's sending slots via [`WakeSchedule::next_send`], so
-    /// the cost is `O(n · slots-per-two-periods)`, not `O(n · P)`.
+    /// Walks each node's sending slots via [`WakeSchedule::next_send`]:
+    /// one call per sending slot in two periods, so `O(n · sends)` calls,
+    /// not `O(n · P)` slot tests. On [`crate::WindowedRandom`] a node takes
+    /// `2 × windows` calls of two 64-bit divisions each.
     pub fn build<S: WakeSchedule>(wake: &S, n: usize) -> Self {
         let period = wake.period();
         assert!(period > 0, "wake schedule must have a positive period");
@@ -158,6 +160,12 @@ mod tests {
         let table = WakePatternTable::build(&wake, 6);
         assert_eq!(table.period(), 70);
         assert_eq!(table.len(), 6);
+        assert_window_matches(&wake, &table, 6);
+        // Paper-grid's schedule: rate 10 over 64 windows, so each doubled
+        // row spans 1 280 slots in 20 words.
+        let wake = WindowedRandom::with_windows(6, 10, 2012, 64);
+        let table = WakePatternTable::build(&wake, 6);
+        assert_eq!((table.period(), table.stride), (640, 20));
         assert_window_matches(&wake, &table, 6);
     }
 

@@ -56,10 +56,9 @@ pub fn bfs_hops_masked(topo: &Topology, source: NodeId, excluded: &NodeSet) -> V
 /// Multi-source BFS: hop distance from the nearest member of `sources`.
 ///
 /// A queue BFS over the CSR lists, so it costs `O(n + E)` on any size of
-/// topology. The exact searches compute the same profile with a
-/// word-parallel BFS over the neighbour masks
-/// (`mlbs_core::bounds::remaining_hops_profile`); this function is its
-/// test oracle.
+/// topology. The exact searches take the farthest uninformed node's
+/// distance from a word-parallel BFS over the neighbour masks
+/// (`mlbs_core::bounds::HopBound`); this function is its test oracle.
 pub fn bfs_hops_from_set(topo: &Topology, sources: &NodeSet) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; topo.len()];
     let mut queue = VecDeque::new();

@@ -5,9 +5,10 @@
 //! every node is always able to send, the flood must collapse to the hop
 //! bound.
 //!
-//! The hop bound itself (`remaining_hops_profile`, a word-parallel BFS over
-//! the neighbour masks) must return exactly the profile of the queue BFS
-//! `metrics::bfs_hops_from_set`, and its maximum over the uninformed nodes.
+//! The hop bound itself (`HopBound`, a direction-optimizing BFS over the
+//! neighbour masks) must return exactly the farthest uninformed node's
+//! distance under the queue BFS `metrics::bfs_hops_from_set`, also when one
+//! scratch is reused across topologies of different sizes.
 //!
 //! OPT's `exact` flag rests on these bounds (a result that meets the root
 //! bound is certified whatever the beam did) and on the lazy
@@ -16,7 +17,7 @@
 //! exhaustive OPT, and no result may beat exhaustive OPT. Half the cases
 //! starve the search of states, so that only the root bound can certify.
 
-use mlbs::core::bounds::{remaining_hops_profile, FloodBound};
+use mlbs::core::bounds::{FloodBound, HopBound};
 use mlbs::core::SearchConfig;
 use mlbs::prelude::*;
 use proptest::prelude::*;
@@ -225,7 +226,7 @@ proptest! {
         let n = topo.len();
         let mut informed = NodeSet::from_indices(n, (0..n).filter(|&i| mask >> i & 1 == 1));
         informed.insert(src.idx());
-        let hops = remaining_hops_profile(&topo, &informed).0;
+        let hops = HopBound::new().lower_bound(&topo, &informed);
         let mut flood = FloodBound::new();
         prop_assert_eq!(
             flood.lower_bound(&topo, &AlwaysAwake, &informed, t, Slot::MAX),
@@ -243,16 +244,22 @@ proptest! {
         set_seed in 0u64..1_000_000,
     ) {
         let informed = informed_set(topo.len(), mode, set_seed);
-        let oracle = metrics::bfs_hops_from_set(&topo, &informed);
-        let far = (0..topo.len())
-            .filter(|&u| !informed.contains(u))
-            .map(|u| oracle[u])
-            .max()
-            .unwrap_or(0);
-        let (lb, dist) = remaining_hops_profile(&topo, &informed);
-        prop_assert_eq!(lb, far as Slot);
-        prop_assert_eq!(dist, oracle);
+        prop_assert_eq!(
+            HopBound::new().lower_bound(&topo, &informed),
+            oracle_far(&topo, &informed)
+        );
     }
+}
+
+/// The farthest uninformed node's hop distance from `informed` under the
+/// queue BFS.
+fn oracle_far(topo: &Topology, informed: &NodeSet) -> Slot {
+    let dist = metrics::bfs_hops_from_set(topo, informed);
+    (0..topo.len())
+        .filter(|&u| !informed.contains(u))
+        .map(|u| dist[u] as Slot)
+        .max()
+        .unwrap_or(0)
 }
 
 /// The same identity on paper-grid's heaviest instance (300 nodes,
@@ -265,6 +272,36 @@ fn hop_profile_matches_the_queue_bfs_on_the_heavy_instance() {
     let hops = metrics::bfs_hops(&topo, src);
     let informed = NodeSet::from_indices(n, (0..n).filter(|&u| hops[u] <= 3));
     assert!(!informed.is_full(), "the informed set must be mid-search");
-    let (_, dist) = remaining_hops_profile(&topo, &informed);
-    assert_eq!(dist, metrics::bfs_hops_from_set(&topo, &informed));
+    assert_eq!(
+        HopBound::new().lower_bound(&topo, &informed),
+        oracle_far(&topo, &informed)
+    );
+}
+
+/// One `HopBound` reused across `paper(60)`, `paper(300)` and `paper(60)`
+/// again, so its scratch grows and then serves a smaller topology. On each,
+/// a singleton set walks the whole depth, an all-but-one set stops after
+/// one level, and the nodes within three hops of the source sit between.
+#[test]
+fn hop_bound_reuses_its_scratch_across_topologies() {
+    let mut hops = HopBound::new();
+    for n in [60, 300, 60] {
+        let (topo, src) = SyntheticDeployment::paper(n).sample(0x5EED_2012 ^ ((n as u64) << 16));
+        let from_src = metrics::bfs_hops(&topo, src);
+        let far_node = (0..n).max_by_key(|&u| from_src[u]).unwrap();
+        let sets = [
+            NodeSet::from_indices(n, [src.idx()]),
+            NodeSet::from_indices(n, (0..n).filter(|&u| u != far_node)),
+            NodeSet::from_indices(n, (0..n).filter(|&u| from_src[u] <= 3)),
+        ];
+        for informed in &sets {
+            assert!(!informed.is_full());
+            assert_eq!(
+                hops.lower_bound(&topo, informed),
+                oracle_far(&topo, informed),
+                "n = {n}, |W| = {}",
+                informed.len()
+            );
+        }
+    }
 }

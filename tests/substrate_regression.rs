@@ -117,15 +117,22 @@ fn substrate_halves_conflict_row_computations() {
 /// figure sweeps run): latencies, exactness, and the conflict-row
 /// accounting shape of the duty-cycle searches.
 ///
-/// `(nodes, deployment seed, rate, OPT latency)` — all exact under the
-/// adaptive budget (two of these were `exact: false` under the old
-/// constant caps).
-const DUTY_PINNED: &[(usize, u64, u32, u64)] = &[(100, 0, 50, 183), (200, 0, 10, 15)];
+/// `(nodes, deployment seed, rate, OPT latency, states, memo_hits,
+/// memo_entries, phase_classes)` — all exact under the adaptive budget (two
+/// of these were `exact: false` under the old constant caps). The counters
+/// pin the phase-fold keys: the rate-50 search folds at the 128- and
+/// 512-slot levels (multi-word windows), the rate-10 search at the 8- and
+/// 32-slot levels (several windows packed per word).
+#[allow(clippy::type_complexity)]
+const DUTY_PINNED: &[(usize, u64, u32, u64, usize, usize, usize, usize)] = &[
+    (100, 0, 50, 183, 47, 0, 47, 47),
+    (200, 0, 10, 15, 14, 0, 14, 14),
+];
 
 #[test]
 fn duty_adaptive_search_pins_and_row_accounting() {
     let mut substrate = BroadcastState::new();
-    for &(n, seed, rate, latency) in DUTY_PINNED {
+    for &(n, seed, rate, latency, states, hits, entries, classes) in DUTY_PINNED {
         let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
         let wake = WindowedRandom::new(topo.len(), rate, seed ^ 0x57a6_6e8d);
         let cfg = AdaptiveBudget::default().config_for(Regime::Duty { rate }, n);
@@ -156,6 +163,12 @@ fn duty_adaptive_search_pins_and_row_accounting() {
         // The phase folder must be live on every duty search.
         assert!(out.stats.phase_classes > 0);
         assert!(out.stats.memo_entries <= out.stats.states);
+        let s = &out.stats;
+        assert_eq!(
+            (s.states, s.memo_hits, s.memo_entries, s.phase_classes),
+            (states, hits, entries, classes),
+            "n={n} seed={seed} rate={rate}: duty OPT search path drifted"
+        );
     }
 }
 

@@ -14,7 +14,9 @@ pub struct OnesIter<'a> {
 }
 
 impl<'a> OnesIter<'a> {
-    pub(crate) fn new(words: &'a [u64]) -> Self {
+    /// Iterates the set bits of raw bitset words (bit `b` of word `i` is
+    /// index `64·i + b`), for callers that keep bitsets as word slices.
+    pub fn new(words: &'a [u64]) -> Self {
         OnesIter {
             words,
             word_idx: 0,

@@ -10,7 +10,9 @@
 //!
 //! The number of maximal sets can grow exponentially; [`maximal_conflict_free_sets`]
 //! accepts a cap and reports whether it truncated, which is how the OPT
-//! solver distinguishes "exact" from "beam" mode.
+//! solver distinguishes "exact" from "beam" mode. An optional covering
+//! constraint ([`HitMasks`]) restricts it to the sets whose members'
+//! masks cover a target, cutting every subtree that cannot.
 
 use wsn_bitset::NodeSet;
 use wsn_interference::ConflictGraph;
@@ -26,37 +28,63 @@ pub struct EnumerationOutcome {
     pub truncated: bool,
 }
 
+/// A covering constraint on the enumerated sets: a set qualifies when the
+/// masks of its members cover `target`. The OPT search uses it at a state
+/// whose budget equals its hop bound, with one bit per far node (see
+/// `mlbs_core::bounds::HopBound::hit_masks`).
+#[derive(Clone, Copy, Debug)]
+pub struct HitMasks<'a> {
+    /// One mask per candidate index.
+    pub masks: &'a [u64],
+    /// The bits a qualifying set must cover.
+    pub target: u64,
+}
+
 /// Enumerates maximal conflict-free subsets of the candidates in `cg`,
-/// stopping after `cap` sets.
+/// stopping after `cap` visits. With `hit`, only the sets that cover
+/// `hit.target` are enumerated.
+///
+/// A visit is an enumerated set or, with `hit`, a subtree cut because its
+/// chosen and still-possible members cannot cover the target. Without
+/// `hit` the cap therefore counts sets. With it, the cap also bounds the
+/// work spent on sets that do not qualify, and running out of visits
+/// reports `truncated` like running out of sets. The qualifying sets come
+/// out in the order the unconstrained enumeration finds them.
 ///
 /// Candidates with no conflicts at all end up together in every maximal
 /// set that can host them (standard Bron–Kerbosch behaviour on the
 /// complement graph).
-pub fn maximal_conflict_free_sets(cg: &ConflictGraph, cap: usize) -> EnumerationOutcome {
+pub fn maximal_conflict_free_sets(
+    cg: &ConflictGraph,
+    cap: usize,
+    hit: Option<HitMasks<'_>>,
+) -> EnumerationOutcome {
     let k = cg.len();
-    let mut out = EnumerationOutcome {
-        sets: Vec::new(),
-        truncated: false,
+    let mut bk = BronKerbosch {
+        // Complement adjacency: candidate i is "compatible" with j when
+        // they do NOT conflict (and i ≠ j).
+        compat: (0..k)
+            .map(|i| {
+                let mut row = cg.row(i).complement();
+                row.remove(i);
+                row
+            })
+            .collect(),
+        cap,
+        hit,
+        visits: 0,
+        out: EnumerationOutcome {
+            sets: Vec::new(),
+            truncated: false,
+        },
     };
-    if k == 0 {
-        return out;
+    if k > 0 {
+        let mut r = NodeSet::new(k);
+        let mut p = NodeSet::full(k);
+        let mut x = NodeSet::new(k);
+        bk.expand(&mut r, &mut p, &mut x, 0);
     }
-
-    // Complement adjacency: candidate i is "compatible" with j when they do
-    // NOT conflict (and i ≠ j).
-    let compat: Vec<NodeSet> = (0..k)
-        .map(|i| {
-            let mut row = cg.row(i).complement();
-            row.remove(i);
-            row
-        })
-        .collect();
-
-    let mut r = NodeSet::new(k);
-    let mut p = NodeSet::full(k);
-    let mut x = NodeSet::new(k);
-    bron_kerbosch(&compat, &mut r, &mut p, &mut x, cap, &mut out);
-    out
+    bk.out
 }
 
 /// Greedily extends a conflict-free sender set to an inclusion-maximal one
@@ -85,47 +113,70 @@ pub fn extend_to_maximal(cg: &ConflictGraph, base: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// Classic Bron–Kerbosch with pivoting. `r` = current clique, `p` =
-/// candidates, `x` = excluded. Stops expanding once `cap` sets are found.
-fn bron_kerbosch(
-    compat: &[NodeSet],
-    r: &mut NodeSet,
-    p: &mut NodeSet,
-    x: &mut NodeSet,
+/// Classic Bron–Kerbosch with pivoting over the complement adjacency,
+/// with an optional covering cut and a visit budget.
+struct BronKerbosch<'a> {
+    compat: Vec<NodeSet>,
     cap: usize,
-    out: &mut EnumerationOutcome,
-) {
-    if out.sets.len() >= cap {
-        out.truncated = true;
-        return;
-    }
-    if p.is_empty() && x.is_empty() {
-        out.sets.push(r.to_vec());
-        return;
-    }
+    hit: Option<HitMasks<'a>>,
+    /// Sets enumerated plus subtrees cut by the covering test.
+    visits: usize,
+    out: EnumerationOutcome,
+}
 
-    // Pivot: the member of P ∪ X with the most compatibilities inside P,
-    // minimizing the branching |P ∖ compat(pivot)|.
-    let pivot = p
-        .iter()
-        .chain(x.iter())
-        .max_by_key(|&u| compat[u].intersection_len(p))
-        .expect("P ∪ X non-empty here");
-
-    let branch: Vec<usize> = p.difference(&compat[pivot]).to_vec();
-    for v in branch {
-        if out.sets.len() >= cap {
-            out.truncated = true;
+impl BronKerbosch<'_> {
+    /// Expands `r` = current clique, `p` = candidates, `x` = excluded;
+    /// `r_mask` is the union of the members' hit masks.
+    fn expand(&mut self, r: &mut NodeSet, p: &mut NodeSet, x: &mut NodeSet, r_mask: u64) {
+        if self.visits >= self.cap {
+            self.out.truncated = true;
             return;
         }
-        // Recurse with R ∪ {v}, P ∩ compat(v), X ∩ compat(v).
-        r.insert(v);
-        let mut p2 = p.intersection(&compat[v]);
-        let mut x2 = x.intersection(&compat[v]);
-        bron_kerbosch(compat, r, &mut p2, &mut x2, cap, out);
-        r.remove(v);
-        p.remove(v);
-        x.insert(v);
+        if let Some(hit) = self.hit {
+            // Every set found below is `r` plus members of `p`.
+            let mut reach = r_mask;
+            for i in p.iter() {
+                if reach & hit.target == hit.target {
+                    break;
+                }
+                reach |= hit.masks[i];
+            }
+            if reach & hit.target != hit.target {
+                self.visits += 1;
+                return;
+            }
+        }
+        if p.is_empty() && x.is_empty() {
+            self.out.sets.push(r.to_vec());
+            self.visits += 1;
+            return;
+        }
+
+        // Pivot: the member of P ∪ X with the most compatibilities inside
+        // P, minimizing the branching |P ∖ compat(pivot)|.
+        let compat = &self.compat;
+        let pivot = p
+            .iter()
+            .chain(x.iter())
+            .max_by_key(|&u| compat[u].intersection_len(p))
+            .expect("P ∪ X non-empty here");
+
+        let branch: Vec<usize> = p.difference(&compat[pivot]).to_vec();
+        for v in branch {
+            if self.visits >= self.cap {
+                self.out.truncated = true;
+                return;
+            }
+            // Recurse with R ∪ {v}, P ∩ compat(v), X ∩ compat(v).
+            r.insert(v);
+            let mut p2 = p.intersection(&self.compat[v]);
+            let mut x2 = x.intersection(&self.compat[v]);
+            let v_mask = self.hit.map_or(0, |hit| hit.masks[v]);
+            self.expand(r, &mut p2, &mut x2, r_mask | v_mask);
+            r.remove(v);
+            p.remove(v);
+            x.insert(v);
+        }
     }
 }
 
@@ -152,7 +203,7 @@ mod tests {
         // maximal sets are {2} and {3}.
         let f = fixtures::fig2a();
         let (cg, _) = build_cg(&f, &[0, 1, 2], &["2", "3"]);
-        let out = maximal_conflict_free_sets(&cg, 100);
+        let out = maximal_conflict_free_sets(&cg, 100, None);
         assert!(!out.truncated);
         let mut sets = out.sets.clone();
         sets.sort();
@@ -166,7 +217,7 @@ mod tests {
         // Maximal conflict-free sets: {0,4}, {0,10}, {3}.
         let f = fixtures::fig1();
         let (cg, cands) = build_cg(&f, &[11, 0, 1, 2, 3, 4, 10], &["0", "3", "4", "10"]);
-        let out = maximal_conflict_free_sets(&cg, 100);
+        let out = maximal_conflict_free_sets(&cg, 100, None);
         assert!(!out.truncated);
         let mut as_labels: Vec<Vec<&str>> = out
             .sets
@@ -189,7 +240,7 @@ mod tests {
         // candidates 4, 9, 10 all conflict pairwise at 8 → three singletons.
         let informed: Vec<usize> = (0..12).filter(|&i| i != 8).collect();
         let (cg, _) = build_cg(&f, &informed, &["4", "9", "10"]);
-        let out = maximal_conflict_free_sets(&cg, 100);
+        let out = maximal_conflict_free_sets(&cg, 100, None);
         let mut sets = out.sets.clone();
         sets.sort();
         assert_eq!(sets, vec![vec![0], vec![1], vec![2]]);
@@ -199,16 +250,43 @@ mod tests {
     fn cap_truncates_and_reports() {
         let f = fixtures::fig1();
         let (cg, _) = build_cg(&f, &[11, 0, 1, 2, 3, 4, 10], &["0", "3", "4", "10"]);
-        let out = maximal_conflict_free_sets(&cg, 1);
+        let out = maximal_conflict_free_sets(&cg, 1, None);
         assert!(out.truncated);
         assert_eq!(out.sets.len(), 1);
+    }
+
+    #[test]
+    fn hit_masks_cut_subtrees_and_spend_visits() {
+        // The state above, where only {3} may cover the target: the first
+        // subtree (under "0") cannot and is cut, then {3} is found.
+        let f = fixtures::fig1();
+        let (cg, cands) = build_cg(&f, &[11, 0, 1, 2, 3, 4, 10], &["0", "3", "4", "10"]);
+        let masks: Vec<u64> = cands.iter().map(|&u| u64::from(u == f.id("3"))).collect();
+        let hit = HitMasks {
+            masks: &masks,
+            target: 1,
+        };
+        let out = maximal_conflict_free_sets(&cg, 2, Some(hit));
+        assert!(!out.truncated);
+        assert_eq!(out.sets, vec![vec![1]]);
+        // The cut spent the only visit of a cap of one.
+        let out = maximal_conflict_free_sets(&cg, 1, Some(hit));
+        assert!(out.truncated);
+        assert!(out.sets.is_empty());
+        // A target no candidate can reach is cut at the root.
+        let none = HitMasks {
+            masks: &masks,
+            target: 2,
+        };
+        let out = maximal_conflict_free_sets(&cg, 1, Some(none));
+        assert!(!out.truncated && out.sets.is_empty());
     }
 
     #[test]
     fn empty_candidates() {
         let f = fixtures::fig2a();
         let (cg, _) = build_cg(&f, &[0], &[]);
-        let out = maximal_conflict_free_sets(&cg, 10);
+        let out = maximal_conflict_free_sets(&cg, 10, None);
         assert!(out.sets.is_empty());
         assert!(!out.truncated);
     }
@@ -220,7 +298,7 @@ mod tests {
         let w = NodeSet::from_indices(12, informed.iter().copied());
         let cands = crate::eligible_senders(&f.topo, &w);
         let cg = ConflictGraph::build(&f.topo, &cands, &w.complement());
-        let out = maximal_conflict_free_sets(&cg, 1000);
+        let out = maximal_conflict_free_sets(&cg, 1000, None);
         assert!(!out.truncated);
         assert!(!out.sets.is_empty());
         for set in &out.sets {

@@ -16,7 +16,8 @@
 //!   and the schedule verifier;
 //! * [`maximal_conflict_free_sets`] — every inclusion-maximal conflict-free
 //!   sender set (Bron–Kerbosch over the conflict-graph complement), the
-//!   branch set of the OPT search ("any possible color", Eq. 5/6);
+//!   branch set of the OPT search ("any possible color", Eq. 5/6),
+//!   optionally only those covering a [`HitMasks`] target;
 //! * [`BroadcastState`] — the reusable broadcast-state substrate every
 //!   scheduler threads through: informed/uninformed scratch sets, the
 //!   candidate list, and a delta-maintained conflict graph shared between
@@ -29,7 +30,7 @@ mod substrate;
 mod validity;
 
 pub use channels::{greedy_pack_order, pack_channels, pack_channels_ordered};
-pub use enumerate::{extend_to_maximal, maximal_conflict_free_sets, EnumerationOutcome};
+pub use enumerate::{extend_to_maximal, maximal_conflict_free_sets, EnumerationOutcome, HitMasks};
 pub use greedy::{greedy_classes_on_graph, greedy_coloring, greedy_coloring_of_candidates};
 pub use substrate::BroadcastState;
 pub use validity::{validate_coloring, ColoringViolation};

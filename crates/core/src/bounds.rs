@@ -35,7 +35,8 @@
 //! the two bounds coincide; under a duty cycle the flood also counts the
 //! waits for wake-ups.
 
-use wsn_bitset::NodeSet;
+use wsn_bitset::{NodeSet, OnesIter};
+use wsn_coloring::HitMasks;
 use wsn_dutycycle::{Slot, WakeSchedule};
 use wsn_topology::{metrics, NodeId, Topology};
 
@@ -77,14 +78,24 @@ pub fn max_neighbor_wait<S: WakeSchedule>(topo: &Topology, wake: &S) -> Slot {
 /// set `W`: the farthest uninformed node in hops (see the module doc), with
 /// the scratch it reuses across calls so a search allocates nothing per
 /// state.
+///
+/// It keeps the BFS levels of its last call, so a search at a tight state
+/// (budget equal to the bound) can ask which senders move the farthest
+/// nodes one hop closer: [`HopBound::hit_masks`].
 #[derive(Debug, Default)]
 pub struct HopBound {
     /// Bitset words of the nodes reached so far.
     reached: Vec<u64>,
-    /// Bitset words of the current BFS level.
-    frontier: Vec<u64>,
-    /// Bitset words of the level being built.
-    next: Vec<u64>,
+    /// The BFS levels of the last call, back to back: level `k` (level 0
+    /// is `W`) occupies words `k·words .. (k + 1)·words`.
+    levels: Vec<u64>,
+    /// Words per level.
+    words: usize,
+    /// Index of the last non-empty level: the bound of the last call.
+    depth: usize,
+    /// Scratch of [`HopBound::hit_masks`]: per node, the far nodes it lies
+    /// on a shortest path to.
+    node_masks: Vec<u64>,
 }
 
 impl HopBound {
@@ -103,22 +114,24 @@ impl HopBound {
     pub fn lower_bound(&mut self, topo: &Topology, informed: &NodeSet) -> Slot {
         let n = topo.len();
         let mut unreached = n - informed.len();
+        let words = informed.words().len();
+        self.words = words;
+        self.depth = 0;
         if unreached == 0 {
             return 0;
         }
         let HopBound {
-            reached,
-            frontier,
-            next,
+            reached, levels, ..
         } = self;
         reached.clear();
         reached.extend_from_slice(informed.words());
-        frontier.clear();
-        frontier.extend_from_slice(informed.words());
-        next.resize(reached.len(), 0);
+        levels.clear();
+        levels.extend_from_slice(informed.words());
         let mut far = 0;
         while unreached > 0 {
-            next.fill(0);
+            levels.resize(levels.len() + words, 0);
+            let (done, next) = levels.split_at_mut(far * words + words);
+            let frontier = &done[far * words..];
             for (wi, &word) in frontier.iter().enumerate() {
                 let mut word = word;
                 while word != 0 {
@@ -130,29 +143,105 @@ impl HopBound {
                     }
                 }
             }
-            for (acc, &seen) in next.iter_mut().zip(reached.iter()) {
-                *acc &= !seen;
-            }
             let mut level = 0;
-            for (seen, &w) in reached.iter_mut().zip(next.iter()) {
-                *seen |= w;
-                level += w.count_ones() as usize;
+            for (acc, seen) in next.iter_mut().zip(reached.iter_mut()) {
+                *acc &= !*seen;
+                *seen |= *acc;
+                level += acc.count_ones() as usize;
             }
             if level == 0 {
                 break;
             }
             far += 1;
             unreached -= level;
-            std::mem::swap(frontier, next);
         }
         debug_assert!(
             unreached == 0,
             "lower bound undefined on disconnected instances"
         );
+        self.depth = far;
         if unreached > 0 {
-            far = metrics::UNREACHABLE;
+            return metrics::UNREACHABLE as Slot;
         }
         far as Slot
+    }
+
+    /// For the state of the last [`HopBound::lower_bound`] call, with bound
+    /// `h ≥ 1`: fills `masks[i]` with the far nodes (uninformed nodes at
+    /// distance `h`) that a relay by `candidates[i]` brings one hop closer,
+    /// and returns those masks with the mask of every far node as the
+    /// target. At most 64 far nodes get a bit, the lowest ids first.
+    ///
+    /// A sender set leaves the next state's hop bound at `h` unless, for
+    /// every far node `x`, it informs a node of level 1 (an uninformed
+    /// neighbour of `W`) on a shortest path to `x`: nodes of `W` are `h`
+    /// hops from `x`, so only a new level-1 node can be `h − 1` hops from
+    /// it. Bit `j` of `masks[i]` is set exactly when `candidates[i]` has
+    /// such a neighbour for far node `j`, so a set whose masks do not
+    /// cover the returned mask cannot finish within `h` slots. Any subset
+    /// of the far nodes gives a necessary condition, so the 64-node limit
+    /// costs strength, not soundness.
+    ///
+    /// One backward pass over the levels: a node of level `k` inherits the
+    /// masks of its neighbours in level `k + 1`.
+    pub fn hit_masks<'m>(
+        &mut self,
+        topo: &Topology,
+        candidates: &[NodeId],
+        masks: &'m mut Vec<u64>,
+    ) -> HitMasks<'m> {
+        let HopBound {
+            levels,
+            words,
+            depth,
+            node_masks,
+            ..
+        } = self;
+        let (words, depth) = (*words, *depth);
+        assert!(depth >= 1, "hit masks need a state with uninformed nodes");
+        let level = |k: usize| &levels[k * words..(k + 1) * words];
+        node_masks.resize(topo.len(), 0);
+        for k in 1..depth {
+            for u in OnesIter::new(level(k)) {
+                node_masks[u] = 0;
+            }
+        }
+        let mut target = 0u64;
+        for (j, x) in OnesIter::new(level(depth)).enumerate() {
+            let bit = if j < 64 { 1 << j } else { 0 };
+            node_masks[x] = bit;
+            target |= bit;
+        }
+        for k in (2..=depth).rev() {
+            for z in OnesIter::new(level(k)) {
+                let mask = node_masks[z];
+                if mask != 0 {
+                    let nbrs = topo.neighbor_set(NodeId(z as u32)).words();
+                    for_each_in_both(nbrs, level(k - 1), |y| node_masks[y] |= mask);
+                }
+            }
+        }
+        masks.clear();
+        masks.extend(candidates.iter().map(|&c| {
+            let mut mask = 0;
+            for_each_in_both(topo.neighbor_set(c).words(), level(1), |y| {
+                mask |= node_masks[y]
+            });
+            mask
+        }));
+        HitMasks { masks, target }
+    }
+}
+
+/// Calls `f` on every index set in both bitsets `a` and `b`, ascending.
+#[inline]
+fn for_each_in_both(a: &[u64], b: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, (&x, &y)) in a.iter().zip(b).enumerate() {
+        let mut w = x & y;
+        while w != 0 {
+            f(wi * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
     }
 }
 

@@ -22,7 +22,9 @@
 //! * **Branch rules** — greedy classes (G-OPT), or every maximal
 //!   conflict-free sender set plus the maximal extensions of the greedy
 //!   classes (OPT; including the extensions guarantees OPT ≤ G-OPT even
-//!   when the enumeration cap truncates).
+//!   when the enumeration cap truncates). At a state whose budget equals
+//!   its hop bound, both keep only the sets that bring every farthest
+//!   node one hop closer (the tight-state note below).
 //!
 //! Monotonicity (a larger informed set can always simulate a smaller one)
 //! justifies both never-defer and maximal-set branching; the property tests
@@ -106,6 +108,44 @@
 //!   schedule or shows there is none. Otherwise the beam result stands,
 //!   flagged inexact. Complete enumeration cannot be the default: on the
 //!   300-node paper instances a state can have more than 10⁶ maximal sets.
+//!
+//! # DESIGN: tight states
+//!
+//! A state `W` whose remaining budget equals its hop bound `h` is *tight*:
+//! a child whose hop bound is still `h` exceeds the child's budget `h − 1`
+//! and is pruned on entry. Call the uninformed nodes `h` hops from `W` the
+//! *far* nodes. A child informs only level-1 nodes (uninformed neighbours
+//! of `W`), and every node of `W` is at least `h` hops from a far node, so
+//! the child's bound drops below `h` exactly when, for every far node
+//! `x`, the senders inform a level-1 node on a shortest path to `x`.
+//! [`HopBound::hit_masks`] turns that into one `u64` per candidate: the
+//! far nodes it brings one hop closer (the 64 lowest ids when there are
+//! more; any subset of the far nodes still gives a necessary condition).
+//! OPT's Bron–Kerbosch then enumerates only the sets whose masks cover
+//! every far bit, cutting a subtree as soon as its chosen and
+//! still-possible senders cannot ([`wsn_coloring::HitMasks`]). The greedy
+//! classes, extended (OPT) or not (G-OPT), are filtered by the same masks.
+//!
+//! Dropping such a set never loses a schedule within the budget: its
+//! child is one the hop bound (or a memo entry) refuses on entry. What
+//! changes is where the beam looks. Without the rule, the 64 sets of a
+//! tight state's beam were the first that Bron–Kerbosch happened to find,
+//! and on paper-grid's `(300, 1)` deployment none of them met the hop
+//! bound for most of the search: sync OPT evaluated 909 states. With it,
+//! the beam holds only sets that can, and the search takes 36 states to
+//! the same exact 7 slots. A tight state may have no qualifying set at
+//! all; it then records the lower bound `budget + 1`, as a state does
+//! whose every branch fails.
+//!
+//! A cut subtree costs one visit of the enumeration's budget (the
+//! `branch_cap` of the beam, [`COMPLETE_SET_CAP`] in the complete pass),
+//! which counts enumerated sets plus cut subtrees. So a state whose few
+//! qualifying sets hide among many cut subtrees truncates instead of
+//! running long, and that truncation counts toward
+//! [`SearchStats::truncated_enumerations`] and the complete pass's give-up
+//! like any other. The rule is off under multi-channel models: packing
+//! adds senders on channels `1..K` after the seeds are chosen, so a seed
+//! that misses a far node may still reach it once packed.
 
 use crate::bounds::{FloodBound, HopBound};
 use crate::pipeline::{run_pipeline_model, MaxReceiversSelector, PipelineConfig};
@@ -113,8 +153,9 @@ use crate::schedule::{Schedule, ScheduleEntry};
 use crate::trace::{SearchTrace, TraceOption, TraceState};
 use std::collections::HashMap;
 use wsn_bitset::{NodeSet, SetInterner, StateId, WordSeqInterner};
-use wsn_coloring::{extend_to_maximal, maximal_conflict_free_sets, BroadcastState};
+use wsn_coloring::{extend_to_maximal, maximal_conflict_free_sets, BroadcastState, HitMasks};
 use wsn_dutycycle::{Slot, WakePatternTable, WakeSchedule};
+use wsn_interference::ConflictGraph;
 use wsn_phy::{ConflictModel, ProtocolModel};
 use wsn_topology::{NodeId, Topology};
 
@@ -126,10 +167,11 @@ pub struct SearchConfig {
     /// Slot from which the source may first transmit (`t_s` is its first
     /// sending slot at or after this).
     pub start_from: Slot,
-    /// OPT only: maximum number of maximal sets enumerated per state. A
-    /// state with more is branched as a beam over the first `branch_cap`
-    /// (plus the greedy-class extensions), which can cost exactness; see
-    /// the certification note in the module doc.
+    /// OPT only: maximum number of maximal sets enumerated per state
+    /// (at a tight state, sets plus subtrees cut by the hop-bound masks;
+    /// see the module doc). A state with more is branched as a beam over
+    /// the first `branch_cap` (plus the greedy-class extensions), which
+    /// can cost exactness; see the certification note in the module doc.
     pub branch_cap: usize,
     /// Hard cap on distinct states evaluated per pass; beyond it new
     /// states are abandoned (the search still returns a valid schedule,
@@ -162,6 +204,13 @@ impl Default for SearchConfig {
 }
 
 /// Search statistics.
+///
+/// `pruned`, `truncated_enumerations` and `memo_entries` are `u32`: a pass
+/// stops at [`SearchConfig::max_states`] states, and no configuration in
+/// the workspace comes near `u32::MAX` of them. Sweeps and the paper-grid
+/// benchmark keep one `SearchStats` per solve, so each word of this struct
+/// costs memory in proportion to the number of solves. The other counters
+/// stay `usize`, the type their callers sum them in.
 #[derive(Clone, Debug, Default)]
 pub struct SearchStats {
     /// `(W, phase)` state evaluations (re-evaluations after a lower-bound
@@ -170,10 +219,10 @@ pub struct SearchStats {
     /// Memo lookups that short-circuited a subtree.
     pub memo_hits: usize,
     /// Branches pruned by bound reasoning.
-    pub pruned: usize,
+    pub pruned: u32,
     /// States whose OPT enumeration hit the exploration cap (both passes:
     /// the beam and, when it runs, the complete enumeration).
-    pub truncated_enumerations: usize,
+    pub truncated_enumerations: u32,
     /// `true` when `max_states` stopped a pass somewhere.
     pub state_cap_hit: bool,
     /// Distinct informed sets canonicalized by the memo-key interner.
@@ -195,7 +244,7 @@ pub struct SearchStats {
     /// Entries in the memo at the end of the search — the distinct
     /// memoized states after phase folding (equals the distinct
     /// `(W, phase)` keys when folding is off or trivial).
-    pub memo_entries: usize,
+    pub memo_entries: u32,
     /// Distinct joint wake-pattern signatures interned by the phase
     /// folder, counted per fold level across all states: two states whose
     /// relevant windows pack to the same bits share one class (0 when
@@ -388,11 +437,20 @@ const FOLD_KEY: u64 = 1 << 63;
 const MAX_FOLD_LEVELS: usize = 8;
 
 /// Maximal sets per state the complete-enumeration pass may enumerate
-/// before it gives up (and the beam result stands, inexact).
+/// (counting subtrees cut at tight states) before it gives up (and the
+/// beam result stands, inexact).
 const COMPLETE_SET_CAP: usize = 4096;
 
 /// Exact results kept per phase for superset-dominance scans.
 const DOMINANCE_BUCKET_CAP: usize = 16;
+
+/// `true` when the hit masks of `set`'s members cover the target.
+fn covers(cg: &ConflictGraph, hit: HitMasks<'_>, set: &[NodeId]) -> bool {
+    let reach = set.iter().fold(0, |m, &u| {
+        m | hit.masks[cg.index_of(u).expect("branch members are candidates")]
+    });
+    reach & hit.target == hit.target
+}
 
 /// `true` when `sup` ⊇ `sub`, word-parallel.
 #[inline]
@@ -555,8 +613,11 @@ struct Searcher<'a, S: WakeSchedule, M: ConflictModel> {
     /// Shared substrate: scratch sets, candidate buffers, and the
     /// incrementally-maintained conflict graph.
     state: &'a mut BroadcastState,
-    /// Scratch for the per-state hop bound.
+    /// Scratch for the per-state hop bound; at a tight state it also
+    /// yields the far-node masks of the candidates.
     hops: HopBound,
+    /// Scratch: the candidates' far-node masks at a tight state.
+    hit_masks: Vec<u64>,
     /// Scratch for the per-state wake-aware flood bound.
     flood: FloodBound,
     /// Scratch: the uninformed set of the state being branched (channel
@@ -600,6 +661,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             state_limit: config.max_states,
             state,
             hops: HopBound::new(),
+            hit_masks: Vec::new(),
             flood: FloodBound::new(),
             unf_scratch: NodeSet::new(topo.len()),
             stats: SearchStats::default(),
@@ -709,7 +771,8 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             self.bounds.keys().all(|k| !self.memo.contains_key(k)),
             "a memo key sits in both the exact and the bound map"
         );
-        self.stats.memo_entries = self.memo.len() + self.bounds.len();
+        self.stats.memo_entries =
+            u32::try_from(self.memo.len() + self.bounds.len()).unwrap_or(u32::MAX);
         self.stats.phase_classes = self.folder.as_ref().map_or(0, |f| f.joints.len());
         SearchOutcome {
             latency,
@@ -765,12 +828,24 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
     /// multi-channel model: the channel-0 seed, packed with extra-channel
     /// senders after ordering — ordering scores the seeds, and packing can
     /// only add coverage). The substrate must be loaded with `(informed,
-    /// t)` by the caller; one incremental conflict-graph update serves both
-    /// the greedy coloring and the maximal-set enumeration.
-    fn branches(&mut self, informed: &NodeSet) -> Vec<Branch> {
+    /// t)` by the caller, and the hop bound must have run on `informed`
+    /// last; one incremental conflict-graph update serves both the greedy
+    /// coloring and the maximal-set enumeration. A `tight` state (budget
+    /// equal to its hop bound) on one channel keeps only the sets that
+    /// bring every far node one hop closer, and may have none.
+    fn branches(&mut self, informed: &NodeSet, tight: bool) -> Vec<Branch> {
+        let tight = tight && self.model.channels() == 1;
         let sets = match self.rule {
+            BranchRule::GreedyClasses if tight => {
+                let (mut classes, cg) = self.state.classes_and_graph_with(self.topo, self.model);
+                let hit = self
+                    .hops
+                    .hit_masks(self.topo, cg.candidates(), &mut self.hit_masks);
+                classes.retain(|class| covers(cg, hit, class));
+                classes
+            }
             BranchRule::GreedyClasses => self.state.greedy_classes_with(self.topo, self.model),
-            BranchRule::MaximalSets => self.maximal_branch_sets(informed),
+            BranchRule::MaximalSets => self.maximal_branch_sets(informed, tight),
         };
         if self.model.channels() <= 1 {
             return sets
@@ -805,15 +880,21 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
     }
 
     /// The OPT branch seeds: maximal conflict-free sets plus the maximal
-    /// extensions of the greedy classes, most new coverage first.
-    fn maximal_branch_sets(&mut self, informed: &NodeSet) -> Vec<Vec<NodeId>> {
+    /// extensions of the greedy classes, most new coverage first. At a
+    /// `tight` state, only the sets whose members' masks cover every far
+    /// node.
+    fn maximal_branch_sets(&mut self, informed: &NodeSet, tight: bool) -> Vec<Vec<NodeId>> {
         let cap = if self.complete {
             COMPLETE_SET_CAP
         } else {
             self.config.branch_cap
         };
         let (classes, cg) = self.state.classes_and_graph_with(self.topo, self.model);
-        let outcome = maximal_conflict_free_sets(cg, cap);
+        let hit = tight.then(|| {
+            self.hops
+                .hit_masks(self.topo, cg.candidates(), &mut self.hit_masks)
+        });
+        let outcome = maximal_conflict_free_sets(cg, cap, hit);
         if outcome.truncated {
             self.stats.truncated_enumerations += 1;
             self.gave_up |= self.complete;
@@ -829,7 +910,12 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             .collect();
         // Guarantee OPT ⊆-dominates G-OPT: extend each greedy class
         // to a maximal set and include it.
-        sets.extend(classes.iter().map(|class| extend_to_maximal(cg, class)));
+        sets.extend(
+            classes
+                .iter()
+                .map(|class| extend_to_maximal(cg, class))
+                .filter(|set| hit.is_none_or(|hit| covers(cg, hit, set))),
+        );
         sets.sort();
         sets.dedup();
         // Most new coverage first → tight budgets early.
@@ -998,8 +1084,11 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             };
         }
 
-        let branches = self.branches(informed);
-        debug_assert!(!branches.is_empty());
+        // A state whose budget equals its hop bound is tight: every child
+        // must bring every far node one hop closer (see the DESIGN note).
+        // Its branch list may be empty; the loop below then records the
+        // bound `budget + 1`.
+        let branches = self.branches(informed, hop_lb == budget);
 
         let trace_idx = if self.config.collect_trace {
             self.trace.states.push(TraceState {

@@ -1,7 +1,7 @@
 //! The [`Topology`] type: positions + radius + derived adjacency.
 
 use crate::{Csr, NodeId};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use wsn_bitset::NodeSet;
 use wsn_geom::{CellGrid, Point, Quadrant};
 
@@ -14,8 +14,18 @@ use wsn_geom::{CellGrid, Point, Quadrant};
 /// those masks as a view of the CSR, built for all nodes on its first call.
 /// They cost `n²/8` bytes, so only the small-`n` exact tier asks for them;
 /// the paths that run at 10k–1M nodes read [`Topology::neighbors`].
+///
+/// A topology never changes once built, so clones share one copy of all
+/// of it, masks included: a clone costs a reference count, not a second
+/// adjacency.
 #[derive(Clone, Debug)]
 pub struct Topology {
+    shared: Arc<Shared>,
+}
+
+/// The data every clone of one [`Topology`] shares.
+#[derive(Debug)]
+struct Shared {
     positions: Vec<Point>,
     radius: f64,
     csr: Csr,
@@ -64,11 +74,13 @@ impl Topology {
 
     fn from_parts(positions: Vec<Point>, radius: f64, csr: Csr) -> Self {
         Topology {
-            positions,
-            radius,
-            csr,
-            neighbor_sets: OnceLock::new(),
-            token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            shared: Arc::new(Shared {
+                positions,
+                radius,
+                csr,
+                neighbor_sets: OnceLock::new(),
+                token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            }),
         }
     }
 
@@ -80,49 +92,49 @@ impl Topology {
     /// invalidates them instead of silently corrupting results.
     #[inline]
     pub fn token(&self) -> u64 {
-        self.token
+        self.shared.token
     }
 
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.shared.positions.len()
     }
 
     /// `true` when the topology has no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.shared.positions.is_empty()
     }
 
     /// Communication radius.
     #[inline]
     pub fn radius(&self) -> f64 {
-        self.radius
+        self.shared.radius
     }
 
     /// Position of `u`.
     #[inline]
     pub fn position(&self, u: NodeId) -> Point {
-        self.positions[u.idx()]
+        self.shared.positions[u.idx()]
     }
 
     /// All positions.
     #[inline]
     pub fn positions(&self) -> &[Point] {
-        &self.positions
+        &self.shared.positions
     }
 
     /// The CSR adjacency.
     #[inline]
     pub fn csr(&self) -> &Csr {
-        &self.csr
+        &self.shared.csr
     }
 
     /// Sorted neighbor list `N(u)`.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.csr.neighbors_of(u)
+        self.shared.csr.neighbors_of(u)
     }
 
     /// Neighbor mask `N(u)` as a bitset.
@@ -134,6 +146,7 @@ impl Topology {
     #[inline]
     pub fn neighbor_set(&self, u: NodeId) -> &NodeSet {
         &self
+            .shared
             .neighbor_sets
             .get_or_init(|| self.build_neighbor_sets())[u.idx()]
     }
@@ -148,13 +161,13 @@ impl Topology {
     /// Degree of `u`.
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
-        self.csr.degree(u)
+        self.shared.csr.degree(u)
     }
 
     /// `true` when `u` and `v` are adjacent.
     #[inline]
     pub fn adjacent(&self, u: NodeId, v: NodeId) -> bool {
-        self.csr.has_edge(u, v)
+        self.shared.csr.has_edge(u, v)
     }
 
     /// Iterates all node ids.
@@ -167,7 +180,7 @@ impl Topology {
         if self.is_empty() {
             return 0.0;
         }
-        2.0 * self.csr.edge_count() as f64 / self.len() as f64
+        2.0 * self.shared.csr.edge_count() as f64 / self.len() as f64
     }
 
     /// `true` when `u` has at least one neighbor in quadrant `q`

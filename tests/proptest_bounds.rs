@@ -5,10 +5,13 @@
 //! every node is always able to send, the flood must collapse to the hop
 //! bound.
 //!
-//! The hop bound itself (`HopBound`, a direction-optimizing BFS over the
+//! The hop bound itself (`HopBound`, a level-synchronous BFS over the
 //! neighbour masks) must return exactly the farthest uninformed node's
 //! distance under the queue BFS `metrics::bfs_hops_from_set`, also when one
-//! scratch is reused across topologies of different sizes.
+//! scratch is reused across topologies of different sizes. Its far-node
+//! masks must name, per candidate, exactly the far nodes the candidate's
+//! uninformed neighbours lie one hop closer to, and a sender set must
+//! cover them exactly when its next state's hop bound drops.
 //!
 //! OPT's `exact` flag rests on these bounds (a result that meets the root
 //! bound is certified whatever the beam did) and on the lazy
@@ -17,6 +20,7 @@
 //! exhaustive OPT, and no result may beat exhaustive OPT. Half the cases
 //! starve the search of states, so that only the root bound can certify.
 
+use mlbs::coloring::{eligible_senders, HitMasks};
 use mlbs::core::bounds::{FloodBound, HopBound};
 use mlbs::core::SearchConfig;
 use mlbs::prelude::*;
@@ -248,6 +252,58 @@ proptest! {
             HopBound::new().lower_bound(&topo, &informed),
             oracle_far(&topo, &informed)
         );
+    }
+
+    #[test]
+    fn hit_masks_name_the_senders_that_shorten_the_hop_bound(
+        topo in arb_paper_topo(),
+        mode in 0usize..3,
+        set_seed in 0u64..1_000_000,
+    ) {
+        let n = topo.len();
+        let informed = informed_set(n, mode, set_seed);
+        let mut hops = HopBound::new();
+        let h = hops.lower_bound(&topo, &informed);
+        if h == 0 {
+            return Ok(());
+        }
+        let candidates = eligible_senders(&topo, &informed);
+        let mut masks = Vec::new();
+        let HitMasks { masks, target } = hops.hit_masks(&topo, &candidates, &mut masks);
+        // The far nodes, lowest ids first; the first 64 own a bit each.
+        let from_w = metrics::bfs_hops_from_set(&topo, &informed);
+        let far: Vec<usize> = (0..n).filter(|&x| from_w[x] as Slot == h).collect();
+        prop_assert_eq!(target, if far.len() >= 64 { !0 } else { (1 << far.len()) - 1 });
+        for (j, &x) in far.iter().take(64).enumerate() {
+            let from_x = metrics::bfs_hops(&topo, NodeId(x as u32));
+            for (i, &c) in candidates.iter().enumerate() {
+                let closer = topo
+                    .neighbors(c)
+                    .iter()
+                    .any(|y| !informed.contains(y.idx()) && from_x[y.idx()] as Slot == h - 1);
+                prop_assert_eq!(masks[i] >> j & 1 == 1, closer, "candidate {}, far node {}", i, x);
+            }
+        }
+        // A sender set covers the target exactly when the next state's hop
+        // bound drops below `h` (only "if" when some far node has no bit).
+        let mut seed = set_seed;
+        for _ in 0..16 {
+            let p = splitmix(&mut seed) % 101;
+            let mut next = informed.clone();
+            let mut reach = 0;
+            for (i, &c) in candidates.iter().enumerate() {
+                if splitmix(&mut seed) % 100 < p {
+                    next.union_with(topo.neighbor_set(c));
+                    reach |= masks[i];
+                }
+            }
+            let drops = HopBound::new().lower_bound(&topo, &next) < h;
+            let covered = reach & target == target;
+            prop_assert!(covered || !drops, "the hop bound drops, yet the masks miss");
+            if far.len() <= 64 {
+                prop_assert_eq!(covered, drops);
+            }
+        }
     }
 }
 

@@ -12,9 +12,8 @@
 //! ([`PartialSchedule::rewind`]) instead of freezing it again.
 //!
 //! There is one search chain ([`run_chain`]). [`solve_anytime`] runs it
-//! cold; [`solve_anytime_cached`] warm-starts it from a
-//! [`ScheduleCache`] hit and folds the result back into the cache; the
-//! repair tier runs it under a dead-node mask.
+//! cold; the repair tier ([`reschedule`](crate::reschedule)) warm-starts
+//! it from an old schedule under a dead-node mask.
 
 use mlbs_core::Schedule;
 use rand::rngs::StdRng;
@@ -26,7 +25,6 @@ use wsn_interference::ConflictGraphBuilder;
 use wsn_phy::ConflictModel;
 use wsn_topology::{metrics, NodeId, Topology};
 
-use crate::cache::ScheduleCache;
 use crate::legalize::{Hints, Legalizer};
 use crate::partial::{PartialSchedule, StepOutcome};
 
@@ -210,35 +208,9 @@ pub fn solve_anytime<S: WakeSchedule, M: ConflictModel>(
     run_chain(topo, source, wake, model, config, ChainCtx::standalone())
 }
 
-/// [`solve_anytime`] through a warm-start cache: a hit seeds the chain's
-/// first legalization with the previous incumbent for this instance, and
-/// the result is folded back into the cache either way. With an empty
-/// cache this is bit-identical to [`solve_anytime`].
-///
-/// # Panics
-///
-/// Panics when the topology is disconnected.
-pub fn solve_anytime_cached<S: WakeSchedule, M: ConflictModel>(
-    cache: &mut ScheduleCache,
-    topo: &Topology,
-    source: NodeId,
-    wake: &S,
-    model: &M,
-    config: &AnytimeConfig,
-) -> AnytimeOutcome {
-    let warm = cache.lookup(topo, model, source);
-    let ctx = ChainCtx {
-        warm: warm.as_ref(),
-        dead: None,
-    };
-    let out = run_chain(topo, source, wake, model, config, ctx);
-    cache.observe(topo, model, source, &out.schedule);
-    out
-}
-
-/// One search chain: the body behind [`solve_anytime`],
-/// [`solve_anytime_cached`] and the repair tier. With `ctx.warm == None`
-/// and `ctx.dead == None` it is the cold serial driver.
+/// One search chain: the body behind [`solve_anytime`] and the repair
+/// tier. With `ctx.warm == None` and `ctx.dead == None` it is the cold
+/// serial driver.
 pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     topo: &Topology,
     source: NodeId,

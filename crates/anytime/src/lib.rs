@@ -30,21 +30,17 @@
 //! re-freezing, that charge is a budget contract kept for
 //! reproducibility, not work done.
 //!
-//! There is one search chain. [`solve_anytime_cached`] runs it through a
-//! [`ScheduleCache`], which warm-starts repeat solves of a held instance
-//! from their previous incumbent.
+//! There is one search chain. [`reschedule`] runs it warm from an old
+//! schedule, under a mask of dead nodes; a serving shard answers every
+//! request this way, from its own incumbent.
 
-mod cache;
 mod driver;
 mod legalize;
 mod partial;
 mod reliable;
 mod repair;
 
-pub use cache::ScheduleCache;
-pub use driver::{
-    solve_anytime, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, TracePoint,
-};
+pub use driver::{solve_anytime, AnytimeConfig, AnytimeOutcome, Budget, TracePoint};
 pub use partial::{PartialSchedule, StepOutcome};
 pub use reliable::{plan_repeats, solve_anytime_reliable, ReliableOutcome, MAX_REPEAT};
 pub use repair::{reschedule, ChurnDelta, RepairOutcome};

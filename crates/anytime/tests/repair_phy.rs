@@ -1,6 +1,5 @@
-//! Repair under physical-layer models: the `reschedule` warm-vs-cold
-//! race is model-generic, but until now only the protocol model pinned
-//! it. These tests exercise incremental repair under `SinrModel` and
+//! Repair under physical-layer models: `reschedule` is model-generic.
+//! These tests exercise incremental repair under `SinrModel` and
 //! `MultiChannel` K=2, asserting repaired schedules verify under the
 //! exact model semantics and never lose to a cold greedy
 //! re-legalization under the same mask.

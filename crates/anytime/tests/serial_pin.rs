@@ -7,9 +7,8 @@
 //! cadence, a reordered accept test — fails loudly instead of drifting the
 //! recorded baselines.
 
-use wsn_anytime::{
-    solve_anytime, solve_anytime_cached, AnytimeConfig, AnytimeOutcome, Budget, ScheduleCache,
-};
+use mlbs_core::Schedule;
+use wsn_anytime::{reschedule, solve_anytime, AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta};
 use wsn_dutycycle::{AlwaysAwake, WindowedRandom};
 use wsn_phy::ProtocolModel;
 use wsn_topology::deploy;
@@ -63,8 +62,10 @@ fn serial_chain_is_bit_identical_to_pr5_driver() {
     }
 }
 
+/// A repair of the empty schedule under an empty delta is a cold solve:
+/// what a serving shard runs before it holds an incumbent.
 #[test]
-fn cold_cached_solve_is_the_serial_chain() {
+fn cold_repair_is_the_serial_chain() {
     for ((n, seed, budget), _) in PINS {
         let (topo, src) = deploy::SyntheticDeployment::paper(n).sample(seed);
         let cfg = AnytimeConfig {
@@ -72,9 +73,24 @@ fn cold_cached_solve_is_the_serial_chain() {
             ..AnytimeConfig::default()
         };
         let serial = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        let mut cache = ScheduleCache::new();
-        let cold = solve_anytime_cached(&mut cache, &topo, src, &AlwaysAwake, &ProtocolModel, &cfg);
-        assert_eq!(cache.misses(), 1);
+        let empty = Schedule {
+            source: src,
+            start: cfg.start_from,
+            entries: Vec::new(),
+            receive_slot: Vec::new(),
+            repeats: Vec::new(),
+        };
+        let rep = reschedule(
+            &topo,
+            src,
+            &AlwaysAwake,
+            &ProtocolModel,
+            &empty,
+            &ChurnDelta::default(),
+            &cfg,
+        );
+        assert!(rep.mask.is_empty() && rep.uncovered.is_empty());
+        let cold = rep.outcome;
         assert_eq!(cold.latency, serial.latency);
         assert_eq!(cold.moves, serial.moves);
         assert_eq!(cold.passes, serial.passes);

@@ -90,7 +90,7 @@ pub fn chrome_trace(rec: &Recorder) -> String {
 /// Prometheus text exposition (version 0.0.4): counters as `<name>_total`,
 /// gauges bare, histograms as `_bucket{le=...}` / `_sum` / `_count`
 /// families. Histogram names keep their recorded unit suffix (we record
-/// microseconds throughout, e.g. `repair.warm_us`).
+/// microseconds throughout, e.g. `repair.wall_us`).
 pub fn prometheus(rec: &Recorder) -> String {
     let mut out = String::new();
     for (name, v) in rec.counters_snapshot() {

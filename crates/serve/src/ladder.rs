@@ -11,12 +11,9 @@
 //! | `Greedy` | < 10 ms | greedy legalizer only (`Budget::Iterations(0)`) |
 //!
 //! [`rung`] maps a request to its tier and the [`AnytimeConfig`] that
-//! tier runs. The shard does the solving: a plain solve goes through
-//! [`solve_anytime_cached`](wsn_anytime::solve_anytime_cached) with the
-//! shard's [`ScheduleCache`](wsn_anytime::ScheduleCache), so a held
-//! topology warm-starts from its previous incumbent on whichever rung it
-//! lands, and a churn or drift repair goes through
-//! [`reschedule`](wsn_anytime::reschedule) from the shard's incumbent.
+//! tier runs. The shard does the solving: every solve, churn and drift
+//! repair is one [`reschedule`](wsn_anytime::reschedule) warm-started
+//! from the shard's incumbent, whichever rung it lands on.
 //!
 //! The rung is a function of the *requested* deadline alone, so the
 //! quality tag is monotone in the deadline by construction (the ladder
@@ -30,7 +27,7 @@ use wsn_anytime::{AnytimeConfig, Budget};
 
 /// Serial-anytime rung threshold, in ms (see module docs).
 pub const SERIAL_MS: u64 = 50;
-/// Cached warm-start rung threshold.
+/// Warm rung threshold.
 pub const WARM_MS: u64 = 10;
 
 /// Iteration budget of the `Warm` rung (bounded work, warm-started).
@@ -42,7 +39,7 @@ const WARM_ITERS: u64 = 2_000;
 pub enum Tier {
     /// Greedy legalizer only.
     Greedy,
-    /// Cached warm-start with a small iteration budget.
+    /// A small iteration budget from the incumbent.
     Warm,
     /// Serial anytime search on a wall-clock budget.
     Serial,

@@ -1,19 +1,20 @@
 //! Broadcast scheduling as a service: a fault-tolerant daemon over the
 //! anytime tier.
 //!
-//! PRs 5–8 built the parts — [`ScheduleCache`](wsn_anytime::ScheduleCache)
-//! warm-starts, [`reschedule`](wsn_anytime::reschedule) incremental repair, the
-//! TWCC-shaped [`LinkEstimator`](wsn_sim::LinkEstimator), and the
-//! `wsn_obs` recorder — and this crate is the long-running process that
-//! owns them while the network churns underneath:
+//! The library supplies the parts — [`reschedule`](wsn_anytime::reschedule)
+//! incremental repair, the TWCC-shaped
+//! [`LinkEstimator`](wsn_sim::LinkEstimator), and the `wsn_obs` recorder —
+//! and this crate is the long-running process that owns them while the
+//! network churns underneath:
 //!
 //! * **Shards** ([`shard`]): one owner thread per resident topology with
-//!   its warm cache, incumbent schedule, assumed link quality, and
-//!   estimator; a bounded oldest-deadline-first queue in front; panic
-//!   isolation (`catch_unwind` → quarantine the cache → restart cold →
+//!   its incumbent schedule, served schedule, assumed link quality, and
+//!   estimator; every answer is one `reschedule` warm-started from the
+//!   incumbent; a bounded oldest-deadline-first queue in front; panic
+//!   isolation (`catch_unwind` → quarantine the state → restart cold →
 //!   `serve.shard_restarts`).
 //! * **Deadline budgets and the degradation ladder** ([`ladder`]):
-//!   serial anytime → cached warm-start → greedy legalizer; one
+//!   serial anytime → warm iterations → greedy legalizer; one
 //!   function ([`ladder::rung`]) picks the rung and its budget, and the
 //!   shard runs the solver.
 //!   Every deadline — including ~0 ms — is answered with a *valid,

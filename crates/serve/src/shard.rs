@@ -3,15 +3,19 @@
 //! around every request.
 //!
 //! A shard owns everything a topology needs to be served warm: the
-//! interned [`Topology`], its built conflict model, the
-//! [`ScheduleCache`], the current incumbent schedule, the assumed
-//! [`LinkQuality`], and the [`LinkEstimator`] the closed loop feeds.
-//! Requests are handled strictly on the owner thread, so none of that
-//! state needs locking.
+//! interned [`Topology`], its built conflict model, the incumbent
+//! schedule, the schedule it serves, the assumed [`LinkQuality`], and the
+//! [`LinkEstimator`] the closed loop feeds. Requests are handled strictly
+//! on the owner thread, so none of that state needs locking.
+//!
+//! Every solve, churn and drift replan is one [`reschedule`] of the
+//! incumbent against the accumulated deaths, on the budget the deadline
+//! buys ([`rung`]). Before the first answer the incumbent is the empty
+//! schedule, which makes that call a cold solve.
 //!
 //! Isolation contract: a panicking handler (a chaos-injected panic or a
 //! genuine bug on one topology) is caught with `catch_unwind`, the
-//! shard's state — including the possibly-poisoned cache — is
+//! shard's state — including a possibly half-mutated incumbent — is
 //! quarantined by rebuilding from the spec cold, the
 //! `serve.shard_restarts` counter increments, and the caller gets
 //! an explicit `"panic"` error. The daemon and its other shards never
@@ -26,9 +30,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mlbs_core::Schedule;
-use wsn_anytime::{
-    plan_repeats, reschedule, solve_anytime_cached, AnytimeConfig, ChurnDelta, ScheduleCache,
-};
+use wsn_anytime::{plan_repeats, reschedule, AnytimeConfig, ChurnDelta, RepairOutcome};
 use wsn_dutycycle::AlwaysAwake;
 use wsn_phy::{PhyModel, PhyModelSpec, SinrParams};
 use wsn_sim::{simulate_acks, LinkEstimator};
@@ -116,7 +118,12 @@ pub struct ShardState {
     pub topo: Topology,
     pub source: NodeId,
     pub model: PhyModel,
-    pub cache: ScheduleCache,
+    /// The lossless, verified schedule every request warm-starts from;
+    /// empty until the first answer.
+    pub incumbent: Schedule,
+    /// The schedule the shard serves: the incumbent, or its
+    /// [`plan_repeats`] output after an ε replan. `None` until the first
+    /// answer.
     pub current: Option<Schedule>,
     pub tier: Option<Tier>,
     pub assumed: LinkQuality,
@@ -129,7 +136,7 @@ pub struct ShardState {
 
 impl ShardState {
     /// Builds the shard cold: sample the deployment, build the model,
-    /// start with an empty cache and a unit link-quality assumption.
+    /// start with an empty incumbent and a unit link-quality assumption.
     pub fn build(spec: &ShardSpec) -> ShardState {
         let dep = if spec.deployment == "scaled" {
             SyntheticDeployment::scaled(spec.nodes)
@@ -146,19 +153,26 @@ impl ShardState {
         let model = phy_spec.build(&topo);
         let assumed = LinkQuality::uniform(&topo, 1.0);
         let est = LinkEstimator::new(&topo, spec.window);
+        let base = AnytimeConfig {
+            seed: spec.seed,
+            ..AnytimeConfig::default()
+        };
         ShardState {
             source,
             model,
-            cache: ScheduleCache::new(),
+            incumbent: Schedule {
+                source,
+                start: base.start_from,
+                entries: Vec::new(),
+                receive_slot: Vec::new(),
+                repeats: Vec::new(),
+            },
             current: None,
             tier: None,
             assumed,
             est,
             dead: Vec::new(),
-            base: AnytimeConfig {
-                seed: spec.seed,
-                ..AnytimeConfig::default()
-            },
+            base,
             spec: spec.clone(),
             topo,
         }
@@ -178,90 +192,73 @@ impl ShardState {
         Json::obj(pairs)
     }
 
-    /// Solves the held topology through the warm cache on the rung the
-    /// deadline buys, verifies the result, and installs it as the
-    /// incumbent. Returns whether the search proved it optimal.
-    fn solve_cached(&mut self, deadline_ms: u64, remaining_ms: u64) -> bool {
-        let (tier, cfg) = rung(&self.base, deadline_ms, remaining_ms);
-        let out = solve_anytime_cached(
-            &mut self.cache,
-            &self.topo,
-            self.source,
-            &AlwaysAwake,
-            &self.model,
-            &cfg,
-        );
-        // A verification failure panics; the isolation layer turns that
-        // into a cold restart, never a silently-invalid answer.
-        out.schedule
-            .verify_with_model(&self.topo, &AlwaysAwake, &self.model)
-            .expect("ladder produced an invalid schedule");
-        wsn_obs::counter_add(tier.counter(), 1);
-        self.current = Some(out.schedule);
-        self.tier = Some(tier);
-        out.proved_optimal
-    }
-
-    /// Solve (or re-solve) under the ladder. On a churned shard this is a
-    /// repair against the accumulated dead set so the incumbent stays
-    /// consistent with the surviving subgraph.
-    fn handle_solve(&mut self, deadline_ms: u64, remaining_ms: u64) -> Json {
-        if !self.dead.is_empty() {
-            return self.repair(
-                ChurnDelta::deaths(self.dead.clone()),
-                deadline_ms,
-                remaining_ms,
-                Vec::new(),
-            );
-        }
-        let proved = self.solve_cached(deadline_ms, remaining_ms);
-        self.schedule_reply(vec![("proved_optimal", Json::Bool(proved))])
-    }
-
-    /// Ensures an incumbent exists (greedy-solves one when the very first
-    /// request is a churn or observe).
-    fn ensure_current(&mut self) {
-        if self.current.is_none() {
-            self.solve_cached(0, 0);
-        }
-    }
-
-    /// Shared repair path for churn deaths and quality replans: repairs the
-    /// incumbent against `delta` on the deadline's rung, verifies it over
-    /// the surviving subgraph, times it into `serve.reschedule_us`, and
-    /// reports the reuse footprint.
+    /// Repairs the incumbent against the accumulated deaths and
+    /// `degraded_links` on the rung the deadline buys, verifies the result
+    /// over the surviving subgraph, and installs it as both the incumbent
+    /// and the served schedule.
     fn repair(
         &mut self,
-        delta: ChurnDelta,
+        degraded_links: Vec<(NodeId, NodeId, f64)>,
         deadline_ms: u64,
         remaining_ms: u64,
-        mut extra: Vec<(&'static str, Json)>,
-    ) -> Json {
-        self.ensure_current();
-        let old = self.current.as_ref().expect("ensured above");
+    ) -> RepairOutcome {
         let (tier, cfg) = rung(&self.base, deadline_ms, remaining_ms);
-        let started = Instant::now();
+        let delta = ChurnDelta {
+            dead: self.dead.clone(),
+            degraded_links,
+        };
         let rep = reschedule(
             &self.topo,
             self.source,
             &AlwaysAwake,
             &self.model,
-            old,
+            &self.incumbent,
             &delta,
             &cfg,
         );
+        // A verification failure panics; the isolation layer turns that
+        // into a cold restart, never a silently-invalid answer.
         rep.outcome
             .schedule
             .verify_covering_with_model(&self.topo, &AlwaysAwake, &self.model, Some(&rep.mask))
-            .expect("ladder produced an invalid repair");
+            .expect("ladder produced an invalid schedule");
         wsn_obs::counter_add(tier.counter(), 1);
+        self.incumbent = rep.outcome.schedule.clone();
+        self.current = Some(rep.outcome.schedule.clone());
+        self.tier = Some(tier);
+        rep
+    }
+
+    /// [`Self::repair`] timed into `serve.reschedule_us`, replying with
+    /// the reuse footprint.
+    fn repair_reply(
+        &mut self,
+        degraded_links: Vec<(NodeId, NodeId, f64)>,
+        deadline_ms: u64,
+        remaining_ms: u64,
+        mut extra: Vec<(&'static str, Json)>,
+    ) -> Json {
+        let started = Instant::now();
+        let rep = self.repair(degraded_links, deadline_ms, remaining_ms);
         wsn_obs::observe_us("serve.reschedule_us", started.elapsed().as_micros() as u64);
         extra.push(("reused", Json::num(rep.reused as f64)));
         extra.push(("stranded", Json::num(rep.stranded as f64)));
         extra.push(("uncovered", Json::num(rep.uncovered.len() as f64)));
-        self.current = Some(rep.outcome.schedule);
-        self.tier = Some(tier);
         self.schedule_reply(extra)
+    }
+
+    /// Solve (or re-solve) under the ladder. On a churned shard the reply
+    /// reports the repair against the accumulated dead set; on an intact
+    /// one it reports whether the search proved the schedule optimal.
+    fn handle_solve(&mut self, deadline_ms: u64, remaining_ms: u64) -> Json {
+        if !self.dead.is_empty() {
+            return self.repair_reply(Vec::new(), deadline_ms, remaining_ms, Vec::new());
+        }
+        let rep = self.repair(Vec::new(), deadline_ms, remaining_ms);
+        self.schedule_reply(vec![(
+            "proved_optimal",
+            Json::Bool(rep.outcome.proved_optimal),
+        )])
     }
 
     fn handle_churn(&mut self, dead: &[NodeId], deadline_ms: u64, remaining_ms: u64) -> Json {
@@ -280,8 +277,8 @@ impl ShardState {
                 self.dead.push(d);
             }
         }
-        self.repair(
-            ChurnDelta::deaths(self.dead.clone()),
+        self.repair_reply(
+            Vec::new(),
             deadline_ms,
             remaining_ms,
             vec![("dead_total", Json::num(self.dead.len() as f64))],
@@ -312,14 +309,18 @@ impl ShardState {
                 vec![],
             );
         }
-        self.ensure_current();
+        // The ACK stream needs a served schedule: greedy-solve one when
+        // the very first request is an observe.
+        if self.current.is_none() {
+            self.repair(Vec::new(), 0, 0);
+        }
         let mut truth = LinkQuality::uniform(&self.topo, truth_p.clamp(0.0, 1.0));
         for &(u, v, p) in links {
             if u.idx() < self.topo.len() && self.topo.neighbors(u).contains(&v) {
                 truth.set_delivery(&self.topo, u, v, p.clamp(0.0, 1.0));
             }
         }
-        let current = self.current.as_ref().expect("ensured above");
+        let current = self.current.as_ref().expect("solved above");
         simulate_acks(&self.topo, current, &truth, &mut self.est, rounds, seed);
         let drift = self
             .est
@@ -339,13 +340,9 @@ impl ShardState {
             .assumed
             .moved_links(&self.topo, &quality, self.spec.drift_threshold);
         let degraded_links = degraded.len();
-        let delta = ChurnDelta {
-            dead: self.dead.clone(),
-            degraded_links: degraded,
-        };
         wsn_obs::counter_add("serve.replans", 1);
-        let reply = self.repair(
-            delta,
+        let reply = self.repair_reply(
+            degraded,
             deadline_ms,
             remaining_ms,
             vec![
@@ -357,9 +354,8 @@ impl ShardState {
         // Re-plan repeat provisioning against the fused estimate (only on
         // an intact topology — repeat bounds assume full coverage).
         if self.spec.epsilon > 0.0 && self.dead.is_empty() {
-            let s = self.current.take().expect("repair installed an incumbent");
             let planned = plan_repeats(
-                &s,
+                &self.incumbent,
                 &self.topo,
                 &AlwaysAwake,
                 &self.model,
@@ -381,9 +377,6 @@ impl ShardState {
             ("shard", Json::str(self.spec.name.clone())),
             ("nodes", Json::num(self.topo.len() as f64)),
             ("dead", Json::num(self.dead.len() as f64)),
-            ("cache_len", Json::num(self.cache.len() as f64)),
-            ("cache_hits", Json::num(self.cache.hits() as f64)),
-            ("cache_misses", Json::num(self.cache.misses() as f64)),
             (
                 "latency",
                 self.current
@@ -553,7 +546,7 @@ pub fn spawn_shard(spec: ShardSpec, queue_cap: usize) -> ShardHandle {
                     Some(Ok(resp)) => resp,
                     Some(Err(_)) => {
                         wsn_obs::counter_add("serve.shard_restarts", 1);
-                        // Quarantine: the old cache (and any half-mutated
+                        // Quarantine: the old state (and any half-mutated
                         // incumbent) is dropped wholesale; rebuild cold.
                         state = build();
                         proto::err(
@@ -650,10 +643,10 @@ mod tests {
         let boom = ask(Request::ChaosPanic { shard: "t".into() });
         assert_eq!(boom.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(boom.get("kind").unwrap().as_str(), Some("panic"));
-        // Cold restart: the shard still answers, from a fresh cache.
+        // Cold restart: the shard still answers, with no incumbent yet.
         let again = ask(Request::Query { shard: "t".into() });
         assert_eq!(again.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(again.get("cache_len").unwrap().as_u64(), Some(0));
+        assert_eq!(again.get("latency"), Some(&Json::Null));
         h.queue.close();
         h.join.join().unwrap();
     }
@@ -703,23 +696,18 @@ mod tests {
     }
 
     #[test]
-    fn warm_rung_never_loses_to_the_cached_incumbent() {
+    fn warm_rung_never_loses_to_the_incumbent() {
         let spec = ShardSpec::from_create("t", 150, 9, "paper", "protocol", 1, 0.0).unwrap();
         let mut st = ShardState::build(&spec);
-        // Seed the cache with a strong solve, then ask for a warm answer:
-        // the warm-start contract says it cannot come back worse.
+        // Seed the incumbent with a strong solve, then ask for a warm
+        // answer: a warm start from it cannot come back worse.
         let good = AnytimeConfig {
             budget: wsn_anytime::Budget::Iterations(20_000),
             ..AnytimeConfig::default()
         };
-        let strong = solve_anytime_cached(
-            &mut st.cache,
-            &st.topo,
-            st.source,
-            &AlwaysAwake,
-            &st.model,
-            &good,
-        );
+        let strong =
+            wsn_anytime::solve_anytime(&st.topo, st.source, &AlwaysAwake, &st.model, &good);
+        st.incumbent = strong.schedule;
         let warm = st.handle(
             &Request::Solve {
                 shard: "t".into(),
@@ -729,6 +717,39 @@ mod tests {
         );
         assert_eq!(warm.get("tier").unwrap().as_str(), Some("warm"));
         assert!(warm.get("latency").unwrap().as_u64().unwrap() <= strong.latency);
+        // An intact-shard solve replies like a ladder solve, not a repair.
+        assert!(warm.get("proved_optimal").is_some());
+        assert!(warm.get("reused").is_none());
+    }
+
+    #[test]
+    fn solve_after_an_epsilon_replan_starts_from_the_lossless_incumbent() {
+        let eps = 0.05;
+        let spec = ShardSpec::from_create("t", 150, 10, "paper", "protocol", 1, eps).unwrap();
+        let mut st = ShardState::build(&spec);
+        observe(&mut st, 1.0);
+        let loud = observe(&mut st, 0.8);
+        assert_eq!(loud.get("replanned").unwrap().as_bool(), Some(true));
+        // The replan serves a repeat-timed schedule but keeps the lossless
+        // one as the incumbent.
+        let lossless = st.incumbent.clone();
+        let served = st.current.clone().unwrap();
+        assert!(lossless.repeats.is_empty());
+        assert!(!served.repeats.is_empty());
+        assert!(served.latency() > lossless.latency());
+        // A zero-budget solve replays the incumbent's placements, so it
+        // answers with the lossless latency, not the repeat-timed one.
+        let r = st.handle(
+            &Request::Solve {
+                shard: "t".into(),
+                deadline_ms: 0,
+            },
+            0,
+        );
+        assert_eq!(r.get("tier").unwrap().as_str(), Some("greedy"));
+        assert_eq!(r.get("latency").unwrap().as_u64(), Some(lossless.latency()));
+        assert_eq!(st.incumbent.entries, lossless.entries);
+        assert_eq!(st.current.as_ref().unwrap().entries, lossless.entries);
     }
 
     #[test]

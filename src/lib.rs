@@ -46,7 +46,7 @@
 //! | [`phy`] | `wsn-phy` | pluggable conflict models: protocol, pairwise SINR, multi-channel |
 //! | [`interference`] | `wsn-interference` | conflict predicates, incremental conflict graphs, collision resolution |
 //! | [`coloring`] | `wsn-coloring` | greedy scheme, Eq. (1) validity, enumeration, broadcast-state substrate |
-//! | [`anytime`] | `wsn-anytime` | tabu/PARTIALCOL anytime local search, warm-start cache |
+//! | [`anytime`] | `wsn-anytime` | tabu/PARTIALCOL anytime local search, incremental repair |
 //! | [`baselines`] | `wsn-baselines` | 26-/17-approximation, CDS, flooding |
 //! | [`distributed`] | `wsn-distributed` | localized scheduling, distributed E-model (§VII) |
 //! | [`sim`] | `wsn-sim` | experiment sweeps, statistics, CSV |
@@ -109,16 +109,10 @@
 //! node networks schedule within seconds ([`sim::Algorithm::Anytime`]).
 //! `e2e-bench/run.py`'s `plan-scaled` workload measures it at 30k nodes.
 //!
-//! ## The warm-start cache
-//!
-//! The anytime tier runs one search chain. [`anytime::ScheduleCache`]
-//! warm-starts repeat solves of a held instance from their previous
-//! incumbent, keyed on `(topology token, model fingerprint, source)`;
-//! [`anytime::solve_anytime_cached`] runs the chain through it, and the
-//! serving daemon's ladder runs every rung through it with the shard's
-//! cache. The sweep runner's anytime arm calls [`anytime::solve_anytime`]
-//! directly, because sweep instances are freshly sampled and never
-//! repeat.
+//! The anytime tier runs one search chain. [`anytime::solve_anytime`]
+//! runs it cold; [`anytime::reschedule`] runs it warm from an old
+//! schedule, which is how the serving daemon answers every request from
+//! a shard's incumbent.
 //!
 //! ## The reliability tier
 //!
@@ -135,9 +129,8 @@
 //! bound falls short, a trim pass dropping unneeded retransmissions),
 //! [`anytime::reschedule`] repairs a running schedule after node deaths
 //! — warm-starting from the surviving placements, re-covering only the
-//! stranded subtree, reporting disconnected nodes instead of failing,
-//! and never ending worse than a cold re-legalization —
-//! and `wsn-sim` closes the loop: per-link lossy replay
+//! stranded subtree, and reporting disconnected nodes instead of
+//! failing — and `wsn-sim` closes the loop: per-link lossy replay
 //! ([`sim::replay_lossy_quality`]), a seeded fault harness
 //! ([`sim::FaultScript`]: node death, link flap, loss bursts) whose
 //! dead set feeds [`anytime::ChurnDelta`], and a TWCC-shaped online
@@ -148,17 +141,18 @@
 //!
 //! [`serve`] turns the library into a long-running scheduler service
 //! (`wsn-serve` binary, stdin-jsonl or length-prefixed TCP framing).
-//! Topologies are resident *shards* — one owner thread each, holding a
-//! warm [`anytime::ScheduleCache`], the current schedule, and a
+//! Topologies are resident *shards* — one owner thread each, holding
+//! its incumbent schedule, the schedule it serves, and a
 //! [`sim::LinkEstimator`] — so solve / churn-reschedule / quality-update
-//! requests skip construction entirely. Every request carries a deadline
-//! budget mapped onto [`anytime::Budget::WallClockMs`], and a
-//! degradation ladder (serial anytime → cached warm-start → greedy
+//! requests skip construction entirely, and each is one
+//! [`anytime::reschedule`] warm-started from the incumbent. Every request
+//! carries a deadline budget mapped onto [`anytime::Budget::WallClockMs`],
+//! and a degradation ladder (serial anytime → warm iterations → greedy
 //! legalizer) guarantees *some* verified schedule is always
 //! returned, tagged with the quality tier that produced it — the tag is
 //! monotone in the deadline by construction. Bounded per-shard queues
 //! shed oldest-deadline-first with explicit `overloaded` + retry-after
-//! hints; worker panics are caught, the shard's cache is quarantined and
+//! hints; worker panics are caught, the shard's state is quarantined and
 //! the shard restarts cold (`serve.shard_restarts`). `observe`
 //! requests close the estimator loop: acks feed the
 //! [`sim::LinkEstimator`], and drift past a threshold triggers an
@@ -197,9 +191,8 @@ pub mod prelude {
         ScheduleEntry, ScheduleError, SearchConfig, SearchOutcome,
     };
     pub use wsn_anytime::{
-        reschedule, solve_anytime, solve_anytime_cached, solve_anytime_reliable, AnytimeConfig,
-        AnytimeOutcome, Budget, ChurnDelta, ReliableOutcome, RepairOutcome, ScheduleCache,
-        TracePoint,
+        reschedule, solve_anytime, solve_anytime_reliable, AnytimeConfig, AnytimeOutcome, Budget,
+        ChurnDelta, ReliableOutcome, RepairOutcome, TracePoint,
     };
     pub use wsn_baselines::{
         flood_once, schedule_17_approx, schedule_26_approx, schedule_cds_layered, schedule_layered,

@@ -50,6 +50,18 @@ pub trait SampleRange<T> {
 /// Uniform integer in `[0, span)` by rejection sampling (no modulo bias).
 fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
+    if span.is_power_of_two() {
+        // The same rejection zone as below (`u64::MAX % span` is
+        // `span − 1`, so the zone is `2⁶⁴ − span`), with a mask for the
+        // modulo: the stream stays bit-identical, without a division.
+        let zone = span.wrapping_neg();
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return v & (span - 1);
+            }
+        }
+    }
     let zone = u64::MAX - (u64::MAX % span);
     loop {
         let v = rng.next_u64();
@@ -158,7 +170,58 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{uniform_below, Rng, RngCore, SeedableRng};
+
+    /// Replays a fixed word list, then counts up from zero.
+    struct Words(Vec<u64>, u64);
+
+    impl RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            if self.0.is_empty() {
+                self.1 += 1;
+                return self.1 - 1;
+            }
+            self.0.remove(0)
+        }
+    }
+
+    /// The division-based draw every span used before the power-of-two
+    /// path existed.
+    fn by_division(rng: &mut impl RngCore, span: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX % span);
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return v % span;
+            }
+        }
+    }
+
+    #[test]
+    fn power_of_two_spans_keep_the_division_stream() {
+        for span in [1u64, 2, 4, 8, 1 << 20, 1 << 63] {
+            // Words at both edges of the rejection zone, then a seeded run.
+            let edge = span.wrapping_neg();
+            let words = vec![
+                u64::MAX,
+                edge,
+                edge.wrapping_sub(1),
+                0,
+                7,
+                edge.wrapping_add(1),
+                1,
+            ];
+            let (mut a, mut b) = (Words(words.clone(), 0), Words(words, 0));
+            for _ in 0..5 {
+                assert_eq!(uniform_below(&mut a, span), by_division(&mut b, span));
+            }
+            assert_eq!(a.0, b.0, "span {span}: same words consumed");
+            let (mut a, mut b) = (StdRng::seed_from_u64(span), StdRng::seed_from_u64(span));
+            for _ in 0..1_000 {
+                assert_eq!(uniform_below(&mut a, span), by_division(&mut b, span));
+            }
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {

@@ -9,7 +9,9 @@
 //!
 //! The incumbent's [`PartialSchedule`] is frozen once and kept while the
 //! incumbent stands; each compression pass rewinds it
-//! ([`PartialSchedule::rewind`]) instead of freezing it again.
+//! ([`PartialSchedule::rewind`]) instead of freezing it again. The freeze
+//! reads the incumbent's receive slots from the legalizer run that built
+//! it, kept beside the incumbent, so the search never replays a schedule.
 //!
 //! There is one search chain ([`run_chain`]). [`solve_anytime`] runs it
 //! cold; the repair tier ([`reschedule`](crate::reschedule)) warm-starts
@@ -267,6 +269,10 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     debug_assert!(best
         .verify_covering_with_model(topo, wake, model, ctx.dead)
         .is_ok());
+    // The incumbent's receive slots, straight from the legalizer: what a
+    // freeze reads, without a replay.
+    let mut best_receive = Vec::new();
+    legalizer.take_receive_slots(&mut best_receive);
     let mut trace = vec![TracePoint {
         elapsed_ms: clock.elapsed_ms(),
         moves: clock.moves,
@@ -322,7 +328,7 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
             // structure for an assignment one slot shorter, which the
             // legalizer then re-simulates.
             let freeze = |builder: &mut ConflictGraphBuilder| {
-                PartialSchedule::from_schedule_masked(&best, topo, model, builder, ctx.dead)
+                PartialSchedule::freeze(&best, &best_receive, topo, model, builder, ctx.dead)
             };
             let partial = match frozen.as_mut() {
                 Some(partial) => {
@@ -336,6 +342,10 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                 }
                 None => {
                     freezes += 1;
+                    debug_assert!(
+                        best_receive == best.receive_slots(topo, model, ctx.dead),
+                        "the legalizer's receive slots differ from the incumbent's replay"
+                    );
                     frozen.insert(freeze(&mut builder))
                 }
             };
@@ -386,6 +396,7 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                         .is_ok() =>
             {
                 best = cand;
+                legalizer.take_receive_slots(&mut best_receive);
                 frozen = None;
                 trace.push(TracePoint {
                     elapsed_ms: clock.elapsed_ms(),

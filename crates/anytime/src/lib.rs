@@ -10,9 +10,13 @@
 //! 2. a [`PartialSchedule`] freezes the incumbent's conflict structure —
 //!    partner pairs from the incremental conflict-graph builder
 //!    (spatially pruned at scale), per-pair *deadlines* from cached
-//!    witness sets — so single-relay moves delta-evaluate in `O(degree)`;
-//!    the freeze happens once per incumbent, and every later pass against
-//!    the same incumbent rewinds it in `O(relays + window)`,
+//!    witness sets against the slot each witness was informed in — so
+//!    single-relay moves delta-evaluate in `O(degree)`; the freeze happens
+//!    once per incumbent, and every later pass against the same incumbent
+//!    rewinds it in `O(relays + window)`. A schedule does not store those
+//!    slots: the search keeps the legalizer's copy beside its incumbent,
+//!    and [`PartialSchedule::from_schedule`] replays them with
+//!    [`Schedule::receive_slots`](mlbs_core::Schedule::receive_slots),
 //! 3. PARTIALCOL compression passes (evict the last slot, re-place its
 //!    relays under tabu tenure) search for assignments one slot shorter,
 //!    and a randomized greedy restart follows three failed passes in a row,
@@ -234,6 +238,7 @@ mod tests {
     ) {
         let start = schedule.start;
         let end = schedule.completion_slot();
+        let receive = schedule.receive_slots(topo, &ProtocolModel, None);
         // Delta-evaluated move costs must equal a from-scratch recount of
         // live-deadline partners at the target slot.
         for i in 0..partial.relays().len().min(20) {
@@ -246,7 +251,7 @@ mod tests {
                         let v = partial.relays()[j];
                         let mut wit = Vec::new();
                         ProtocolModel.collect_witnesses(topo, u, v, &mut wit);
-                        wit.iter().any(|&w| t <= schedule.receive_slot[w as usize])
+                        wit.iter().any(|&w| t <= receive[w as usize])
                     })
                     .count() as u32;
                 assert_eq!(got, brute, "relay {i} slot {t}");

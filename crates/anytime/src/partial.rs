@@ -4,8 +4,10 @@
 //! A complete broadcast schedule induces an assignment `relay → slot` plus
 //! a *frozen* conflict structure: for every pair of relays whose witness
 //! set is non-empty, the last slot at which they may not share a slot is
-//! `deadline(u, v) = max_w receive_slot[w]` over their witnesses `w` — a
-//! witness received in slot `r` is vulnerable through slot `r` inclusive.
+//! `deadline(u, v) = max_w receive[w]` over their witnesses `w`, where
+//! `receive[w]` is the slot `w` was informed in
+//! ([`Schedule::receive_slots`]) — a witness received in slot `r` is
+//! vulnerable through slot `r` inclusive.
 //! Against that frozen structure, evaluating a single-relay move costs
 //! `O(degree)`: bump a per-slot cost counter for each partner, read the
 //! counter at the target slot. The structure is *frozen* (receive times do
@@ -70,7 +72,7 @@ pub struct PartialSchedule {
     /// The assignment as frozen, which [`PartialSchedule::rewind`]
     /// restores.
     frozen_slot_of: Vec<Slot>,
-    /// Frozen earliest sending slot per relay (`receive_slot + 1`; the
+    /// Frozen earliest sending slot per relay (receive slot + 1; the
     /// source is pinned to the start slot and never moved).
     earliest: Vec<Slot>,
     /// Occupants per window offset (`slot − start`).
@@ -95,24 +97,27 @@ impl PartialSchedule {
     /// Freezes `schedule`'s conflict structure into a move-searchable
     /// assignment. Partner pairs come from `builder` rows under `model`
     /// (spatially pruned at scale), deadlines from the cached witness sets
-    /// against the schedule's receive times.
+    /// against the receive times [`Schedule::receive_slots`] replays.
     pub fn from_schedule<M: ConflictModel>(
         schedule: &Schedule,
         topo: &Topology,
         model: &M,
         builder: &mut ConflictGraphBuilder,
     ) -> PartialSchedule {
-        PartialSchedule::from_schedule_masked(schedule, topo, model, builder, None)
+        let receive = schedule.receive_slots(topo, model, None);
+        PartialSchedule::freeze(schedule, &receive, topo, model, builder, None)
     }
 
-    /// As [`PartialSchedule::from_schedule`], with dead nodes masked out of
-    /// the frozen structure: dead nodes cannot witness a conflict (they are
-    /// excluded from the partner-row universe and from deadline
-    /// computation), which is what makes repair-time passes as mobile as
-    /// the surviving topology allows. The schedule itself must already be
-    /// free of dead senders.
-    pub fn from_schedule_masked<M: ConflictModel>(
+    /// As [`PartialSchedule::from_schedule`], against known receive times
+    /// (`receive[w]`, as [`Schedule::receive_slots`] with `dead` would give
+    /// them) and with dead nodes masked out of the frozen structure: dead
+    /// nodes cannot witness a conflict (they are excluded from the
+    /// partner-row universe and from deadline computation), which is what
+    /// makes repair-time passes as mobile as the surviving topology allows.
+    /// The schedule itself must already be free of dead senders.
+    pub(crate) fn freeze<M: ConflictModel>(
         schedule: &Schedule,
+        receive: &[Slot],
         topo: &Topology,
         model: &M,
         builder: &mut ConflictGraphBuilder,
@@ -138,7 +143,7 @@ impl PartialSchedule {
                 src = i as u32;
                 earliest[i] = start;
             } else {
-                earliest[i] = schedule.receive_slot[u.idx()] + 1;
+                earliest[i] = receive[u.idx()] + 1;
             }
         }
 
@@ -162,7 +167,7 @@ impl PartialSchedule {
                     .witnesses(model, topo, relays[i], relays[j])
                     .iter()
                     .filter(|&&w| dead.is_none_or(|d| !d.contains(w as usize)))
-                    .map(|&w| schedule.receive_slot[w as usize])
+                    .map(|&w| receive[w as usize])
                     .max()
                     .unwrap_or(0);
                 adj[i].push((j as u32, deadline));

@@ -237,21 +237,10 @@ fn retime<S: WakeSchedule>(schedule: &mut Schedule, wake: &S) {
     }
 }
 
-/// Rewrites `receive_slot` from the serving tree (each node informed at
-/// its serving entry's first slot, the source at `start`).
-fn refresh_receive_slots(schedule: &mut Schedule, tree: &ServingTree) {
-    for w in 0..schedule.receive_slot.len() {
-        schedule.receive_slot[w] = match tree.entry_of.get(w) {
-            Some(&ei) if ei != usize::MAX => schedule.entries[ei].slot,
-            _ => schedule.start,
-        };
-    }
-}
-
 /// Exact repair loop: recompute the profile, and while some node misses
 /// the target, bump the weakest delivery on its serving path (respecting
 /// [`MAX_REPEAT`]) and re-time. Returns whether the target was reached,
-/// leaving `schedule` re-timed with `receive_slot` refreshed either way.
+/// leaving `schedule` re-timed either way.
 fn escalate<S: WakeSchedule, M: ConflictModel>(
     schedule: &mut Schedule,
     topo: &Topology,
@@ -273,7 +262,6 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
             }
         }
         if min_p + 1e-12 >= target {
-            refresh_receive_slots(schedule, &tree);
             return true;
         }
         // Weakest bumpable delivery on the failing node's serving path.
@@ -291,7 +279,6 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
             w = u as usize;
         }
         let Some((_, ei)) = bump else {
-            refresh_receive_slots(schedule, &tree);
             return false; // every entry on the path is at the cap
         };
         if schedule.repeats.is_empty() {
@@ -299,8 +286,6 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
         }
         schedule.repeats[ei] += 1;
     }
-    let (_, tree) = tree_profile(schedule, topo, wake, model, quality);
-    refresh_receive_slots(schedule, &tree);
     false
 }
 

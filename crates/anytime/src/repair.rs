@@ -173,7 +173,6 @@ fn filter_schedule(old: &Schedule, mask: &NodeSet) -> (Schedule, usize) {
         source: old.source,
         start: old.start,
         entries: Vec::new(),
-        receive_slot: old.receive_slot.clone(),
         repeats: Vec::new(),
     };
     let mut reused = 0;
@@ -472,7 +471,6 @@ mod tests {
                     channels: vec![0, 1],
                 },
             ],
-            receive_slot: vec![1, 1, 1, 2, 3, 3],
             repeats: Vec::new(),
         };
         old.verify_with_model(&topo, &AlwaysAwake, &model).unwrap();
@@ -520,7 +518,6 @@ mod tests {
                     source: src,
                     start: 1,
                     entries: Vec::new(),
-                    receive_slot: Vec::new(),
                     repeats: Vec::new(),
                 },
                 &delta,

@@ -80,7 +80,6 @@ proptest! {
             source: src,
             start: 1,
             entries: Vec::new(),
-            receive_slot: Vec::new(),
             repeats: Vec::new(),
         };
         let cold = reschedule(

@@ -39,7 +39,6 @@ fn cold_relegalize<M: wsn_phy::ConflictModel>(
         source,
         start: cfg.start_from,
         entries: Vec::new(),
-        receive_slot: Vec::new(),
         repeats: Vec::new(),
     };
     reschedule(topo, source, &AlwaysAwake, model, &empty, delta, &cfg)

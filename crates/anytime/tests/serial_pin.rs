@@ -77,7 +77,6 @@ fn cold_repair_is_the_serial_chain() {
             source: src,
             start: cfg.start_from,
             entries: Vec::new(),
-            receive_slot: Vec::new(),
             repeats: Vec::new(),
         };
         let rep = reschedule(

@@ -108,7 +108,6 @@ pub fn schedule_cds_layered(topo: &Topology, source: NodeId) -> Schedule {
 
     let mut informed = NodeSet::new(n);
     informed.insert(source.idx());
-    let mut receive_slot = vec![1; n];
     let mut entries: Vec<ScheduleEntry> = Vec::new();
     let mut t = 1;
 
@@ -140,9 +139,7 @@ pub fn schedule_cds_layered(topo: &Topology, source: NodeId) -> Schedule {
             let mut senders = classes[0].clone();
             for &u in &senders {
                 for &w in topo.neighbors(u) {
-                    if informed.insert(w.idx()) {
-                        receive_slot[w.idx()] = t;
-                    }
+                    informed.insert(w.idx());
                 }
             }
             senders.sort_unstable();
@@ -155,7 +152,6 @@ pub fn schedule_cds_layered(topo: &Topology, source: NodeId) -> Schedule {
         source,
         start: 1,
         entries,
-        receive_slot,
         repeats: Vec::new(),
     }
 }

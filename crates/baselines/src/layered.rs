@@ -83,7 +83,6 @@ pub fn schedule_layered_with<S: WakeSchedule>(
             w.insert(source.idx());
             w
         },
-        receive_slot: vec![t_s; n],
         entries: Vec::new(),
         t: t_s,
     };
@@ -104,7 +103,6 @@ pub fn schedule_layered_with<S: WakeSchedule>(
         source,
         start: t_s,
         entries: state.entries,
-        receive_slot: state.receive_slot,
         repeats: Vec::new(),
     }
 }
@@ -117,7 +115,6 @@ struct LayerRun<'a, S: WakeSchedule> {
     /// behind the per-layer colorings.
     sub: &'a mut BroadcastState,
     informed: NodeSet,
-    receive_slot: Vec<Slot>,
     entries: Vec<ScheduleEntry>,
     t: Slot,
 }
@@ -145,9 +142,7 @@ impl<S: WakeSchedule> LayerRun<'_, S> {
     fn fire(&mut self, mut senders: Vec<NodeId>) {
         for &u in &senders {
             for &w in self.topo.neighbors(u) {
-                if self.informed.insert(w.idx()) {
-                    self.receive_slot[w.idx()] = self.t;
-                }
+                self.informed.insert(w.idx());
             }
         }
         senders.sort_unstable();

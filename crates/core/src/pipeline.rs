@@ -128,7 +128,6 @@ pub fn run_pipeline_model<S: WakeSchedule, C: ColorSelector, M: ConflictModel>(
 
     let mut informed = NodeSet::new(n);
     informed.insert(source.idx());
-    let mut receive_slot = vec![t_s; n];
     let mut entries: Vec<ScheduleEntry> = Vec::new();
     let mut t = t_s;
 
@@ -168,9 +167,6 @@ pub fn run_pipeline_model<S: WakeSchedule, C: ColorSelector, M: ConflictModel>(
         }
         advance.difference_with(&informed);
         debug_assert!(!advance.is_empty(), "a color always covers someone new");
-        for w in advance.iter() {
-            receive_slot[w] = t;
-        }
         informed.union_with(&advance);
 
         entries.push(ScheduleEntry {
@@ -185,7 +181,6 @@ pub fn run_pipeline_model<S: WakeSchedule, C: ColorSelector, M: ConflictModel>(
         source,
         start: t_s,
         entries,
-        receive_slot,
         repeats: Vec::new(),
     }
 }

@@ -264,7 +264,6 @@ mod tests {
                 crate::schedule::ScheduleEntry::new(1, vec![f.id("1")]),
                 crate::schedule::ScheduleEntry::new(3, vec![f.id("2")]),
             ],
-            receive_slot: vec![1, 2, 2, 3, 3],
             repeats: vec![2, 2],
         };
         (s, f)

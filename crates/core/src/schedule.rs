@@ -1,7 +1,7 @@
 //! Broadcast schedules and their verification.
 
 use wsn_bitset::NodeSet;
-use wsn_dutycycle::{Slot, WakeSchedule};
+use wsn_dutycycle::{AlwaysAwake, Slot, WakeSchedule};
 use wsn_phy::{ConflictModel, ProtocolModel};
 use wsn_topology::{NodeId, Topology};
 
@@ -40,6 +40,10 @@ impl ScheduleEntry {
 
 /// A complete broadcast schedule: which conflict-free set transmits in
 /// which slot, from the source's first sending slot `t_s` until coverage.
+///
+/// Its size follows its transmissions, not the network: the slot in which
+/// each node first hears the message is not stored, and
+/// [`Schedule::receive_slots`] derives it by replay when a caller needs it.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     /// The broadcast source.
@@ -48,8 +52,6 @@ pub struct Schedule {
     pub start: Slot,
     /// Advances in strictly increasing slot order.
     pub entries: Vec<ScheduleEntry>,
-    /// Slot in which each node became informed (`start` for the source).
-    pub receive_slot: Vec<Slot>,
     /// Per-entry repeat counts, parallel to `entries` — the ε-reliability
     /// retransmission budget. Entry `i` occupies the slot range
     /// `[slot, slot + repeats[i])`: its sender set re-fires in each slot of
@@ -167,6 +169,42 @@ impl Schedule {
         model: &M,
         excluded: Option<&NodeSet>,
     ) -> Result<(), ScheduleError> {
+        self.replay(topo, wake, model, excluded, None)
+    }
+
+    /// The slot in which each node first hears the message, from the
+    /// replay [`Schedule::verify_covering_with_model`] runs under `model`
+    /// with `excluded` masked out. The source, excluded nodes and nodes the
+    /// schedule never reaches read `start`.
+    ///
+    /// Wake schedules decide only whether a sender may fire, never who
+    /// hears it, so none is asked for. On a schedule that fails
+    /// verification for another reason the replay stops at the failing
+    /// entry, and the nodes it had not informed by then read `start`.
+    pub fn receive_slots<M: ConflictModel>(
+        &self,
+        topo: &Topology,
+        model: &M,
+        excluded: Option<&NodeSet>,
+    ) -> Vec<Slot> {
+        let mut slots = vec![self.start; topo.len()];
+        // The slots are the product here; a verdict, if any, is the
+        // caller's to ask for.
+        let _ = self.replay(topo, &AlwaysAwake, model, excluded, Some(&mut slots));
+        slots
+    }
+
+    /// The one replay behind verification and [`Schedule::receive_slots`]:
+    /// checks every entry in order and, when `slots` is given, records the
+    /// slot of each clean reception in it.
+    fn replay<S: WakeSchedule, M: ConflictModel>(
+        &self,
+        topo: &Topology,
+        wake: &S,
+        model: &M,
+        excluded: Option<&NodeSet>,
+        mut slots: Option<&mut [Slot]>,
+    ) -> Result<(), ScheduleError> {
         let n = topo.len();
         if !self.repeats.is_empty()
             && (self.repeats.len() != self.entries.len() || self.repeats.contains(&0))
@@ -269,6 +307,11 @@ impl Schedule {
                     });
                 }
                 received.union_with(&outcome.received);
+            }
+            if let Some(slots) = slots.as_deref_mut() {
+                for w in received.iter() {
+                    slots[w] = entry.slot;
+                }
             }
             informed.union_with(&received);
         }
@@ -399,7 +442,6 @@ mod tests {
                 ScheduleEntry::new(1, vec![f.id("1")]),
                 ScheduleEntry::new(2, vec![f.id("2")]),
             ],
-            receive_slot: vec![1, 2, 2, 3, 3],
             repeats: Vec::new(),
         };
         (s, f)
@@ -425,7 +467,6 @@ mod tests {
                 ScheduleEntry::new(1, vec![f.id("1")]),
                 ScheduleEntry::new(2, vec![f.id("2"), f.id("3")]),
             ],
-            receive_slot: vec![],
             repeats: Vec::new(),
         };
         let err = s.verify(&f.topo, &AlwaysAwake).unwrap_err();
@@ -445,7 +486,6 @@ mod tests {
             source: f.source,
             start: 1,
             entries: vec![ScheduleEntry::new(1, vec![f.id("2")])],
-            receive_slot: vec![],
             repeats: Vec::new(),
         };
         assert!(matches!(
@@ -473,7 +513,6 @@ mod tests {
             source: f.source,
             start: 1,
             entries: vec![ScheduleEntry::new(1, vec![f.id("1")])],
-            receive_slot: vec![],
             repeats: Vec::new(),
         };
         assert!(matches!(
@@ -493,6 +532,31 @@ mod tests {
             // swapped order fails monotonicity first.
             ScheduleError::UninformedSender { .. } | ScheduleError::NonMonotonicSlots { .. }
         ));
+    }
+
+    #[test]
+    fn receive_slots_replay_first_hearings() {
+        let (s, f) = table2_schedule();
+        // "1" sends in slot 1 and reaches "2" and "3"; "2" sends in slot 2
+        // and reaches "4" and "5". The source reads the start slot.
+        assert_eq!(
+            s.receive_slots(&f.topo, &ProtocolModel, None),
+            [1, 1, 1, 2, 2]
+        );
+        // A dead leaf is owed nothing and reads the start slot.
+        let mut dead = NodeSet::new(f.topo.len());
+        dead.insert(f.id("5").idx());
+        assert_eq!(
+            s.receive_slots(&f.topo, &ProtocolModel, Some(&dead)),
+            [1, 1, 1, 2, 1]
+        );
+        // The replay stops at a collision: "4" is never informed.
+        let mut bad = s.clone();
+        bad.entries[1].senders = vec![f.id("2"), f.id("3")];
+        assert_eq!(
+            bad.receive_slots(&f.topo, &ProtocolModel, None),
+            [1, 1, 1, 1, 1]
+        );
     }
 
     #[test]
@@ -523,7 +587,6 @@ mod tests {
                     channels: vec![0, 1],
                 },
             ],
-            receive_slot: vec![1, 2, 2, 2, 2],
             repeats: Vec::new(),
         };
         let two = MultiChannel::new(ProtocolModel, 2);
@@ -566,7 +629,6 @@ mod tests {
                 ScheduleEntry::new(1, vec![f.id("1")]),
                 ScheduleEntry::new(2, vec![f.id("2")]),
             ],
-            receive_slot: vec![1, 2, 2, 3, 3],
             repeats: Vec::new(),
         };
         let mut dead = NodeSet::new(f.topo.len());
@@ -597,7 +659,6 @@ mod tests {
             source: NodeId(0),
             start: 1,
             entries: vec![],
-            receive_slot: vec![1],
             repeats: Vec::new(),
         };
         assert_eq!(s.latency(), 0);

@@ -688,7 +688,6 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
                     source,
                     start: t_s,
                     entries: vec![],
-                    receive_slot: vec![t_s; n],
                     repeats: Vec::new(),
                 },
                 latency: 0,
@@ -1280,7 +1279,6 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
     ) -> Option<Schedule> {
         let n = self.topo.len();
         let mut informed = w0.clone();
-        let mut receive_slot = vec![t_s; n];
         let mut entries = Vec::new();
         let mut t = t_s;
         while !informed.is_full() {
@@ -1313,9 +1311,6 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
                 advance.union_with(self.topo.neighbor_set(u));
             }
             advance.difference_with(&informed);
-            for w in advance.iter() {
-                receive_slot[w] = t;
-            }
             informed.union_with(&advance);
             entries.push(ScheduleEntry {
                 slot: t,
@@ -1328,7 +1323,6 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
             source,
             start: t_s,
             entries,
-            receive_slot,
             repeats: Vec::new(),
         })
     }

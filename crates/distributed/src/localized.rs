@@ -89,7 +89,6 @@ pub fn localized_broadcast_with<S: WakeSchedule>(
     let mut informed = NodeSet::new(n);
     informed.insert(source.idx());
     let mut has_sent = NodeSet::new(n);
-    let mut receive_slot = vec![t_s; n];
     let mut entries: Vec<ScheduleEntry> = Vec::new();
     let mut stats = LocalizedStats::default();
     let mut t = t_s;
@@ -207,9 +206,6 @@ pub fn localized_broadcast_with<S: WakeSchedule>(
             has_sent.insert(u.idx());
         }
         advance.difference_with(&informed);
-        for w in advance.iter() {
-            receive_slot[w] = t;
-        }
         informed.union_with(&advance);
 
         winners.sort_unstable();
@@ -222,7 +218,6 @@ pub fn localized_broadcast_with<S: WakeSchedule>(
             source,
             start: t_s,
             entries,
-            receive_slot,
             repeats: Vec::new(),
         },
         stats,

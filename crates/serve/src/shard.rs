@@ -164,7 +164,6 @@ impl ShardState {
                 source,
                 start: base.start_from,
                 entries: Vec::new(),
-                receive_slot: Vec::new(),
                 repeats: Vec::new(),
             },
             current: None,

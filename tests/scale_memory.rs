@@ -8,21 +8,31 @@
 //! (`cargo test --release --test scale_memory -- --ignored`) must fit in
 //! 2 GB where the masks would need about 125 GB.
 //!
+//! A kept result must not grow with the network either: a schedule's size
+//! follows its transmissions, so the 50k-node plan's `AnytimeOutcome`
+//! holds under 4 heap bytes per node, which no per-node vector fits in.
+//!
 //! The heap is measured exactly by a counting global allocator, so the
 //! numbers do not depend on what else the process has touched before.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use mlbs::prelude::*;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 static PEAK: AtomicIsize = AtomicIsize::new(0);
-/// Serializes the counting windows: tests run on parallel threads, and
-/// `--include-ignored` runs both tests of this file.
-static WINDOW: Mutex<()> = Mutex::new(());
+/// Serializes the tests of this file: they run on parallel threads, and
+/// `--include-ignored` runs both. A test holds it from start to end, so no
+/// other test allocates or frees (its kept result, say) while a counting
+/// window is open.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// `System` plus byte accounting while a [`measure_peak`] window is open.
 struct Counting;
@@ -77,22 +87,24 @@ unsafe impl GlobalAlloc for Counting {
 }
 
 /// Runs `f` and returns its result with the peak heap growth (bytes) it
-/// caused.
-fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+/// caused and the bytes still live when it returned (what its result
+/// holds).
+fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     LIVE.store(0, Ordering::Relaxed);
     PEAK.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::SeqCst);
     let out = f();
     COUNTING.store(false, Ordering::SeqCst);
-    (out, PEAK.load(Ordering::Relaxed).max(0) as usize)
+    let live = LIVE.load(Ordering::Relaxed).max(0) as usize;
+    (out, PEAK.load(Ordering::Relaxed).max(0) as usize, live)
 }
 
 const MB: usize = 1 << 20;
 
 /// Deploys `nodes` at the scaled benchmark density, solves at an iteration
-/// budget and verifies; returns the latency and the source's BFS depth.
-fn plan(nodes: usize, seed: u64, iterations: u64) -> (Slot, Slot) {
+/// budget and verifies; returns the outcome and the source's BFS depth,
+/// with the deployment and the model dropped.
+fn plan(nodes: usize, seed: u64, iterations: u64) -> (AnytimeOutcome, Slot) {
     let (topo, source) = SyntheticDeployment::scaled(nodes).sample(seed);
     let model = PhyModelSpec::protocol().build(&topo);
     let config = AnytimeConfig {
@@ -106,30 +118,42 @@ fn plan(nodes: usize, seed: u64, iterations: u64) -> (Slot, Slot) {
         .verify_with_model(&topo, &AlwaysAwake, &model)
         .expect("anytime schedule verifies");
     let depth = metrics::eccentricity(&topo, source).expect("connected");
-    (outcome.latency, Slot::from(depth))
+    (outcome, Slot::from(depth))
 }
 
 #[test]
 fn plan_at_50k_nodes_stays_csr_sized() {
-    let ((latency, depth), peak) = measure_peak(|| plan(50_000, 42, 2_000));
+    const NODES: usize = 50_000;
+    let _exclusive = exclusive();
+    let ((outcome, depth), peak, kept) = measure_peak(|| plan(NODES, 42, 2_000));
+    eprintln!("50k-node plan: heap peak {peak} B, kept outcome {kept} B");
     assert!(
-        latency >= depth,
-        "latency {latency} under BFS depth {depth}"
+        outcome.latency >= depth,
+        "latency {} under BFS depth {depth}",
+        outcome.latency
     );
     assert!(
         peak < 64 * MB,
         "50k-node plan peaked at {} MB of heap",
         peak / MB
     );
+    assert!(
+        kept < 4 * NODES,
+        "the kept 50k-node outcome holds {kept} heap bytes ({} relays)",
+        outcome.schedule.transmission_count()
+    );
 }
 
 #[test]
 #[ignore = "1M nodes: run in release with `--ignored`"]
 fn greedy_plan_at_1m_nodes_fits_in_2gb() {
-    let ((latency, depth), peak) = measure_peak(|| plan(1_000_000, 42, 0));
+    let _exclusive = exclusive();
+    let ((outcome, depth), peak, _) = measure_peak(|| plan(1_000_000, 42, 0));
+    eprintln!("1M-node plan: heap peak {peak} B");
     assert!(
-        latency >= depth,
-        "latency {latency} under BFS depth {depth}"
+        outcome.latency >= depth,
+        "latency {} under BFS depth {depth}",
+        outcome.latency
     );
     assert!(
         peak < 2048 * MB,

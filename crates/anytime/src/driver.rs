@@ -7,11 +7,34 @@
 //! the stall counter, so every pass is either one compression pass or one
 //! restart.
 //!
+//! Restarts are numbered. Restart `k` draws its priority noise from a
+//! stream of its own, seeded from `(config.seed, k)`, and reads neither
+//! the incumbent nor any hints, so it depends only on the instance, the
+//! seed and `k`. Restart 0 draws no noise: it is the cold greedy
+//! legalization. A cold chain's seed is restart 0 and its kicks are
+//! restarts 1, 2, …; a warm chain (a repair with placements to reuse)
+//! seeds from its hints and opens with restart 0 as its first pass, so a
+//! repair never ends worse than the cold legalization under its mask.
+//! The chain's own RNG drives only the compression passes.
+//!
+//! Under an iteration budget on a host with a spare core, the chain
+//! starts one scoped helper thread at its first kick. While the chain
+//! legalizes restart `k` and runs the passes up to its next kick, the
+//! helper legalizes restart `k + 1` with a legalizer of its own and hands
+//! it over through a condvar; the chain builds restart `k + 2` itself,
+//! beside the helper's `k + 3`, and so on. The helper looks ahead by at
+//! most one restart, and a stop flag ends a restart the chain will not
+//! take. The chain takes restarts in order and bills each one the same,
+//! so its outcome does not depend on whether the helper ran. Wall-clock
+//! chains stay on one thread.
+//!
 //! The incumbent's [`PartialSchedule`] is frozen once and kept while the
 //! incumbent stands; each compression pass rewinds it
 //! ([`PartialSchedule::rewind`]) instead of freezing it again. The freeze
 //! reads the incumbent's receive slots from the legalizer run that built
-//! it, kept beside the incumbent, so the search never replays a schedule.
+//! it, kept beside the incumbent. Only a restart the helper built replays
+//! its schedule for them, once, when it becomes the incumbent.
+//! Each freeze builds its conflict rows with a fresh builder.
 //!
 //! There is one search chain ([`run_chain`]). [`solve_anytime`] runs it
 //! cold; the repair tier ([`reschedule`](crate::reschedule)) warm-starts
@@ -20,6 +43,8 @@
 use mlbs_core::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 use wsn_bitset::NodeSet;
 use wsn_dutycycle::{Slot, WakeSchedule};
@@ -47,6 +72,12 @@ pub enum Budget {
     /// incumbent and later passes rewind it, so the charge no longer
     /// measures work done; it stays as the budget contract, which keeps
     /// iteration-budget results reproducible bit for bit.
+    ///
+    /// Each restart draws from its own RNG stream, seeded from the config
+    /// seed and the restart's index, and is billed when the chain takes
+    /// it. On a host with a spare core a helper thread legalizes the next
+    /// restart ahead of the chain; the result is the same bit for bit with
+    /// or without it, whatever the thread count.
     Iterations(u64),
 }
 
@@ -70,6 +101,15 @@ const PASS_MOVE_CAP: u64 = 4_000;
 const STALLS_BEFORE_KICK: u32 = 3;
 /// Priority noise for randomized restart legalizations.
 const RESTART_JITTER: u32 = 3;
+/// Smallest network whose iteration-budget chains legalize restarts on a
+/// helper thread: below it a restart costs less than the hand-off. Mean
+/// chain time with the helper on / off, default config, two runs of 18–24
+/// chains over six paper deployments per size, release build on a 2-core
+/// x86-64 host:
+/// 100 nodes 31.0 / 24.2 ms, 130 nodes 25.1 / 23.4, 145 nodes 15.2 / 14.7,
+/// 150 nodes 29.7 / 34.2, 160 nodes 24.0 / 25.0, 200 nodes 16.6 / 19.2,
+/// 300 nodes 34.8 / 47.0, 400 nodes 39.0 / 57.6.
+const LOOKAHEAD_MIN_NODES: usize = 150;
 
 impl Default for AnytimeConfig {
     fn default() -> Self {
@@ -166,14 +206,18 @@ pub(crate) struct ChainCtx<'a> {
     /// owed no coverage, and don't witness conflicts. The alive set must
     /// stay connected through the source.
     pub(crate) dead: Option<&'a NodeSet>,
+    /// Whether an iteration-budget chain may legalize restarts ahead on a
+    /// helper thread ([`lookahead_pays`]). It changes no result.
+    pub(crate) lookahead: bool,
 }
 
 impl ChainCtx<'_> {
-    /// A cold chain over every node.
-    pub(crate) fn standalone() -> ChainCtx<'static> {
+    /// A cold chain over every node of an `n`-node network.
+    pub(crate) fn standalone(n: usize) -> ChainCtx<'static> {
         ChainCtx {
             warm: None,
             dead: None,
+            lookahead: lookahead_pays(n),
         }
     }
 }
@@ -207,7 +251,14 @@ pub fn solve_anytime<S: WakeSchedule, M: ConflictModel>(
     model: &M,
     config: &AnytimeConfig,
 ) -> AnytimeOutcome {
-    run_chain(topo, source, wake, model, config, ChainCtx::standalone())
+    run_chain(
+        topo,
+        source,
+        wake,
+        model,
+        config,
+        ChainCtx::standalone(topo.len()),
+    )
 }
 
 /// One search chain: the body behind [`solve_anytime`] and the repair
@@ -248,24 +299,35 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         started: Instant::now(),
         moves: 0,
     };
+    // The chain's own stream drives only the compression passes; each
+    // restart draws from a stream of its own (`RestartInput::build`).
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut legalizer = Legalizer::new(topo.len());
-    let mut builder = ConflictGraphBuilder::new();
-    let no_hints = Hints::new();
-
-    let warm_hints = ctx.warm.map(hints_of);
-    let seed_hints = warm_hints.as_ref().unwrap_or(&no_hints);
-    let mut best = legalizer.legalize(
+    let input = RestartInput {
         topo,
         source,
         wake,
         model,
-        seed_hints,
-        config.start_from,
-        0,
-        ctx.dead,
-        &mut rng,
-    );
+        start_from: config.start_from,
+        dead: ctx.dead,
+        seed: config.seed,
+    };
+
+    let warm_hints = ctx.warm.map(hints_of).filter(|hints| !hints.is_empty());
+    let mut best = match &warm_hints {
+        Some(hints) => legalizer.legalize(
+            topo,
+            source,
+            wake,
+            model,
+            hints,
+            config.start_from,
+            0,
+            ctx.dead,
+            &mut rng,
+        ),
+        None => input.build(&mut legalizer, 0, None).expect("no stop flag"),
+    };
     debug_assert!(best
         .verify_covering_with_model(topo, wake, model, ctx.dead)
         .is_ok());
@@ -282,6 +344,10 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     let mut passes = 0u64;
     let mut restarts = 0u64;
     let mut stalls = 0u32;
+    // A cold chain's seed is restart 0. A warm chain opens with it as its
+    // first pass, so a repair never ends worse than the cold legalization
+    // under its mask.
+    let mut next_restart = if warm_hints.is_some() { 0 } else { 1 };
     // The frozen structure of `best`, kept while `best` stays the
     // incumbent and rewound at the start of each compression pass.
     let mut frozen: Option<PartialSchedule> = None;
@@ -293,133 +359,180 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     // deterministic moves but paid in real time the move cadence cannot
     // see).
     let mut pass_cost_ewma = 0.0f64;
+    // The lookahead helper (iteration budgets only): whether it runs, and
+    // whether it is building the next restart.
+    let look = Lookahead::default();
+    let mut helper_runs = false;
+    let mut ahead = false;
+    let mut restarts_ahead = 0u64;
 
-    while best.latency() > depth && !clock.exhausted() {
-        if let Budget::WallClockMs(ms) = config.budget {
-            let remaining = ms.saturating_sub(clock.elapsed_ms()) as f64;
-            if pass_cost_ewma > 0.0 && remaining < pass_cost_ewma * 0.5 {
-                break;
+    std::thread::scope(|scope| {
+        // Ends the helper when the chain ends, also by a panic, before the
+        // scope joins it.
+        let _close = CloseOnDrop(&look);
+        while best.latency() > depth && !clock.exhausted() {
+            if let Budget::WallClockMs(ms) = config.budget {
+                let remaining = ms.saturating_sub(clock.elapsed_ms()) as f64;
+                if pass_cost_ewma > 0.0 && remaining < pass_cost_ewma * 0.5 {
+                    break;
+                }
             }
-        }
-        let pass_started_ms = clock.elapsed_ms();
+            let pass_started_ms = clock.elapsed_ms();
 
-        passes += 1;
-        let _pass_span = wsn_obs::span("anytime.pass");
-        let kick = stalls >= STALLS_BEFORE_KICK;
-        let candidate = if kick {
-            // Randomized greedy restart (fresh construction with jittered
-            // priorities).
-            restarts += 1;
-            wsn_obs::event("anytime.restart");
-            clock.moves += topo.len() as u64 / 64 + 1;
-            Some(legalizer.legalize(
-                topo,
-                source,
-                wake,
-                model,
-                &no_hints,
-                config.start_from,
-                RESTART_JITTER,
-                ctx.dead,
-                &mut rng,
-            ))
-        } else {
-            // Compression pass (PARTIALCOL): search the frozen conflict
-            // structure for an assignment one slot shorter, which the
-            // legalizer then re-simulates.
-            let freeze = |builder: &mut ConflictGraphBuilder| {
-                PartialSchedule::freeze(&best, &best_receive, topo, model, builder, ctx.dead)
-            };
-            let partial = match frozen.as_mut() {
-                Some(partial) => {
-                    partial.rewind();
-                    freeze_reuses += 1;
-                    debug_assert!(
-                        *partial == freeze(&mut builder),
-                        "rewound PartialSchedule differs from a fresh freeze of the incumbent"
-                    );
-                    partial
+            passes += 1;
+            let _pass_span = wsn_obs::span("anytime.pass");
+            let kick = next_restart == 0 || stalls >= STALLS_BEFORE_KICK;
+            let candidate = if kick {
+                // Restart `k`: a fresh greedy construction, with jittered
+                // priorities from its own stream unless `k == 0`.
+                let k = next_restart;
+                next_restart += 1;
+                restarts += 1;
+                wsn_obs::event("anytime.restart");
+                clock.moves += topo.len() as u64 / 64 + 1;
+                if !helper_runs
+                    && k > 0
+                    && ctx.lookahead
+                    && matches!(config.budget, Budget::Iterations(_))
+                {
+                    scope.spawn(|| lookahead_helper(&input, &look));
+                    helper_runs = true;
                 }
-                None => {
-                    freezes += 1;
-                    debug_assert!(
-                        best_receive == best.receive_slots(topo, model, ctx.dead),
-                        "the legalizer's receive slots differ from the incumbent's replay"
-                    );
-                    frozen.insert(freeze(&mut builder))
-                }
-            };
-            // The setup charge is the budget contract, billed whether the
-            // structure was frozen or rewound.
-            clock.moves += partial.relays().len() as u64 / 8 + 1;
-            let mut solved = false;
-            if partial.begin_compress() {
-                let mut pass_moves = 0u64;
-                loop {
-                    let step = partial.compress_step(wake, TABU_TENURE, &mut rng);
-                    clock.moves += 1;
-                    pass_moves += 1;
-                    match step {
-                        StepOutcome::Done => {
-                            solved = true;
+                let built = if ahead {
+                    // The helper built it beside the last restart.
+                    ahead = false;
+                    restarts_ahead += 1;
+                    (look.take(k), Receive::Replay)
+                } else {
+                    // The helper, when running, builds the next restart
+                    // while this thread builds this one.
+                    if helper_runs {
+                        look.order(k + 1);
+                        ahead = true;
+                    }
+                    let schedule = input.build(&mut legalizer, k, None).expect("no stop flag");
+                    (schedule, Receive::Legalizer)
+                };
+                #[cfg(test)]
+                tests::log_restart(k, &built.0, matches!(built.1, Receive::Replay));
+                Some(built)
+            } else {
+                // Compression pass (PARTIALCOL): search the frozen conflict
+                // structure for an assignment one slot shorter, which the
+                // legalizer then re-simulates. Each freeze gets a fresh
+                // builder, so no builder scratch outlives its incumbent.
+                let freeze = || {
+                    PartialSchedule::freeze(
+                        &best,
+                        &best_receive,
+                        topo,
+                        model,
+                        &mut ConflictGraphBuilder::new(),
+                        ctx.dead,
+                    )
+                };
+                let partial = match frozen.as_mut() {
+                    Some(partial) => {
+                        partial.rewind();
+                        freeze_reuses += 1;
+                        debug_assert!(
+                            *partial == freeze(),
+                            "rewound PartialSchedule differs from a fresh freeze of the incumbent"
+                        );
+                        partial
+                    }
+                    None => {
+                        freezes += 1;
+                        debug_assert!(
+                            best_receive == best.receive_slots(topo, model, ctx.dead),
+                            "the legalizer's receive slots differ from the incumbent's replay"
+                        );
+                        frozen.insert(freeze())
+                    }
+                };
+                // The setup charge is the budget contract, billed whether
+                // the structure was frozen or rewound.
+                clock.moves += partial.relays().len() as u64 / 8 + 1;
+                let mut solved = false;
+                if partial.begin_compress() {
+                    let mut pass_moves = 0u64;
+                    loop {
+                        let step = partial.compress_step(wake, TABU_TENURE, &mut rng);
+                        clock.moves += 1;
+                        pass_moves += 1;
+                        match step {
+                            StepOutcome::Done => {
+                                solved = true;
+                                break;
+                            }
+                            StepOutcome::Stuck => break,
+                            StepOutcome::Progress => {}
+                        }
+                        if pass_moves >= PASS_MOVE_CAP || clock.mid_pass_exhausted(pass_moves) {
                             break;
                         }
-                        StepOutcome::Stuck => break,
-                        StepOutcome::Progress => {}
                     }
-                    if pass_moves >= PASS_MOVE_CAP || clock.mid_pass_exhausted(pass_moves) {
-                        break;
+                }
+                solved.then(|| {
+                    let hints = partial.hints();
+                    let schedule = legalizer.legalize(
+                        topo,
+                        source,
+                        wake,
+                        model,
+                        &hints,
+                        config.start_from,
+                        0,
+                        ctx.dead,
+                        &mut rng,
+                    );
+                    (schedule, Receive::Legalizer)
+                })
+            };
+
+            match candidate {
+                Some((cand, receive))
+                    if cand.latency() < best.latency()
+                        && cand
+                            .verify_covering_with_model(topo, wake, model, ctx.dead)
+                            .is_ok() =>
+                {
+                    best = cand;
+                    match receive {
+                        Receive::Legalizer => legalizer.take_receive_slots(&mut best_receive),
+                        Receive::Replay => {
+                            best_receive = best.receive_slots(topo, model, ctx.dead);
+                        }
+                    }
+                    frozen = None;
+                    trace.push(TracePoint {
+                        elapsed_ms: clock.elapsed_ms(),
+                        moves: clock.moves,
+                        latency: best.latency(),
+                    });
+                    wsn_obs::event_value("anytime.incumbent", best.latency() as i64);
+                    stalls = 0;
+                }
+                _ => {
+                    if kick {
+                        // A kick resets the stall counter either way.
+                        stalls = 0;
+                    } else {
+                        stalls += 1;
                     }
                 }
             }
-            solved.then(|| {
-                let hints = partial.hints();
-                legalizer.legalize(
-                    topo,
-                    source,
-                    wake,
-                    model,
-                    &hints,
-                    config.start_from,
-                    0,
-                    ctx.dead,
-                    &mut rng,
-                )
-            })
-        };
 
-        match candidate {
-            Some(cand)
-                if cand.latency() < best.latency()
-                    && cand
-                        .verify_covering_with_model(topo, wake, model, ctx.dead)
-                        .is_ok() =>
-            {
-                best = cand;
-                legalizer.take_receive_slots(&mut best_receive);
-                frozen = None;
-                trace.push(TracePoint {
-                    elapsed_ms: clock.elapsed_ms(),
-                    moves: clock.moves,
-                    latency: best.latency(),
-                });
-                wsn_obs::event_value("anytime.incumbent", best.latency() as i64);
-                stalls = 0;
+            if matches!(config.budget, Budget::WallClockMs(_)) {
+                let took = (clock.elapsed_ms() - pass_started_ms) as f64;
+                pass_cost_ewma = if pass_cost_ewma == 0.0 {
+                    took
+                } else {
+                    0.7 * pass_cost_ewma + 0.3 * took
+                };
             }
-            // A kick resets the stall counter either way.
-            _ if kick => stalls = 0,
-            _ => stalls += 1,
         }
-
-        if matches!(config.budget, Budget::WallClockMs(_)) {
-            let took = (clock.elapsed_ms() - pass_started_ms) as f64;
-            pass_cost_ewma = if pass_cost_ewma == 0.0 {
-                took
-            } else {
-                0.7 * pass_cost_ewma + 0.3 * took
-            };
-        }
-    }
+    });
 
     let proved_optimal = best.latency() <= depth;
     let latency = best.latency();
@@ -430,6 +543,8 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         wsn_obs::counter_add("anytime.moves", clock.moves);
         wsn_obs::counter_add("anytime.passes", passes);
         wsn_obs::counter_add("anytime.restarts", restarts);
+        wsn_obs::counter_add("anytime.restarts_ahead", restarts_ahead);
+        wsn_obs::counter_add("anytime.lookahead_wasted", u64::from(ahead));
         wsn_obs::counter_add("anytime.freezes", freezes);
         wsn_obs::counter_add("anytime.freeze_reuses", freeze_reuses);
         if proved_optimal {
@@ -449,5 +564,366 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         passes,
         restarts,
         proved_optimal,
+    }
+}
+
+/// Where a candidate's receive slots come from.
+enum Receive {
+    /// The chain's legalizer, from its last run.
+    Legalizer,
+    /// A replay of the schedule: the helper built it, and its slots stay
+    /// in the helper's legalizer. Only a restart that wins pays for it.
+    Replay,
+}
+
+/// Seed of restart `k`'s RNG stream: output `k + 1` of a SplitMix64
+/// generator started at `seed ^ RESTART_STREAMS`. Restart `k` therefore
+/// depends only on the instance, the seed and `k`.
+fn restart_seed(seed: u64, k: u64) -> u64 {
+    const RESTART_STREAMS: u64 = 0x5245_5354_4152_5453; // "RESTARTS"
+    const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15; // SplitMix64's increment
+    let mut z = (seed ^ RESTART_STREAMS).wrapping_add(k.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// What a restart reads: the instance, the mask and the chain's seed.
+/// The chain and its lookahead helper share it.
+struct RestartInput<'a, S, M> {
+    topo: &'a Topology,
+    source: NodeId,
+    wake: &'a S,
+    model: &'a M,
+    start_from: Slot,
+    dead: Option<&'a NodeSet>,
+    seed: u64,
+}
+
+impl<S: WakeSchedule, M: ConflictModel> RestartInput<'_, S, M> {
+    /// Restart `k`: a greedy legalization without hints, with priority
+    /// noise drawn from the stream [`restart_seed`] gives `k`. Restart 0
+    /// draws no noise: it is the cold legalization under the mask.
+    /// `None` when `stop` is raised first.
+    fn build(
+        &self,
+        legalizer: &mut Legalizer,
+        k: u64,
+        stop: Option<&AtomicBool>,
+    ) -> Option<Schedule> {
+        let jitter = if k == 0 { 0 } else { RESTART_JITTER };
+        let mut rng = StdRng::seed_from_u64(restart_seed(self.seed, k));
+        legalizer.legalize_until(
+            self.topo,
+            self.source,
+            self.wake,
+            self.model,
+            &Hints::new(),
+            self.start_from,
+            jitter,
+            self.dead,
+            &mut rng,
+            stop,
+        )
+    }
+}
+
+/// Whether a chain on `n` nodes should run restarts on a helper thread:
+/// the host has a spare core, and a restart costs far more than the
+/// hand-off.
+pub(crate) fn lookahead_pays(n: usize) -> bool {
+    static SPARE_CORE: OnceLock<bool> = OnceLock::new();
+    n >= LOOKAHEAD_MIN_NODES
+        && *SPARE_CORE
+            .get_or_init(|| std::thread::available_parallelism().is_ok_and(|p| p.get() > 1))
+}
+
+/// The hand-off between a chain and its lookahead helper. At a kick it
+/// builds itself, the chain orders the next restart; the helper builds it
+/// beside the chain's, and the chain takes it at its next kick.
+#[derive(Default)]
+struct Lookahead {
+    state: Mutex<Handoff>,
+    changed: Condvar,
+    /// Raised when the chain ends; a restart in progress reads it once
+    /// per slot and gives up. It publishes no data (the hand-off goes
+    /// through the mutex), so relaxed loads and stores suffice.
+    stop: AtomicBool,
+}
+
+#[derive(Default)]
+struct Handoff {
+    /// The restart on order, not yet started.
+    order: Option<u64>,
+    /// The restart the helper built.
+    built: Option<(u64, Schedule)>,
+    /// Set when either side leaves; the other stops waiting.
+    closed: bool,
+}
+
+impl Lookahead {
+    // Every field store leaves a `Handoff` valid, so the state a panicking
+    // holder leaves behind is too: a poisoned lock is recovered, and the
+    // other side sees `closed` or the restart.
+    fn lock(&self) -> MutexGuard<'_, Handoff> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, guard: MutexGuard<'a, Handoff>) -> MutexGuard<'a, Handoff> {
+        self.changed
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Orders restart `k`.
+    fn order(&self, k: u64) {
+        self.lock().order = Some(k);
+        self.changed.notify_all();
+    }
+
+    /// Waits for restart `k`, the one on order.
+    fn take(&self, k: u64) -> Schedule {
+        let mut handoff = self.lock();
+        loop {
+            if let Some((built, schedule)) = handoff.built.take() {
+                assert_eq!(built, k, "the helper built the wrong restart");
+                return schedule;
+            }
+            assert!(!handoff.closed, "the lookahead helper died");
+            handoff = self.wait(handoff);
+        }
+    }
+
+    fn close(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.lock().closed = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Closes a [`Lookahead`] when dropped, also while unwinding.
+struct CloseOnDrop<'a>(&'a Lookahead);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The helper thread's body: build each restart the chain orders, with a
+/// legalizer of its own, until the chain closes the hand-off. It opens no
+/// spans.
+fn lookahead_helper<S: WakeSchedule, M: ConflictModel>(
+    input: &RestartInput<'_, S, M>,
+    look: &Lookahead,
+) {
+    let _close = CloseOnDrop(look);
+    let mut legalizer = Legalizer::new(input.topo.len());
+    let mut handoff = look.lock();
+    loop {
+        if handoff.closed {
+            return;
+        }
+        let Some(k) = handoff.order.take() else {
+            handoff = look.wait(handoff);
+            continue;
+        };
+        drop(handoff);
+        let Some(schedule) = input.build(&mut legalizer, k, Some(&look.stop)) else {
+            return;
+        };
+        handoff = look.lock();
+        handoff.built = Some((k, schedule));
+        look.changed.notify_all();
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use wsn_dutycycle::{AlwaysAwake, WindowedRandom};
+    use wsn_phy::ProtocolModel;
+    use wsn_topology::deploy::SyntheticDeployment;
+
+    /// A restart a chain took: its index, its schedule, and whether the
+    /// helper built it.
+    type Taken = (u64, Schedule, bool);
+
+    thread_local! {
+        /// Every restart the chains on this thread take, while a test
+        /// collects them.
+        static TAKEN: RefCell<Option<Vec<Taken>>> = const { RefCell::new(None) };
+    }
+
+    pub(crate) fn log_restart(k: u64, schedule: &Schedule, ahead: bool) {
+        TAKEN.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                log.push((k, schedule.clone(), ahead));
+            }
+        });
+    }
+
+    /// Runs `f`, returning its result and the restarts its chains took.
+    fn collect_restarts<T>(f: impl FnOnce() -> T) -> (T, Vec<Taken>) {
+        TAKEN.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        let out = f();
+        (
+            out,
+            TAKEN.with(|log| log.borrow_mut().take().unwrap_or_default()),
+        )
+    }
+
+    pub(crate) fn same_search(a: &AnytimeOutcome, b: &AnytimeOutcome) {
+        assert_eq!(a.latency, b.latency);
+        assert_eq!(a.moves, b.moves);
+        assert_eq!(a.passes, b.passes);
+        assert_eq!(a.restarts, b.restarts);
+        assert_eq!(a.schedule.entries, b.schedule.entries);
+    }
+
+    /// `dead` plus every alive node it cuts off from `src`, as the repair
+    /// tier masks them.
+    pub(crate) fn closed_mask(
+        topo: &Topology,
+        src: NodeId,
+        dead: impl Iterator<Item = usize>,
+    ) -> NodeSet {
+        let mut mask = NodeSet::new(topo.len());
+        for u in dead.filter(|&u| u != src.idx()) {
+            mask.insert(u);
+        }
+        let hops = metrics::bfs_hops_masked(topo, src, &mask);
+        for (u, &h) in hops.iter().enumerate() {
+            if h == metrics::UNREACHABLE {
+                mask.insert(u);
+            }
+        }
+        mask
+    }
+
+    /// Runs one chain with the helper off and on and checks that both
+    /// give the same search, take the same restarts in index order, and
+    /// that each restart equals the one [`RestartInput::build`] makes
+    /// alone. Returns the number of restarts the helper built.
+    fn check_lookahead<S: WakeSchedule>(
+        topo: &Topology,
+        src: NodeId,
+        wake: &S,
+        config: &AnytimeConfig,
+        warm: Option<&Schedule>,
+        dead: Option<&NodeSet>,
+    ) -> usize {
+        let chain = |lookahead| {
+            collect_restarts(|| {
+                let ctx = ChainCtx {
+                    warm,
+                    dead,
+                    lookahead,
+                };
+                run_chain(topo, src, wake, &ProtocolModel, config, ctx)
+            })
+        };
+        let (serial, serial_restarts) = chain(false);
+        let (helped, helped_restarts) = chain(true);
+        same_search(&serial, &helped);
+        let lat = |out: &AnytimeOutcome| out.trace.iter().map(|p| p.latency).collect::<Vec<_>>();
+        assert_eq!(lat(&serial), lat(&helped));
+        assert_eq!(serial.restarts as usize, serial_restarts.len());
+        assert!(serial_restarts.iter().all(|&(_, _, ahead)| !ahead));
+
+        let warm_seeded = warm.is_some_and(|old| !old.entries.is_empty());
+        let first = u64::from(!warm_seeded);
+        let input = RestartInput {
+            topo,
+            source: src,
+            wake,
+            model: &ProtocolModel,
+            start_from: config.start_from,
+            dead,
+            seed: config.seed,
+        };
+        let mut alone = Legalizer::new(topo.len());
+        for (i, ((k, a, _), (k2, b, _))) in serial_restarts.iter().zip(&helped_restarts).enumerate()
+        {
+            assert_eq!((*k, *k2), (first + i as u64, first + i as u64));
+            assert_eq!(a.entries, b.entries, "restart {k}");
+            let built = input.build(&mut alone, *k, None).unwrap();
+            assert_eq!(built.entries, a.entries, "restart {k} alone");
+        }
+        assert_eq!(serial_restarts.len(), helped_restarts.len());
+        helped_restarts
+            .iter()
+            .filter(|&&(_, _, ahead)| ahead)
+            .count()
+    }
+
+    #[test]
+    fn restart_streams_are_distinct() {
+        let seeds: std::collections::BTreeSet<u64> =
+            (0..1_000).map(|k| restart_seed(0x1CC5_2012, k)).collect();
+        assert_eq!(seeds.len(), 1_000);
+        assert_ne!(restart_seed(1, 5), restart_seed(2, 5));
+    }
+
+    /// The 10k-node case: a cold chain and a warm repair under a dead
+    /// mask, each with enough budget for several restarts.
+    #[test]
+    fn lookahead_changes_no_result_at_10k_nodes() {
+        let (topo, src) = SyntheticDeployment::scaled(10_000).sample(3);
+        let config = AnytimeConfig {
+            budget: Budget::Iterations(60_000),
+            ..AnytimeConfig::default()
+        };
+        let ahead = check_lookahead(&topo, src, &AlwaysAwake, &config, None, None);
+        assert!(ahead > 0, "the helper must build restarts");
+
+        let old = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &config);
+        let dead = closed_mask(&topo, src, (5..topo.len()).step_by(97));
+        let ahead = check_lookahead(
+            &topo,
+            src,
+            &AlwaysAwake,
+            &config,
+            Some(&old.schedule),
+            Some(&dead),
+        );
+        assert!(ahead > 0, "the helper must build restarts");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Sync and duty, dead masks, warm hints: the helper changes no
+        /// result.
+        #[test]
+        fn lookahead_changes_no_result(
+            seed in 0..500u64,
+            n in 50usize..300,
+            rate in prop::sample::select(vec![1u32, 4, 10]),
+            dead_every in prop::sample::select(vec![0usize, 7, 23]),
+            warm in 0u8..2,
+            budget in 2_000u64..8_000,
+        ) {
+            let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
+            let wake = WindowedRandom::new(n, rate, seed ^ 0xD0);
+            let config = AnytimeConfig {
+                budget: Budget::Iterations(budget),
+                seed: seed ^ 0x1CC5,
+                ..AnytimeConfig::default()
+            };
+            let old = (warm == 1).then(|| solve_anytime(&topo, src, &wake, &ProtocolModel, &config));
+            let dead = (dead_every > 0)
+                .then(|| closed_mask(&topo, src, (seed as usize % 5..n).step_by(dead_every)));
+            check_lookahead(
+                &topo,
+                src,
+                &wake,
+                &config,
+                old.as_ref().map(|out| &out.schedule),
+                dead.as_ref(),
+            );
+        }
     }
 }

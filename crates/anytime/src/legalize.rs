@@ -29,6 +29,7 @@ use mlbs_core::{Schedule, ScheduleEntry};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use wsn_bitset::NodeSet;
 use wsn_dutycycle::{Slot, WakeSchedule};
 use wsn_phy::{ConflictModel, ProtocolModel};
@@ -120,6 +121,29 @@ impl Legalizer {
         dead: Option<&NodeSet>,
         rng: &mut StdRng,
     ) -> Schedule {
+        self.legalize_until(
+            topo, source, wake, model, hints, start_from, jitter, dead, rng, None,
+        )
+        .expect("a legalization without a stop flag completes")
+    }
+
+    /// [`Legalizer::legalize`] that gives up, returning `None`, when
+    /// `stop` is raised: the flag is read once per slot. The receive slots
+    /// of a stopped run are meaningless.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn legalize_until<S: WakeSchedule, M: ConflictModel>(
+        &mut self,
+        topo: &Topology,
+        source: NodeId,
+        wake: &S,
+        model: &M,
+        hints: &Hints,
+        start_from: Slot,
+        jitter: u32,
+        dead: Option<&NodeSet>,
+        rng: &mut StdRng,
+        stop: Option<&AtomicBool>,
+    ) -> Option<Schedule> {
         self.reset(topo, source, dead);
         let protocol = model.fingerprint() == ProtocolModel.fingerprint();
         let witness_range = model.witness_range(topo);
@@ -131,6 +155,9 @@ impl Legalizer {
         let mut t = t_s;
 
         while !self.uninformed.is_empty() {
+            if stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+                return None;
+            }
             self.accepted.clear();
             self.claims.clear();
             self.stamp += 1;
@@ -245,12 +272,12 @@ impl Legalizer {
             t += 1;
         }
 
-        Schedule {
+        Some(Schedule {
             source,
             start: t_s,
             entries,
             repeats: Vec::new(),
-        }
+        })
     }
 
     /// Admits `u` into the current slot's sender set when it is informed,
@@ -362,15 +389,15 @@ impl Legalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::{closed_mask, same_search};
     use crate::partial::PartialSchedule;
-    use crate::{reschedule, solve_anytime, AnytimeConfig, AnytimeOutcome, Budget, ChurnDelta};
+    use crate::{reschedule, solve_anytime, AnytimeConfig, Budget, ChurnDelta};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use wsn_dutycycle::WindowedRandom;
     use wsn_interference::ConflictGraphBuilder;
     use wsn_phy::{ReceptionOutcome, WitnessLocality};
     use wsn_topology::deploy::SyntheticDeployment;
-    use wsn_topology::metrics;
 
     /// The protocol model under another fingerprint: every method forwards
     /// to [`ProtocolModel`], so the legalizer takes its generic path
@@ -408,30 +435,6 @@ mod tests {
         fn witness_range(&self, topo: &Topology) -> Option<f64> {
             ProtocolModel.witness_range(topo)
         }
-    }
-
-    fn same_search(a: &AnytimeOutcome, b: &AnytimeOutcome) {
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.moves, b.moves);
-        assert_eq!(a.passes, b.passes);
-        assert_eq!(a.restarts, b.restarts);
-        assert_eq!(a.schedule.entries, b.schedule.entries);
-    }
-
-    /// `dead` plus every alive node it cuts off from `src`, as the repair
-    /// tier masks them.
-    fn closed_mask(topo: &Topology, src: NodeId, dead: impl Iterator<Item = usize>) -> NodeSet {
-        let mut mask = NodeSet::new(topo.len());
-        for u in dead.filter(|&u| u != src.idx()) {
-            mask.insert(u);
-        }
-        let hops = metrics::bfs_hops_masked(topo, src, &mask);
-        for (u, &h) in hops.iter().enumerate() {
-            if h == metrics::UNREACHABLE {
-                mask.insert(u);
-            }
-        }
-        mask
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!    [`Schedule::receive_slots`](mlbs_core::Schedule::receive_slots),
 //! 3. PARTIALCOL compression passes (evict the last slot, re-place its
 //!    relays under tabu tenure) search for assignments one slot shorter,
-//!    and a randomized greedy restart follows three failed passes in a row,
+//!    and a randomized greedy restart follows three failed passes in a row
+//!    (each restart draws from its own seeded stream, so under an
+//!    iteration budget a helper thread can build the next one ahead),
 //! 4. every candidate is re-simulated by the legalizer and re-verified
 //!    under the real [`ConflictModel`](wsn_phy::ConflictModel) before it
 //!    may become the incumbent, and each acceptance appends to the

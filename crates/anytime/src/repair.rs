@@ -20,13 +20,12 @@
 //!    the mask, so the improving-bound trace continues monotonically from
 //!    the repaired seed.
 //!
-//! There is one chain and no cold fallback. A cold greedy construction
-//! under the same mask used to race the warm chain and keep the better
-//! result; measured, it won 0 of 185 repairs in a `serve-10k` run and 0 of
-//! 158 across the workspace tests, so it was deleted. Nothing guarantees
-//! by construction that a repair beats a cold re-legalization; the tests
-//! that compare the two check it. The result always verifies under
-//! [`Schedule::verify_covering_with_model`] with the effective mask.
+//! There is one chain and no cold fallback race. A warm chain opens with
+//! restart 0, the unjittered cold legalization under the mask, as its
+//! first pass, so with any budget that admits a pass a repair never ends
+//! worse than a cold re-legalization, by construction. The result always
+//! verifies under [`Schedule::verify_covering_with_model`] with the
+//! effective mask.
 //! With an empty `old` schedule the repair is a masked cold solve; with
 //! an empty delta too, it runs the same chain as
 //! [`solve_anytime`](crate::solve_anytime).
@@ -37,7 +36,7 @@ use wsn_dutycycle::WakeSchedule;
 use wsn_phy::ConflictModel;
 use wsn_topology::{metrics, NodeId, Topology};
 
-use crate::driver::{run_chain, AnytimeConfig, AnytimeOutcome, ChainCtx};
+use crate::driver::{lookahead_pays, run_chain, AnytimeConfig, AnytimeOutcome, ChainCtx};
 
 /// A churn event batch: the nodes that died since the schedule was built,
 /// plus any links whose estimated *quality* drifted.
@@ -255,6 +254,7 @@ pub fn reschedule<S: WakeSchedule, M: ConflictModel>(
         ChainCtx {
             warm: Some(&filtered),
             dead: Some(&mask),
+            lookahead: lookahead_pays(n),
         },
     );
     debug_assert!(outcome

@@ -40,7 +40,11 @@ pub use windowed::WindowedRandom;
 pub type Slot = u64;
 
 /// A node's sending-channel schedule, shared by all timing regimes.
-pub trait WakeSchedule {
+///
+/// Implementations are plain data read through `&self`, so the trait
+/// requires [`Sync`]: a search may read one schedule from several threads
+/// at once (the anytime tier legalizes restarts on a helper thread).
+pub trait WakeSchedule: Sync {
     /// `true` when node `u`'s sending channel is on in `slot`
     /// (`slot ∈ T(u)`).
     fn can_send(&self, u: usize, slot: Slot) -> bool;

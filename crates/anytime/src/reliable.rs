@@ -7,11 +7,11 @@
 //! its output is exactly the right substrate for reliability planning.
 //! [`solve_anytime_reliable`] composes three stages on it:
 //!
-//! 1. **Plan** ([`plan_repeats`]): replay the schedule once to extract the
-//!    serving tree (who informs whom, resolved by the real
-//!    [`ConflictModel`] per channel group, so the tree is exactly the one
-//!    `verify_with_model` would execute), then give every delivery a
-//!    per-hop reliability target `θ = (1−ε)^(1/depth)` and each entry the
+//! 1. **Plan** ([`plan_repeats`]): take the schedule's serving tree (who
+//!    informs whom) from [`Schedule::serving_tree`], which builds it in
+//!    the verifier's own replay, so it is exactly the tree
+//!    `verify_with_model` executes; then give every delivery a per-hop
+//!    reliability target `θ = (1−ε)^(1/depth)` and each entry the
 //!    repeat count its weakest delivery demands,
 //!    `r = ⌈ln(1−θ)/ln(1−q)⌉`. The entry ranges are re-timed so occupied
 //!    slot ranges stay disjoint and every sender is awake in its entry's
@@ -39,8 +39,7 @@
 //!
 //! [`AlwaysAwake`]: wsn_dutycycle::AlwaysAwake
 
-use mlbs_core::{ReliabilityReport, Schedule};
-use wsn_bitset::NodeSet;
+use mlbs_core::{ReliabilityReport, Schedule, ScheduleError};
 use wsn_dutycycle::{Slot, WakeSchedule};
 use wsn_phy::ConflictModel;
 use wsn_topology::{LinkQuality, NodeId, Topology};
@@ -70,120 +69,6 @@ pub struct ReliableOutcome {
     pub meets_target: bool,
     /// Occupied slots removed by the ledger trim (plan minus final).
     pub trimmed_slots: u64,
-}
-
-/// The serving tree a schedule induces when replayed under a conflict
-/// model: for every non-source node, the entry and sender credited with
-/// informing it.
-struct ServingTree {
-    /// Serving sender per node (`None` for the source / unreached nodes).
-    parent: Vec<Option<u32>>,
-    /// Serving entry index per node (`usize::MAX` for source/unreached).
-    entry_of: Vec<usize>,
-    /// Delivery probability of the serving link.
-    q_in: Vec<f64>,
-    /// Children per node under the serving-tree parent relation.
-    children: Vec<Vec<u32>>,
-    /// Serving-tree depth (0 for the source).
-    depth: Vec<u32>,
-}
-
-/// Replays `schedule` exactly as verification does and returns the
-/// product-form delivery bound plus the serving tree behind it. Attempts
-/// per delivery count the *awake* occupied slots of the serving sender.
-fn tree_profile<S: WakeSchedule, M: ConflictModel>(
-    schedule: &Schedule,
-    topo: &Topology,
-    wake: &S,
-    model: &M,
-    quality: &LinkQuality,
-) -> (Vec<f64>, ServingTree) {
-    let n = topo.len();
-    let mut p = vec![0.0f64; n];
-    p[schedule.source.idx()] = 1.0;
-    let mut tree = ServingTree {
-        parent: vec![None; n],
-        entry_of: vec![usize::MAX; n],
-        q_in: vec![1.0; n],
-        children: vec![Vec::new(); n],
-        depth: vec![0; n],
-    };
-    let mut informed = NodeSet::new(n);
-    informed.insert(schedule.source.idx());
-
-    for (ei, entry) in schedule.entries.iter().enumerate() {
-        let end = schedule.entry_end(ei);
-        let attempts: Vec<u32> = entry
-            .senders
-            .iter()
-            .map(|&u| {
-                let mut r = 0u32;
-                let mut t = entry.slot;
-                while t <= end {
-                    if wake.can_send(u.idx(), t) {
-                        r += 1;
-                    }
-                    t += 1;
-                }
-                r.max(1)
-            })
-            .collect();
-
-        let uninformed = informed.complement();
-        let mut channels: Vec<u8> = Vec::new();
-        for i in 0..entry.senders.len() {
-            let c = entry.channel_of(i);
-            if !channels.contains(&c) {
-                channels.push(c);
-            }
-        }
-        let mut newly: Vec<usize> = Vec::new();
-        for &c in &channels {
-            let mut senders = NodeSet::new(n);
-            for (i, &u) in entry.senders.iter().enumerate() {
-                if entry.channel_of(i) == c {
-                    senders.insert(u.idx());
-                }
-            }
-            let outcome = model.resolve_receptions(topo, &senders, &uninformed);
-            for w in outcome.received.iter() {
-                let mut best: Option<(f64, u32, f64, u32)> = None; // (bound, sender, q, attempts)
-                for (i, &u) in entry.senders.iter().enumerate() {
-                    if entry.channel_of(i) != c || !topo.adjacent(u, NodeId(w as u32)) {
-                        continue;
-                    }
-                    let q = quality.delivery(topo, u, NodeId(w as u32));
-                    let bound = p[u.idx()] * (1.0 - (1.0 - q).powi(attempts[i] as i32));
-                    let better = match best {
-                        None => true,
-                        Some((b, s, _, _)) => bound > b || (bound == b && u.0 < s),
-                    };
-                    if better {
-                        best = Some((bound, u.0, q, attempts[i]));
-                    }
-                }
-                if let Some((bound, u, q, _)) = best {
-                    if bound > p[w] {
-                        p[w] = bound;
-                        tree.parent[w] = Some(u);
-                        tree.entry_of[w] = ei;
-                        tree.q_in[w] = q;
-                        tree.depth[w] = tree.depth[u as usize] + 1;
-                    }
-                    newly.push(w);
-                }
-            }
-        }
-        for w in newly {
-            informed.insert(w);
-        }
-    }
-    for w in 0..n {
-        if let Some(u) = tree.parent[w] {
-            tree.children[u as usize].push(w as u32);
-        }
-    }
-    (p, tree)
 }
 
 /// Smallest repeat count whose cumulative success reaches the per-hop
@@ -253,9 +138,11 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
     let rounds = schedule.entries.len() as u64 * u64::from(MAX_REPEAT) + 8;
     for _ in 0..rounds {
         retime(schedule, wake);
-        let (p, tree) = tree_profile(schedule, topo, wake, model, quality);
+        let Ok(tree) = schedule.serving_tree(topo, wake, model, quality) else {
+            return false; // re-timing could not keep every sender awake
+        };
         let (mut min_p, mut min_w) = (1.0f64, schedule.source.idx());
-        for (w, &pw) in p.iter().enumerate() {
+        for (w, &pw) in tree.p.iter().enumerate() {
             if pw < min_p {
                 min_p = pw;
                 min_w = w;
@@ -267,8 +154,7 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
         // Weakest bumpable delivery on the failing node's serving path.
         let mut bump: Option<(f64, usize)> = None;
         let mut w = min_w;
-        while let Some(u) = tree.parent[w] {
-            let ei = tree.entry_of[w];
+        while let (Some(u), Some(ei)) = (tree.parent[w], tree.entry[w]) {
             if schedule.repeat_of(ei) < MAX_REPEAT {
                 let r = schedule.repeat_of(ei);
                 let success = 1.0 - (1.0 - tree.q_in[w]).powi(r as i32);
@@ -276,7 +162,7 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
                     bump = Some((success, ei));
                 }
             }
-            w = u as usize;
+            w = u.idx();
         }
         let Some((_, ei)) = bump else {
             return false; // every entry on the path is at the cap
@@ -293,7 +179,8 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
 /// bound reaches `1 − ε` under `quality` (see the module docs), re-timing
 /// the entries to make room. Returns the input unchanged (bit-identical,
 /// `repeats` empty) when no link demands a retransmission — in particular
-/// for lossless quality.
+/// for lossless quality, and also when `schedule` does not verify under
+/// `model`.
 pub fn plan_repeats<S: WakeSchedule, M: ConflictModel>(
     schedule: &Schedule,
     topo: &Topology,
@@ -305,16 +192,16 @@ pub fn plan_repeats<S: WakeSchedule, M: ConflictModel>(
     if schedule.entries.is_empty() {
         return schedule.clone();
     }
-    let (_, tree) = tree_profile(schedule, topo, wake, model, quality);
+    let Ok(tree) = schedule.serving_tree(topo, wake, model, quality) else {
+        return schedule.clone();
+    };
     let depth = tree.depth.iter().copied().max().unwrap_or(1).max(1);
     let theta = (1.0 - epsilon).powf(1.0 / f64::from(depth));
     let mut repeats = vec![1u32; schedule.entries.len()];
-    for w in 0..topo.len() {
-        let ei = tree.entry_of[w];
-        if ei == usize::MAX {
-            continue;
+    for (ei, &q) in tree.entry.iter().zip(&tree.q_in) {
+        if let Some(ei) = *ei {
+            repeats[ei] = repeats[ei].max(needed_repeats(q, theta));
         }
-        repeats[ei] = repeats[ei].max(needed_repeats(tree.q_in[w], theta));
     }
     if repeats.iter().all(|&r| r == 1) && schedule.repeats.is_empty() {
         return schedule.clone();
@@ -349,7 +236,8 @@ pub(crate) struct RepeatLedger {
 }
 
 impl RepeatLedger {
-    /// Builds the ledger for a planned schedule.
+    /// Builds the ledger for a planned schedule, or fails when the
+    /// schedule does not verify under `model`.
     pub(crate) fn build<S: WakeSchedule, M: ConflictModel>(
         schedule: &Schedule,
         topo: &Topology,
@@ -357,15 +245,17 @@ impl RepeatLedger {
         model: &M,
         quality: &LinkQuality,
         epsilon: f64,
-    ) -> RepeatLedger {
-        let (_, tree) = tree_profile(schedule, topo, wake, model, quality);
+    ) -> Result<RepeatLedger, ScheduleError> {
+        let tree = schedule.serving_tree(topo, wake, model, quality)?;
         let repeats: Vec<u32> = (0..schedule.entries.len())
             .map(|i| schedule.repeat_of(i))
             .collect();
         let mut served = vec![Vec::new(); schedule.entries.len()];
-        for w in 0..topo.len() {
-            if tree.entry_of[w] != usize::MAX {
-                served[tree.entry_of[w]].push(w as u32);
+        let mut children = vec![Vec::new(); topo.len()];
+        for (w, (&u, &ei)) in tree.parent.iter().zip(&tree.entry).enumerate() {
+            if let (Some(u), Some(ei)) = (u, ei) {
+                served[ei].push(w as u32);
+                children[u.idx()].push(w as u32);
             }
         }
         // Recompute bounds in repeats-space (attempts == repeats) so the
@@ -375,19 +265,19 @@ impl RepeatLedger {
         let mut order: Vec<usize> = (0..topo.len()).collect();
         order.sort_unstable_by_key(|&w| tree.depth[w]);
         for w in order {
-            if let Some(u) = tree.parent[w] {
-                let r = repeats[tree.entry_of[w]];
-                p[w] = p[u as usize] * (1.0 - (1.0 - tree.q_in[w]).powi(r as i32));
+            if let (Some(u), Some(ei)) = (tree.parent[w], tree.entry[w]) {
+                let r = repeats[ei];
+                p[w] = p[u.idx()] * (1.0 - (1.0 - tree.q_in[w]).powi(r as i32));
             }
         }
-        RepeatLedger {
+        Ok(RepeatLedger {
             repeats,
             served,
-            children: tree.children,
+            children,
             q_in: tree.q_in,
             p,
             target: 1.0 - epsilon,
-        }
+        })
     }
 
     /// Attempts to shave one repeat off entry `e`: delta-evaluates the
@@ -484,9 +374,11 @@ pub fn solve_anytime_reliable<S: WakeSchedule, M: ConflictModel>(
 
     let mut schedule = planned;
     if !schedule.repeats.is_empty() {
-        let mut ledger = RepeatLedger::build(&schedule, topo, wake, model, quality, epsilon);
-        if ledger.compress() > 0 {
-            ledger.apply(&mut schedule);
+        if let Ok(mut ledger) = RepeatLedger::build(&schedule, topo, wake, model, quality, epsilon)
+        {
+            if ledger.compress() > 0 {
+                ledger.apply(&mut schedule);
+            }
         }
         // Exact re-check (and duty-cycle repair) of the trimmed plan.
         escalate(&mut schedule, topo, wake, model, quality, epsilon);

@@ -8,9 +8,13 @@
 //! re-solve throws away seconds of search the churn never invalidated.
 //! Repair therefore reuses the machinery the anytime tier already has:
 //!
-//! 1. the dead mask (plus any alive nodes the deaths disconnected) is
-//!    threaded through the legalizer and the chain driver — dead nodes
-//!    never transmit, are owed no coverage, and stop witnessing conflicts;
+//! 1. the damage is counted by the verifier's own replay:
+//!    [`Schedule::stranded_under`] replays `old` with the dead nodes
+//!    silent, leaves out every sender that is dead or no longer informed,
+//!    and reports the nodes it no longer reaches. The dead mask (plus any
+//!    alive nodes the deaths disconnected) is then threaded through the
+//!    legalizer and the chain driver — dead nodes never transmit, are owed
+//!    no coverage, and stop witnessing conflicts;
 //! 2. the old schedule, minus its dead senders, seeds the first
 //!    legalization as hints: surviving placements are re-admitted in their
 //!    old slots where still legal, and the greedy frontier fill re-serves
@@ -109,59 +113,12 @@ pub struct RepairOutcome {
     /// obligation — the graceful-degradation part of the contract.
     pub uncovered: Vec<NodeId>,
     /// Nodes the old schedule no longer reaches once its dead senders go
-    /// silent (the stranded subtree, including any now-unreachable part).
+    /// silent (the stranded subtree, including any now-unreachable part),
+    /// counted by [`Schedule::stranded_under`].
     pub stranded: usize,
     /// Sender placements of the old schedule that survived the churn and
     /// seeded the repair.
     pub reused: usize,
-}
-
-/// Replays `old` with `mask` applied and counts the alive nodes it no
-/// longer informs (dead senders skipped, receptions re-resolved by the
-/// model — exactly the subtree the repair must re-serve).
-fn stranded_under<M: ConflictModel>(
-    old: &Schedule,
-    topo: &Topology,
-    model: &M,
-    mask: &NodeSet,
-) -> usize {
-    let n = topo.len();
-    let mut informed = NodeSet::new(n);
-    informed.insert(old.source.idx());
-    informed.union_with(mask);
-    for entry in &old.entries {
-        // Every channel group fires against the same uninformed set, and
-        // a node informed in this entry may not send until the next one,
-        // so the entry's receptions join `informed` after all groups.
-        let uninformed = informed.complement();
-        let mut received = NodeSet::new(n);
-        let mut channels: Vec<u8> = Vec::new();
-        for i in 0..entry.senders.len() {
-            let c = entry.channel_of(i);
-            if !channels.contains(&c) {
-                channels.push(c);
-            }
-        }
-        for &c in &channels {
-            let mut senders = NodeSet::new(n);
-            for (i, &u) in entry.senders.iter().enumerate() {
-                if entry.channel_of(i) == c && !mask.contains(u.idx()) && informed.contains(u.idx())
-                {
-                    senders.insert(u.idx());
-                }
-            }
-            if senders.is_empty() {
-                continue;
-            }
-            received.union_with(
-                &model
-                    .resolve_receptions(topo, &senders, &uninformed)
-                    .received,
-            );
-        }
-        informed.union_with(&received);
-    }
-    n - informed.len()
 }
 
 /// `old` minus every masked sender (entries emptied by the filter are
@@ -231,7 +188,7 @@ pub fn reschedule<S: WakeSchedule, M: ConflictModel>(
 
     // Damage report against the deaths alone: the nodes the old schedule
     // no longer informs once its dead senders go silent.
-    let stranded = stranded_under(old, topo, model, &mask);
+    let stranded = old.stranded_under(topo, model, &mask);
 
     // Alive nodes disconnected by the deaths are unreachable by *any*
     // schedule: fold them into the mask and report them.
@@ -491,6 +448,107 @@ mod tests {
             .schedule
             .verify_covering_with_model(&topo, &AlwaysAwake, &model, Some(&rep.mask))
             .unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The damage count is the verifier's replay made lenient, so the
+        /// two agree: a schedule that verifies over the survivors of a mask
+        /// strands nobody under it. Checked on repair outputs under random
+        /// masks, sync and duty-cycled, on both reception paths (the
+        /// protocol claim list and a model's own resolution). A schedule
+        /// corrupted on purpose still gets a count, and no panic.
+        #[test]
+        fn verified_schedules_strand_nobody_and_corrupted_ones_still_count(
+            seed in 0..64u64,
+            n in 40usize..110,
+            model_ix in 0usize..3,
+            rate_ix in 0usize..3,
+            stride in 3usize..12,
+        ) {
+            let (topo, src) = deploy::SyntheticDeployment::paper(n).sample(seed);
+            let spec = match model_ix {
+                0 => wsn_phy::PhyModelSpec::protocol(),
+                1 => wsn_phy::PhyModelSpec::protocol().with_channels(2),
+                _ => wsn_phy::PhyModelSpec::sinr(wsn_phy::SinrParams::calibrated(
+                    topo.radius(),
+                    3.0,
+                    1.5,
+                )),
+            };
+            let model = spec.build(&topo);
+            // Rate 1 wakes every node in every slot: the synchronous system.
+            let rate = [1, 4, 10][rate_ix];
+            let wake = wsn_dutycycle::WindowedRandom::new(n, rate, seed);
+            let base = solve_anytime(&topo, src, &wake, &model, &cfg(200));
+            let dead: Vec<NodeId> = topo
+                .nodes()
+                .filter(|&u| u != src && (u.idx() + seed as usize).is_multiple_of(stride))
+                .collect();
+            let rep = reschedule(
+                &topo,
+                src,
+                &wake,
+                &model,
+                &base.schedule,
+                &ChurnDelta::deaths(dead.iter().copied()),
+                &cfg(100),
+            );
+            let repaired = &rep.outcome.schedule;
+            let cold_mask = NodeSet::new(n);
+            for (schedule, mask) in [(&base.schedule, &cold_mask), (repaired, &rep.mask)] {
+                proptest::prop_assert!(schedule
+                    .verify_covering_with_model(&topo, &wake, &model, Some(mask))
+                    .is_ok());
+                proptest::prop_assert_eq!(schedule.stranded_under(&topo, &model, mask), 0);
+            }
+
+            // Corruptions. The first entry (the source alone) trades senders
+            // with the last, so its new senders are uninformed: the verifier
+            // rejects it, the damage count leaves them out.
+            let mut swapped = base.schedule.clone();
+            let last = swapped.entries.len() - 1;
+            if last > 0 {
+                let (head, tail) = swapped.entries.split_at_mut(last);
+                std::mem::swap(&mut head[0].senders, &mut tail[0].senders);
+                std::mem::swap(&mut head[0].channels, &mut tail[0].channels);
+                let verdict =
+                    swapped.verify_covering_with_model(&topo, &wake, &model, Some(&cold_mask));
+                let uninformed = matches!(
+                    verdict,
+                    Err(mlbs_core::ScheduleError::UninformedSender { .. })
+                );
+                proptest::prop_assert!(uninformed, "{:?}", verdict);
+            }
+            // A dead relay put back into the repair is left out again, so
+            // nothing else changes.
+            let mut revived = repaired.clone();
+            if let (Some(&d), Some(entry)) = (dead.first(), revived.entries.last_mut()) {
+                entry.senders.push(d);
+                if !entry.channels.is_empty() {
+                    entry.channels.push(0);
+                }
+                proptest::prop_assert_eq!(revived.stranded_under(&topo, &model, &rep.mask), 0);
+            }
+            // A repair from either counts its damage and still verifies.
+            for corrupt in [&swapped, &revived] {
+                let again = reschedule(
+                    &topo,
+                    src,
+                    &wake,
+                    &model,
+                    corrupt,
+                    &ChurnDelta::deaths(dead.iter().copied()),
+                    &cfg(0),
+                );
+                proptest::prop_assert!(again
+                    .outcome
+                    .schedule
+                    .verify_covering_with_model(&topo, &wake, &model, Some(&again.mask))
+                    .is_ok());
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use pipeline::{
     run_pipeline, run_pipeline_model, run_pipeline_with, ColorSelector, MaxReceiversSelector,
     PipelineConfig,
 };
-pub use reliability::{ReliabilityError, ReliabilityReport};
+pub use reliability::{ReliabilityError, ReliabilityReport, ServingTree};
 pub use schedule::{Schedule, ScheduleEntry, ScheduleError};
 pub use search::{
     solve_gopt, solve_gopt_model, solve_gopt_with, solve_opt, solve_opt_model, solve_opt_with,

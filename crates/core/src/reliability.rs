@@ -11,11 +11,11 @@
 //!
 //! # DESIGN: repeat-slot semantics and the product-form bound
 //!
-//! [`Schedule::delivery_profile`] replays the schedule exactly as
-//! [`Schedule::verify_with_model`] does — same per-channel-group
-//! [`ConflictModel::resolve_receptions`] resolution, same informed-set
-//! growth — and propagates a *delivery lower bound* along the serving tree
-//! the replay induces:
+//! [`Schedule::delivery_profile`] is the verifying pass itself: the replay
+//! behind [`Schedule::verify_with_model`] (per-channel-group
+//! [`ConflictModel::resolve_receptions`] resolution, informed-set growth
+//! after each entry) builds the [`ServingTree`] as it goes and propagates
+//! a *delivery lower bound* along it:
 //!
 //! ```text
 //! p_source = 1
@@ -47,7 +47,6 @@
 //! probability mass reaches `1 − ε`.
 
 use crate::schedule::{Schedule, ScheduleError};
-use wsn_bitset::NodeSet;
 use wsn_dutycycle::{Slot, WakeSchedule};
 use wsn_phy::ConflictModel;
 use wsn_topology::{LinkQuality, NodeId, Topology};
@@ -114,12 +113,92 @@ impl std::error::Error for ReliabilityError {
     }
 }
 
+/// The serving tree a schedule induces under a conflict model and a link
+/// layer: for every node, the sender credited with informing it and the
+/// product-form delivery bound that credit gives (see the module docs).
+///
+/// A node is credited to the adjacent sender of its serving channel group
+/// with the highest bound, and on a tie to the lower node id. When several
+/// groups of one entry serve it, the earlier group keeps it on a tie. A
+/// node whose best bound is 0 gets no parent.
+#[derive(Clone, Debug)]
+pub struct ServingTree {
+    /// Delivery lower bound per node: 1 for the source, 0 for a node no
+    /// credited delivery reaches.
+    pub p: Vec<f64>,
+    /// The sender credited with informing each node (`None` for the source
+    /// and unparented nodes).
+    pub parent: Vec<Option<NodeId>>,
+    /// The index of the entry that informs each node (`None` where
+    /// `parent` is).
+    pub entry: Vec<Option<usize>>,
+    /// Delivery probability of the link from the parent (1 without one).
+    pub q_in: Vec<f64>,
+    /// Hops from the source along parents (0 without a parent).
+    pub depth: Vec<u32>,
+}
+
 impl Schedule {
+    /// Verifies the schedule under `model`, as
+    /// [`Schedule::verify_with_model`] does, and builds its
+    /// [`ServingTree`] under `quality` in the same pass. Attempts per
+    /// delivery count the serving sender's awake slots in its entry's
+    /// range (at least 1: the first slot is verified awake).
+    pub fn serving_tree<S: WakeSchedule, M: ConflictModel>(
+        &self,
+        topo: &Topology,
+        wake: &S,
+        model: &M,
+        quality: &LinkQuality,
+    ) -> Result<ServingTree, ScheduleError> {
+        let n = topo.len();
+        let mut tree = ServingTree {
+            p: vec![0.0; n],
+            parent: vec![None; n],
+            entry: vec![None; n],
+            q_in: vec![1.0; n],
+            depth: vec![0; n],
+        };
+        tree.p[self.source.idx()] = 1.0;
+        let mut attempts: Vec<i32> = Vec::new();
+        self.replay(topo, wake, model, None, Err, |ei, groups| {
+            let entry = &self.entries[ei];
+            let end = self.entry_end(ei);
+            attempts.clear();
+            attempts.extend(entry.senders.iter().map(|&u| {
+                let awake = (entry.slot..=end).filter(|&t| wake.can_send(u.idx(), t));
+                awake.count().max(1) as i32
+            }));
+            for group in groups {
+                for w in group.received.iter() {
+                    let node = NodeId(w as u32);
+                    let mut best: Option<(f64, NodeId, f64)> = None;
+                    for (&u, &r) in entry.senders.iter().zip(&attempts) {
+                        if !group.senders.contains(u.idx()) || !topo.adjacent(u, node) {
+                            continue;
+                        }
+                        let q = quality.delivery(topo, u, node);
+                        let bound = tree.p[u.idx()] * (1.0 - (1.0 - q).powi(r));
+                        if best.is_none_or(|(b, s, _)| bound > b || (bound == b && u < s)) {
+                            best = Some((bound, u, q));
+                        }
+                    }
+                    if let Some((bound, u, q)) = best.filter(|&(b, _, _)| b > tree.p[w]) {
+                        tree.p[w] = bound;
+                        tree.parent[w] = Some(u);
+                        tree.entry[w] = Some(ei);
+                        tree.q_in[w] = q;
+                        tree.depth[w] = tree.depth[u.idx()] + 1;
+                    }
+                }
+            }
+        })?;
+        Ok(tree)
+    }
+
     /// The product-form delivery lower bound per node (see the module docs)
-    /// under `quality`, replayed with `model`'s reception rule.
-    ///
-    /// Verifies the schedule first ([`Schedule::verify_with_model`]) — the
-    /// profile is only meaningful for a schedule that executes cleanly.
+    /// under `quality`: the `p` of [`Schedule::serving_tree`], so the
+    /// schedule is verified by the same pass.
     pub fn delivery_profile<S: WakeSchedule, M: ConflictModel>(
         &self,
         topo: &Topology,
@@ -127,84 +206,8 @@ impl Schedule {
         model: &M,
         quality: &LinkQuality,
     ) -> Result<Vec<f64>, ScheduleError> {
-        self.verify_with_model(topo, wake, model)?;
-        let n = topo.len();
-        let mut p = vec![0.0f64; n];
-        p[self.source.idx()] = 1.0;
-        let mut informed = NodeSet::new(n);
-        informed.insert(self.source.idx());
-
-        for (ei, entry) in self.entries.iter().enumerate() {
-            // Awake occupied slots per sender: how many times the sender
-            // actually re-fires across the entry's range. The first slot is
-            // awake by verification, so every count is ≥ 1.
-            let end = self.entry_end(ei);
-            let attempts: Vec<u32> = entry
-                .senders
-                .iter()
-                .map(|&u| {
-                    let mut r = 0u32;
-                    let mut t = entry.slot;
-                    while t <= end {
-                        if wake.can_send(u.idx(), t) {
-                            r += 1;
-                        }
-                        t += 1;
-                    }
-                    r.max(1)
-                })
-                .collect();
-
-            // Same per-channel-group resolution as verification; a
-            // received node is credited to the adjacent group sender whose
-            // contribution bound is largest (exactly one exists under the
-            // protocol model; capture models may offer several and picking
-            // one keeps the bound a lower bound).
-            let uninformed = informed.complement();
-            let mut groups: Vec<(u8, NodeSet)> = Vec::new();
-            for (i, &u) in entry.senders.iter().enumerate() {
-                let c = entry.channel_of(i);
-                match groups.iter_mut().find(|(gc, _)| *gc == c) {
-                    Some((_, set)) => {
-                        set.insert(u.idx());
-                    }
-                    None => {
-                        let mut set = NodeSet::new(n);
-                        set.insert(u.idx());
-                        groups.push((c, set));
-                    }
-                }
-            }
-            let mut newly: Vec<usize> = Vec::new();
-            for (gc, senders) in &groups {
-                let outcome = model.resolve_receptions(topo, senders, &uninformed);
-                for w in outcome.received.iter() {
-                    let mut best = 0.0f64;
-                    for (i, &u) in entry.senders.iter().enumerate() {
-                        if entry.channel_of(i) != *gc || !senders.contains(u.idx()) {
-                            continue;
-                        }
-                        if !topo.adjacent(u, NodeId(w as u32)) {
-                            continue;
-                        }
-                        let q = quality.delivery(topo, u, NodeId(w as u32));
-                        let miss = (1.0 - q).powi(attempts[i] as i32);
-                        let bound = p[u.idx()] * (1.0 - miss);
-                        if bound > best {
-                            best = bound;
-                        }
-                    }
-                    if best > p[w] {
-                        p[w] = best;
-                    }
-                    newly.push(w);
-                }
-            }
-            for w in newly {
-                informed.insert(w);
-            }
-        }
-        Ok(p)
+        self.serving_tree(topo, wake, model, quality)
+            .map(|tree| tree.p)
     }
 
     /// Verifies the schedule under `model` **and** checks that every

@@ -1,5 +1,6 @@
 //! Broadcast schedules and their verification.
 
+use std::convert::Infallible;
 use wsn_bitset::NodeSet;
 use wsn_dutycycle::{AlwaysAwake, Slot, WakeSchedule};
 use wsn_phy::{ConflictModel, ProtocolModel};
@@ -41,9 +42,12 @@ impl ScheduleEntry {
 /// A complete broadcast schedule: which conflict-free set transmits in
 /// which slot, from the source's first sending slot `t_s` until coverage.
 ///
-/// Its size follows its transmissions, not the network: the slot in which
-/// each node first hears the message is not stored, and
-/// [`Schedule::receive_slots`] derives it by replay when a caller needs it.
+/// Its size follows its transmissions, not the network: nothing is stored
+/// per node. Per-node facts come on demand from the one replay behind
+/// [`Schedule::verify_covering_with_model`]: the slot in which each node
+/// first hears the message ([`Schedule::receive_slots`]), its serving
+/// parent and delivery bound ([`Schedule::serving_tree`]), and the nodes a
+/// dead mask strands ([`Schedule::stranded_under`]).
 #[derive(Clone, Debug)]
 pub struct Schedule {
     /// The broadcast source.
@@ -169,7 +173,8 @@ impl Schedule {
         model: &M,
         excluded: Option<&NodeSet>,
     ) -> Result<(), ScheduleError> {
-        self.replay(topo, wake, model, excluded, None)
+        self.replay(topo, wake, model, excluded, Err, |_, _| {})
+            .map(|_| ())
     }
 
     /// The slot in which each node first hears the message, from the
@@ -190,106 +195,144 @@ impl Schedule {
         let mut slots = vec![self.start; topo.len()];
         // The slots are the product here; a verdict, if any, is the
         // caller's to ask for.
-        let _ = self.replay(topo, &AlwaysAwake, model, excluded, Some(&mut slots));
+        let _ = self.replay(topo, &AlwaysAwake, model, excluded, Err, |ei, groups| {
+            for group in groups {
+                for w in group.received.iter() {
+                    slots[w] = self.entries[ei].slot;
+                }
+            }
+        });
         slots
     }
 
-    /// The one replay behind verification and [`Schedule::receive_slots`]:
-    /// checks every entry in order and, when `slots` is given, records the
-    /// slot of each clean reception in it.
-    fn replay<S: WakeSchedule, M: ConflictModel>(
+    /// How many nodes outside `excluded` the schedule no longer informs
+    /// once the excluded nodes fall silent: the replay of
+    /// [`Schedule::verify_covering_with_model`], except that a sender the
+    /// verifier would reject (excluded, not yet informed, …) is left out
+    /// instead of failing the schedule, and a collision only leaves its
+    /// victims uninformed. Wake schedules are not consulted. This is the
+    /// damage a repair must re-serve.
+    pub fn stranded_under<M: ConflictModel>(
+        &self,
+        topo: &Topology,
+        model: &M,
+        excluded: &NodeSet,
+    ) -> usize {
+        let forgive = |_| Ok::<(), Infallible>(());
+        let Ok(informed) = self.replay(
+            topo,
+            &AlwaysAwake,
+            model,
+            Some(excluded),
+            forgive,
+            |_, _| {},
+        );
+        topo.len() - informed.len()
+    }
+
+    /// The one replay of a schedule under a conflict model, behind
+    /// verification, [`Schedule::receive_slots`],
+    /// [`Schedule::stranded_under`] and [`Schedule::serving_tree`].
+    ///
+    /// Per entry it checks the senders, builds one sender set per used
+    /// channel, resolves every group against the entry's uninformed set and
+    /// shows the groups to `on_entry` with the entry's index. Only then do
+    /// the receptions join the informed set, so no node sends in the entry
+    /// that informs it.
+    ///
+    /// Every violation goes to `fault`. An `Err` ends the replay with it.
+    /// `Ok` carries on: a sender that may not fire is left out of its group,
+    /// a collision leaves its victims uninformed, and an ill-formed entry or
+    /// missing coverage is passed over. Returns the informed set, excluded
+    /// nodes included.
+    pub(crate) fn replay<S: WakeSchedule, M: ConflictModel, E>(
         &self,
         topo: &Topology,
         wake: &S,
         model: &M,
         excluded: Option<&NodeSet>,
-        mut slots: Option<&mut [Slot]>,
-    ) -> Result<(), ScheduleError> {
+        mut fault: impl FnMut(ScheduleError) -> Result<(), E>,
+        mut on_entry: impl FnMut(usize, &[ChannelGroup]),
+    ) -> Result<NodeSet, E> {
         let n = topo.len();
         if !self.repeats.is_empty()
             && (self.repeats.len() != self.entries.len() || self.repeats.contains(&0))
         {
-            return Err(ScheduleError::RepeatArity);
+            fault(ScheduleError::RepeatArity)?;
         }
         let mut informed = NodeSet::new(n);
         informed.insert(self.source.idx());
         if let Some(dead) = excluded {
             if dead.contains(self.source.idx()) {
-                return Err(ScheduleError::ExcludedSender {
+                fault(ScheduleError::ExcludedSender {
                     node: self.source,
                     slot: self.start,
-                });
+                })?;
             }
             informed.union_with(dead);
         }
         let mut has_sent = NodeSet::new(n);
         let mut prev_slot: Option<Slot> = None;
+        let mut groups: Vec<ChannelGroup> = Vec::new();
 
         for (ei, entry) in self.entries.iter().enumerate() {
-            if entry.slot < self.start {
-                return Err(ScheduleError::BeforeStart { slot: entry.slot });
+            let slot = entry.slot;
+            if slot < self.start {
+                fault(ScheduleError::BeforeStart { slot })?;
             }
             // With repeats an entry occupies `[slot, entry_end]`; the next
             // entry must start strictly after the whole range.
-            if let Some(p) = prev_slot {
-                if entry.slot <= p {
-                    return Err(ScheduleError::NonMonotonicSlots {
-                        prev: p,
-                        next: entry.slot,
-                    });
-                }
+            if let Some(prev) = prev_slot.filter(|&p| slot <= p) {
+                fault(ScheduleError::NonMonotonicSlots { prev, next: slot })?;
             }
             prev_slot = Some(self.entry_end(ei));
-
             if entry.senders.is_empty() {
-                return Err(ScheduleError::EmptyAdvance { slot: entry.slot });
+                fault(ScheduleError::EmptyAdvance { slot })?;
             }
             if !entry.channels.is_empty() && entry.channels.len() != entry.senders.len() {
-                return Err(ScheduleError::ChannelArity { slot: entry.slot });
+                fault(ScheduleError::ChannelArity { slot })?;
             }
 
             // One sender bitset per used channel, built while the
             // per-sender conditions are checked.
-            let mut groups: Vec<(u8, NodeSet)> = Vec::new();
-            for (i, &u) in entry.senders.iter().enumerate() {
-                if excluded.is_some_and(|dead| dead.contains(u.idx())) {
-                    return Err(ScheduleError::ExcludedSender {
-                        node: u,
-                        slot: entry.slot,
-                    });
+            groups.clear();
+            for (i, &node) in entry.senders.iter().enumerate() {
+                let channel = entry.channel_of(i);
+                let u = node.idx();
+                let violation = if excluded.is_some_and(|dead| dead.contains(u)) {
+                    Some(ScheduleError::ExcludedSender { node, slot })
+                } else if !informed.contains(u) {
+                    Some(ScheduleError::UninformedSender { node, slot })
+                } else if !wake.can_send(u, slot) {
+                    Some(ScheduleError::AsleepSender { node, slot })
+                } else if has_sent.contains(u) {
+                    Some(ScheduleError::DuplicateSender { node })
+                } else if u32::from(channel) >= model.channels() {
+                    Some(ScheduleError::BadChannel {
+                        node,
+                        slot,
+                        channel,
+                    })
+                } else {
+                    None
+                };
+                if let Some(e) = violation {
+                    fault(e)?;
+                    continue;
                 }
-                if !informed.contains(u.idx()) {
-                    return Err(ScheduleError::UninformedSender {
-                        node: u,
-                        slot: entry.slot,
-                    });
-                }
-                if !wake.can_send(u.idx(), entry.slot) {
-                    return Err(ScheduleError::AsleepSender {
-                        node: u,
-                        slot: entry.slot,
-                    });
-                }
-                if has_sent.contains(u.idx()) {
-                    return Err(ScheduleError::DuplicateSender { node: u });
-                }
-                has_sent.insert(u.idx());
-                let c = entry.channel_of(i);
-                if u32::from(c) >= model.channels() {
-                    return Err(ScheduleError::BadChannel {
-                        node: u,
-                        slot: entry.slot,
-                        channel: c,
-                    });
-                }
-                match groups.iter_mut().find(|(gc, _)| *gc == c) {
-                    Some((_, set)) => {
-                        set.insert(u.idx());
+                has_sent.insert(u);
+                match groups.iter_mut().find(|g| g.channel == channel) {
+                    Some(g) => {
+                        g.senders.insert(u);
                     }
                     None => {
-                        let mut set = NodeSet::new(n);
-                        set.insert(u.idx());
-                        groups.push((c, set));
+                        let mut senders = NodeSet::new(n);
+                        senders.insert(u);
+                        groups.push(ChannelGroup {
+                            channel,
+                            senders,
+                            received: NodeSet::new(0),
+                        });
                     }
                 }
             }
@@ -297,48 +340,40 @@ impl Schedule {
             // All groups transmit simultaneously against the same W̄; a
             // receiver is served when any channel delivers to it cleanly.
             let uninformed = informed.complement();
-            let mut received = NodeSet::new(n);
-            for (_, senders) in &groups {
-                let outcome = model.resolve_receptions(topo, senders, &uninformed);
+            for g in &mut groups {
+                let outcome = model.resolve_receptions(topo, &g.senders, &uninformed);
                 if let Some(victim) = outcome.collided.min() {
-                    return Err(ScheduleError::Collision {
+                    fault(ScheduleError::Collision {
                         victim: NodeId(victim as u32),
-                        slot: entry.slot,
-                    });
+                        slot,
+                    })?;
                 }
-                received.union_with(&outcome.received);
+                g.received = outcome.received;
             }
-            if let Some(slots) = slots.as_deref_mut() {
-                for w in received.iter() {
-                    slots[w] = entry.slot;
-                }
+            on_entry(ei, &groups);
+            for g in &groups {
+                informed.union_with(&g.received);
             }
-            informed.union_with(&received);
         }
 
         if !informed.is_full() {
             let missing = informed.complement().min().expect("non-full set");
-            return Err(ScheduleError::Incomplete {
+            fault(ScheduleError::Incomplete {
                 node: NodeId(missing as u32),
-            });
+            })?;
         }
-        Ok(())
+        Ok(informed)
     }
+}
 
-    /// The informed set after replaying the first `k` entries (diagnostic
-    /// helper used by traces and visualization).
-    pub fn informed_after(&self, topo: &Topology, k: usize) -> NodeSet {
-        let mut informed = NodeSet::new(topo.len());
-        informed.insert(self.source.idx());
-        for entry in self.entries.iter().take(k) {
-            for &u in &entry.senders {
-                for &v in topo.neighbors(u) {
-                    informed.insert(v.idx());
-                }
-            }
-        }
-        informed
-    }
+/// One channel's share of a schedule entry, as the replay resolved it.
+pub(crate) struct ChannelGroup {
+    /// The channel.
+    channel: u8,
+    /// The entry's senders on this channel that fired.
+    pub(crate) senders: NodeSet,
+    /// The uninformed nodes that heard this channel cleanly.
+    pub(crate) received: NodeSet,
 }
 
 /// A verification failure.
@@ -557,17 +592,6 @@ mod tests {
             bad.receive_slots(&f.topo, &ProtocolModel, None),
             [1, 1, 1, 1, 1]
         );
-    }
-
-    #[test]
-    fn informed_after_replays_prefixes() {
-        let (s, f) = table2_schedule();
-        let w0 = s.informed_after(&f.topo, 0);
-        assert_eq!(w0.to_vec(), vec![f.source.idx()]);
-        let w1 = s.informed_after(&f.topo, 1);
-        assert_eq!(w1.len(), 3);
-        let w2 = s.informed_after(&f.topo, 2);
-        assert!(w2.is_full());
     }
 
     #[test]

@@ -73,9 +73,12 @@ fn main() {
         schedule.transmission_count()
     );
 
+    // A node is informed once its receive slot is at or before the slot
+    // just replayed; the source reads the start slot, so it always counts.
+    let received = schedule.receive_slots(&topo, &ProtocolModel, None);
     let mut informed = NodeSet::new(topo.len());
     informed.insert(source.idx());
-    for (k, entry) in schedule.entries.iter().enumerate() {
+    for entry in &schedule.entries {
         println!(
             "── slot {} ── transmitters: {} ───────────────────────",
             entry.slot,
@@ -87,7 +90,10 @@ fn main() {
                 .join(",")
         );
         println!("{}\n", render(&topo, source, &informed, &entry.senders));
-        informed = schedule.informed_after(&topo, k + 1);
+        informed = NodeSet::from_indices(
+            topo.len(),
+            (0..topo.len()).filter(|&w| received[w] <= entry.slot),
+        );
     }
     println!(
         "final coverage: {}/{} nodes informed",

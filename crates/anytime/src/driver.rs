@@ -36,6 +36,15 @@
 //! its schedule for them, once, when it becomes the incumbent.
 //! Each freeze builds its conflict rows with a fresh builder.
 //!
+//! Each chain runs one BFS from the source over the alive nodes, or takes
+//! the one the repair tier already ran. It gives the depth lower bound
+//! and, on synchronous chains (`wake.period() == 1`), the reach every
+//! legalization of the chain ranks its frontier by first, so the relays on
+//! the paths to the farthest nodes go first. The chain computes that rank
+//! once, in one reverse sweep of the BFS order, and shares it with its
+//! lookahead helper by borrow. Duty-cycled chains rank by uninformed-degree
+//! alone.
+//!
 //! There is one search chain ([`run_chain`]). [`solve_anytime`] runs it
 //! cold; the repair tier ([`reschedule`](crate::reschedule)) warm-starts
 //! it from an old schedule under a dead-node mask.
@@ -50,9 +59,9 @@ use wsn_bitset::NodeSet;
 use wsn_dutycycle::{Slot, WakeSchedule};
 use wsn_interference::ConflictGraphBuilder;
 use wsn_phy::ConflictModel;
-use wsn_topology::{metrics, NodeId, Topology};
+use wsn_topology::{NodeId, Topology};
 
-use crate::legalize::{Hints, Legalizer};
+use crate::legalize::{Hints, Instance, Legalizer, Levels};
 use crate::partial::{PartialSchedule, StepOutcome};
 
 /// When the anytime search stops.
@@ -206,6 +215,11 @@ pub(crate) struct ChainCtx<'a> {
     /// owed no coverage, and don't witness conflicts. The alive set must
     /// stay connected through the source.
     pub(crate) dead: Option<&'a NodeSet>,
+    /// BFS levels from the source over the nodes `dead` leaves alive, when
+    /// the caller already ran that search; the chain runs it otherwise.
+    /// The search may skip fewer nodes than `dead` as long as the rest are
+    /// the alive nodes it cut off: their levels are the same.
+    pub(crate) levels: Option<Levels>,
     /// Whether an iteration-budget chain may legalize restarts ahead on a
     /// helper thread ([`lookahead_pays`]). It changes no result.
     pub(crate) lookahead: bool,
@@ -217,6 +231,7 @@ impl ChainCtx<'_> {
         ChainCtx {
             warm: None,
             dead: None,
+            levels: None,
             lookahead: lookahead_pays(n),
         }
     }
@@ -272,24 +287,20 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     config: &AnytimeConfig,
     ctx: ChainCtx<'_>,
 ) -> AnytimeOutcome {
-    let hops = match ctx.dead {
-        None => metrics::bfs_hops(topo, source),
-        Some(dead) => metrics::bfs_hops_masked(topo, source, dead),
-    };
+    let levels = ctx
+        .levels
+        .unwrap_or_else(|| Levels::new(topo, source, ctx.dead));
     assert!(
-        hops.iter()
-            .enumerate()
-            .all(|(u, &h)| h != metrics::UNREACHABLE
-                || ctx.dead.is_some_and(|dead| dead.contains(u))),
+        levels.reached() + ctx.dead.map_or(0, NodeSet::len) == topo.len(),
         "broadcast cannot complete: disconnected topology"
     );
-    let depth = Slot::from(
-        hops.iter()
-            .filter(|&&h| h != metrics::UNREACHABLE)
-            .copied()
-            .max()
-            .unwrap_or(0),
-    );
+    let depth = Slot::from(levels.depth());
+    // Synchronous chains rank the frontier by reach first. Duty-cycled
+    // ones rank by uninformed-degree alone: there a relay's hop distance
+    // says little about when its subtree wakes, and the hop rank
+    // lengthened duty plans.
+    let reach = (wake.period() == 1).then(|| levels.reach(topo));
+    drop(levels);
 
     // One span per chain; chains on different threads get their own tids,
     // so the Chrome export shows them side by side.
@@ -304,28 +315,21 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut legalizer = Legalizer::new(topo.len());
     let input = RestartInput {
-        topo,
-        source,
-        wake,
-        model,
-        start_from: config.start_from,
-        dead: ctx.dead,
+        inst: Instance {
+            topo,
+            source,
+            wake,
+            model,
+            start_from: config.start_from,
+            dead: ctx.dead,
+            reach: reach.as_deref(),
+        },
         seed: config.seed,
     };
 
     let warm_hints = ctx.warm.map(hints_of).filter(|hints| !hints.is_empty());
     let mut best = match &warm_hints {
-        Some(hints) => legalizer.legalize(
-            topo,
-            source,
-            wake,
-            model,
-            hints,
-            config.start_from,
-            0,
-            ctx.dead,
-            &mut rng,
-        ),
+        Some(hints) => legalizer.legalize(&input.inst, hints, 0, &mut rng),
         None => input.build(&mut legalizer, 0, None).expect("no stop flag"),
     };
     debug_assert!(best
@@ -474,18 +478,7 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                     }
                 }
                 solved.then(|| {
-                    let hints = partial.hints();
-                    let schedule = legalizer.legalize(
-                        topo,
-                        source,
-                        wake,
-                        model,
-                        &hints,
-                        config.start_from,
-                        0,
-                        ctx.dead,
-                        &mut rng,
-                    );
+                    let schedule = legalizer.legalize(&input.inst, &partial.hints(), 0, &mut rng);
                     (schedule, Receive::Legalizer)
                 })
             };
@@ -588,15 +581,10 @@ fn restart_seed(seed: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What a restart reads: the instance, the mask and the chain's seed.
+/// What a restart reads: the chain's legalization input and its seed.
 /// The chain and its lookahead helper share it.
 struct RestartInput<'a, S, M> {
-    topo: &'a Topology,
-    source: NodeId,
-    wake: &'a S,
-    model: &'a M,
-    start_from: Slot,
-    dead: Option<&'a NodeSet>,
+    inst: Instance<'a, S, M>,
     seed: u64,
 }
 
@@ -613,18 +601,7 @@ impl<S: WakeSchedule, M: ConflictModel> RestartInput<'_, S, M> {
     ) -> Option<Schedule> {
         let jitter = if k == 0 { 0 } else { RESTART_JITTER };
         let mut rng = StdRng::seed_from_u64(restart_seed(self.seed, k));
-        legalizer.legalize_until(
-            self.topo,
-            self.source,
-            self.wake,
-            self.model,
-            &Hints::new(),
-            self.start_from,
-            jitter,
-            self.dead,
-            &mut rng,
-            stop,
-        )
+        legalizer.legalize_until(&self.inst, &Hints::new(), jitter, &mut rng, stop)
     }
 }
 
@@ -718,7 +695,7 @@ fn lookahead_helper<S: WakeSchedule, M: ConflictModel>(
     look: &Lookahead,
 ) {
     let _close = CloseOnDrop(look);
-    let mut legalizer = Legalizer::new(input.topo.len());
+    let mut legalizer = Legalizer::new(input.inst.topo.len());
     let mut handoff = look.lock();
     loop {
         if handoff.closed {
@@ -746,6 +723,7 @@ pub(crate) mod tests {
     use wsn_dutycycle::{AlwaysAwake, WindowedRandom};
     use wsn_phy::ProtocolModel;
     use wsn_topology::deploy::SyntheticDeployment;
+    use wsn_topology::metrics;
 
     /// A restart a chain took: its index, its schedule, and whether the
     /// helper built it.
@@ -806,7 +784,9 @@ pub(crate) mod tests {
     /// Runs one chain with the helper off and on and checks that both
     /// give the same search, take the same restarts in index order, and
     /// that each restart equals the one [`RestartInput::build`] makes
-    /// alone. Returns the number of restarts the helper built.
+    /// alone, from a reach computed afresh when every node wakes in every
+    /// slot and without one otherwise. Returns the number of restarts the
+    /// helper built.
     fn check_lookahead<S: WakeSchedule>(
         topo: &Topology,
         src: NodeId,
@@ -820,6 +800,7 @@ pub(crate) mod tests {
                 let ctx = ChainCtx {
                     warm,
                     dead,
+                    levels: None,
                     lookahead,
                 };
                 run_chain(topo, src, wake, &ProtocolModel, config, ctx)
@@ -835,13 +816,17 @@ pub(crate) mod tests {
 
         let warm_seeded = warm.is_some_and(|old| !old.entries.is_empty());
         let first = u64::from(!warm_seeded);
+        let reach = (wake.period() == 1).then(|| Levels::new(topo, src, dead).reach(topo));
         let input = RestartInput {
-            topo,
-            source: src,
-            wake,
-            model: &ProtocolModel,
-            start_from: config.start_from,
-            dead,
+            inst: Instance {
+                topo,
+                source: src,
+                wake,
+                model: &ProtocolModel,
+                start_from: config.start_from,
+                dead,
+                reach: reach.as_deref(),
+            },
             seed: config.seed,
         };
         let mut alone = Legalizer::new(topo.len());
@@ -895,35 +880,42 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Sync and duty, dead masks, warm hints: the helper changes no
-        /// result.
+        /// Sync (always awake, so ranked by reach) and duty, dead masks,
+        /// warm hints: the helper changes no result.
         #[test]
         fn lookahead_changes_no_result(
             seed in 0..500u64,
             n in 50usize..300,
-            rate in prop::sample::select(vec![1u32, 4, 10]),
+            rate in prop::sample::select(vec![0u32, 1, 4, 10]),
             dead_every in prop::sample::select(vec![0usize, 7, 23]),
             warm in 0u8..2,
             budget in 2_000u64..8_000,
         ) {
             let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
-            let wake = WindowedRandom::new(n, rate, seed ^ 0xD0);
             let config = AnytimeConfig {
                 budget: Budget::Iterations(budget),
                 seed: seed ^ 0x1CC5,
                 ..AnytimeConfig::default()
             };
-            let old = (warm == 1).then(|| solve_anytime(&topo, src, &wake, &ProtocolModel, &config));
             let dead = (dead_every > 0)
                 .then(|| closed_mask(&topo, src, (seed as usize % 5..n).step_by(dead_every)));
-            check_lookahead(
-                &topo,
-                src,
-                &wake,
-                &config,
-                old.as_ref().map(|out| &out.schedule),
-                dead.as_ref(),
-            );
+            fn check<S: WakeSchedule>(
+                topo: &Topology,
+                src: NodeId,
+                wake: &S,
+                config: &AnytimeConfig,
+                warm: bool,
+                dead: Option<&NodeSet>,
+            ) {
+                let old = warm.then(|| solve_anytime(topo, src, wake, &ProtocolModel, config));
+                check_lookahead(topo, src, wake, config, old.as_ref().map(|out| &out.schedule), dead);
+            }
+            if rate == 0 {
+                check(&topo, src, &AlwaysAwake, &config, warm == 1, dead.as_ref());
+            } else {
+                let wake = WindowedRandom::new(n, rate, seed ^ 0xD0);
+                check(&topo, src, &wake, &config, warm == 1, dead.as_ref());
+            }
         }
     }
 }

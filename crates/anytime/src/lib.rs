@@ -6,7 +6,10 @@
 //! instances. This crate trades proof for *interrupt-anytime* semantics:
 //!
 //! 1. a greedy legalizer seeds a valid schedule in `O(E)` (the private
-//!    `legalize` module),
+//!    `legalize` module). On synchronous chains its frontier goes by
+//!    *reach* first, the deepest BFS level among the nodes a relay lies on
+//!    a shortest path to, computed once per chain from the BFS behind the
+//!    depth bound; duty-cycled chains rank by uninformed-degree alone,
 //! 2. a [`PartialSchedule`] freezes the incumbent's conflict structure —
 //!    partner pairs from the incremental conflict-graph builder
 //!    (spatially pruned at scale), per-pair *deadlines* from cached

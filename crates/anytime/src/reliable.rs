@@ -124,8 +124,11 @@ fn retime<S: WakeSchedule>(schedule: &mut Schedule, wake: &S) {
 
 /// Exact repair loop: recompute the profile, and while some node misses
 /// the target, bump the weakest delivery on its serving path (respecting
-/// [`MAX_REPEAT`]) and re-time. Returns whether the target was reached,
-/// leaving `schedule` re-timed either way.
+/// [`MAX_REPEAT`]) and re-time. Leaves `schedule` re-timed and returns its
+/// delivery profile from the replay that last verified it, or the error
+/// when re-timing could not keep every sender awake. Each round either
+/// returns or raises one entry's repeat count toward the cap, so the loop
+/// ends.
 fn escalate<S: WakeSchedule, M: ConflictModel>(
     schedule: &mut Schedule,
     topo: &Topology,
@@ -133,14 +136,11 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
     model: &M,
     quality: &LinkQuality,
     epsilon: f64,
-) -> bool {
+) -> Result<Vec<f64>, ScheduleError> {
     let target = 1.0 - epsilon;
-    let rounds = schedule.entries.len() as u64 * u64::from(MAX_REPEAT) + 8;
-    for _ in 0..rounds {
+    loop {
         retime(schedule, wake);
-        let Ok(tree) = schedule.serving_tree(topo, wake, model, quality) else {
-            return false; // re-timing could not keep every sender awake
-        };
+        let tree = schedule.serving_tree(topo, wake, model, quality)?;
         let (mut min_p, mut min_w) = (1.0f64, schedule.source.idx());
         for (w, &pw) in tree.p.iter().enumerate() {
             if pw < min_p {
@@ -149,7 +149,7 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
             }
         }
         if min_p + 1e-12 >= target {
-            return true;
+            return Ok(tree.p);
         }
         // Weakest bumpable delivery on the failing node's serving path.
         let mut bump: Option<(f64, usize)> = None;
@@ -165,14 +165,13 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
             w = u.idx();
         }
         let Some((_, ei)) = bump else {
-            return false; // every entry on the path is at the cap
+            return Ok(tree.p); // every entry on the path is at the cap
         };
         if schedule.repeats.is_empty() {
             schedule.repeats = vec![1; schedule.entries.len()];
         }
         schedule.repeats[ei] += 1;
     }
-    false
 }
 
 /// Plans per-entry repeat counts for `schedule` so every node's delivery
@@ -208,7 +207,9 @@ pub fn plan_repeats<S: WakeSchedule, M: ConflictModel>(
     }
     let mut planned = schedule.clone();
     planned.repeats = repeats;
-    escalate(&mut planned, topo, wake, model, quality, epsilon);
+    // A plan whose re-timing cannot keep every sender awake is returned
+    // as it stands; the caller's verification reports it.
+    let _ = escalate(&mut planned, topo, wake, model, quality, epsilon);
     planned
 }
 
@@ -373,34 +374,23 @@ pub fn solve_anytime_reliable<S: WakeSchedule, M: ConflictModel>(
     let planned_budget = planned.slot_budget();
 
     let mut schedule = planned;
-    if !schedule.repeats.is_empty() {
+    // The final schedule's delivery profile comes from the one replay
+    // that verified it last: the exact re-check (and duty-cycle repair)
+    // of a trimmed plan, or a single pass when nothing repeats.
+    let per_node = if schedule.repeats.is_empty() {
+        schedule.delivery_profile(topo, wake, model, quality)
+    } else {
         if let Ok(mut ledger) = RepeatLedger::build(&schedule, topo, wake, model, quality, epsilon)
         {
             if ledger.compress() > 0 {
                 ledger.apply(&mut schedule);
             }
         }
-        // Exact re-check (and duty-cycle repair) of the trimmed plan.
-        escalate(&mut schedule, topo, wake, model, quality, epsilon);
+        escalate(&mut schedule, topo, wake, model, quality, epsilon)
     }
-
-    let per_node = schedule
-        .delivery_profile(topo, wake, model, quality)
-        .expect("planned schedule must verify");
-    let mut min_delivery = 1.0f64;
-    let mut sum = 0.0f64;
-    for &pw in &per_node {
-        sum += pw;
-        min_delivery = min_delivery.min(pw);
-    }
-    let meets_target = min_delivery + 1e-12 >= 1.0 - epsilon;
-    let report = ReliabilityReport {
-        min_delivery,
-        mean_delivery: sum / per_node.len().max(1) as f64,
-        per_node,
-        expanded_latency: schedule.latency(),
-        slot_budget: schedule.slot_budget(),
-    };
+    .expect("planned schedule must verify");
+    let report = ReliabilityReport::new(&schedule, per_node);
+    let meets_target = report.meets(epsilon);
     if let Some(t0) = solve_started {
         wsn_obs::counter_add("reliable.solves", 1);
         if meets_target {

@@ -41,6 +41,7 @@ use wsn_phy::ConflictModel;
 use wsn_topology::{metrics, NodeId, Topology};
 
 use crate::driver::{lookahead_pays, run_chain, AnytimeConfig, AnytimeOutcome, ChainCtx};
+use crate::legalize::Levels;
 
 /// A churn event batch: the nodes that died since the schedule was built,
 /// plus any links whose estimated *quality* drifted.
@@ -191,10 +192,11 @@ pub fn reschedule<S: WakeSchedule, M: ConflictModel>(
     let stranded = old.stranded_under(topo, model, &mask);
 
     // Alive nodes disconnected by the deaths are unreachable by *any*
-    // schedule: fold them into the mask and report them.
-    let hops = metrics::bfs_hops_masked(topo, source, &mask);
+    // schedule: fold them into the mask and report them. Closing the mask
+    // changes no reachable node's level, so the chain reuses this search.
+    let levels = Levels::new(topo, source, Some(&mask));
     let mut uncovered = Vec::new();
-    for (u, &h) in hops.iter().enumerate() {
+    for (u, &h) in levels.hops.iter().enumerate() {
         if h == metrics::UNREACHABLE && !mask.contains(u) {
             uncovered.push(NodeId(u as u32));
             mask.insert(u);
@@ -211,6 +213,7 @@ pub fn reschedule<S: WakeSchedule, M: ConflictModel>(
         ChainCtx {
             warm: Some(&filtered),
             dead: Some(&mask),
+            levels: Some(levels),
             lookahead: lookahead_pays(n),
         },
     );

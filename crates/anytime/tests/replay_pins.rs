@@ -131,30 +131,32 @@ const CASES: [(usize, u64, Model, u32, f64, usize); 8] = [
     (160, 8, Model::Protocol, 0, 0.9, 9),
 ];
 
-/// The pins, one per case, recorded before the replay was unified.
+/// The pins, one per case. The always-awake rows were re-recorded when
+/// synchronous chains began ranking the legalizer's frontier by reach; the
+/// duty rows are unchanged since the replay was unified.
 const PINS: [Pin; 8] = [
     (
-        16_876_244_372_669_936_736,
-        4_147_463_962_370_108_932,
+        16_101_779_850_557_622_973,
+        10_134_647_801_632_109_580,
         8,
         69,
-        19,
+        20,
         1,
     ),
     (
-        5_568_376_997_603_768_738,
-        13_953_183_664_152_100_303,
-        10,
-        25,
+        13_699_098_157_306_280_985,
+        8_619_827_255_973_174_249,
+        8,
+        21,
+        20,
+        1,
+    ),
+    (
+        9_481_534_376_750_642_248,
+        13_351_427_291_941_070_562,
+        18,
+        52,
         17,
-        1,
-    ),
-    (
-        15_478_703_697_081_959_063,
-        7_027_625_027_819_130_918,
-        14,
-        75,
-        13,
         1,
     ),
     (
@@ -190,10 +192,10 @@ const PINS: [Pin; 8] = [
         1,
     ),
     (
-        7_240_150_831_746_864_637,
-        10_073_210_163_180_361_848,
+        5_431_941_900_881_177_387,
+        3_629_319_944_131_544_253,
         0,
-        34,
+        31,
         19,
         1,
     ),

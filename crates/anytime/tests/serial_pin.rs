@@ -25,17 +25,18 @@ fn schedule_sig(out: &AnytimeOutcome) -> u64 {
 
 /// `(n, deployment seed, iteration budget)` → expected
 /// `(latency, moves, passes, restarts, entries, sig)` of a cold chain,
-/// recorded with every restart drawing from its own stream.
+/// recorded with every restart drawing from its own stream and the
+/// frontier ranked by reach.
 #[allow(clippy::type_complexity)]
 const PINS: [((usize, u64, u64), (u64, u64, u64, u64, usize, u64)); 3] = [
-    ((120, 5, 10_000), (5, 264, 60, 15, 5, 12_188_235_285)),
+    ((120, 5, 10_000), (5, 33, 8, 2, 5, 12_083_885_604)),
     (
         (200, 11, 30_000),
-        (7, 30_000, 7_500, 1_875, 7, 165_761_005_759_570),
+        (7, 30_001, 6_316, 1_579, 7, 165_760_801_077_451),
     ),
     (
         (300, 2, 25_000),
-        (8, 25_062, 9, 2, 8, 128_524_792_643_724_510),
+        (7, 25_000, 5_000, 1_250, 7, 1_004_048_035_529_565),
     ),
 ];
 

@@ -68,6 +68,34 @@ pub struct ReliabilityReport {
     pub slot_budget: u64,
 }
 
+impl ReliabilityReport {
+    /// The report on `schedule` given its delivery profile `per_node`
+    /// ([`Schedule::delivery_profile`]): the weakest and mean bound, the
+    /// expanded latency and the slot budget.
+    pub fn new(schedule: &Schedule, per_node: Vec<f64>) -> ReliabilityReport {
+        let mut min_delivery = 1.0f64;
+        let mut sum = 0.0f64;
+        for &p in &per_node {
+            sum += p;
+            min_delivery = min_delivery.min(p);
+        }
+        ReliabilityReport {
+            min_delivery,
+            mean_delivery: sum / per_node.len().max(1) as f64,
+            per_node,
+            expanded_latency: schedule.latency(),
+            slot_budget: schedule.slot_budget(),
+        }
+    }
+
+    /// Whether every node's delivery bound reaches `1 − ε`. Up to f64
+    /// rounding: the planner targets exactly `1 − ε`, so a product that
+    /// lands within one ulp-ish of the target passes.
+    pub fn meets(&self, epsilon: f64) -> bool {
+        self.min_delivery + 1e-12 >= 1.0 - epsilon
+    }
+}
+
 /// A reliability-verification failure: either the schedule is not valid
 /// under the conflict model at all, or it is valid but some node's delivery
 /// bound misses the `1 − ε` target.
@@ -221,33 +249,21 @@ impl Schedule {
         quality: &LinkQuality,
         epsilon: f64,
     ) -> Result<ReliabilityReport, ReliabilityError> {
-        let per_node = self.delivery_profile(topo, wake, model, quality)?;
-        let target = 1.0 - epsilon;
-        let mut min_delivery = 1.0f64;
-        let mut min_node = self.source;
-        let mut sum = 0.0f64;
-        for (i, &pi) in per_node.iter().enumerate() {
-            sum += pi;
-            if pi < min_delivery {
-                min_delivery = pi;
-                min_node = NodeId(i as u32);
-            }
-        }
-        // Strictness up to f64 rounding: the planner targets exactly 1−ε,
-        // so a product that lands within one ulp-ish of the target passes.
-        if min_delivery + 1e-12 < target {
+        let report =
+            ReliabilityReport::new(self, self.delivery_profile(topo, wake, model, quality)?);
+        if !report.meets(epsilon) {
+            // The weakest node: the first one at the minimum bound.
+            let weakest = report
+                .per_node
+                .iter()
+                .position(|&p| p == report.min_delivery)
+                .map_or(self.source, |i| NodeId(i as u32));
             return Err(ReliabilityError::UnderReliable {
-                node: min_node,
-                delivery: min_delivery,
+                node: weakest,
+                delivery: report.min_delivery,
             });
         }
-        Ok(ReliabilityReport {
-            min_delivery,
-            mean_delivery: sum / per_node.len().max(1) as f64,
-            per_node,
-            expanded_latency: self.latency(),
-            slot_budget: self.slot_budget(),
-        })
+        Ok(report)
     }
 }
 

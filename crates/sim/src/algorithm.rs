@@ -345,7 +345,7 @@ mod tests {
         // to the greedy layered baseline it seeds against; identical
         // iteration budgets reproduce identical results, pinned as
         // (latency, transmissions, moves of the last accepted incumbent).
-        const PINS: [(u64, usize, u64); 4] = [(6, 19, 0), (5, 16, 117), (6, 19, 637), (8, 18, 0)];
+        const PINS: [(u64, usize, u64); 4] = [(6, 19, 0), (5, 16, 0), (6, 17, 416), (8, 18, 0)];
         let cfg = SearchConfig::default();
         for (seed, pin) in (0..4u64).zip(PINS) {
             let (topo, src) = deploy::SyntheticDeployment::paper(60).sample(seed);

@@ -18,15 +18,17 @@
 //! The chain's own RNG drives only the compression passes.
 //!
 //! Under an iteration budget on a host with a spare core, the chain
-//! starts one scoped helper thread at its first kick. While the chain
-//! legalizes restart `k` and runs the passes up to its next kick, the
-//! helper legalizes restart `k + 1` with a legalizer of its own and hands
-//! it over through a condvar; the chain builds restart `k + 2` itself,
-//! beside the helper's `k + 3`, and so on. The helper looks ahead by at
-//! most one restart, and a stop flag ends a restart the chain will not
-//! take. The chain takes restarts in order and bills each one the same,
-//! so its outcome does not depend on whether the helper ran. Wall-clock
-//! chains stay on one thread.
+//! starts one scoped helper thread at its first kick, with two one-slot
+//! channels: restart orders go out to it, built restarts come back. While
+//! the chain legalizes restart `k` and runs the passes up to its next
+//! kick, the helper legalizes restart `k + 1` with a legalizer of its own;
+//! the chain builds restart `k + 2` itself, beside the helper's `k + 3`,
+//! and so on. The helper looks ahead by at most one restart. When the
+//! chain ends, also by a panic, a drop guard raises a stop flag that ends
+//! a restart the chain will not take, and the chain's channel ends drop,
+//! which ends the helper's loop before the scope joins it. The chain takes
+//! restarts in order and bills each one the same, so its outcome does not
+//! depend on whether the helper ran. Wall-clock chains stay on one thread.
 //!
 //! The incumbent's [`PartialSchedule`] is frozen once and kept while the
 //! incumbent stands; each compression pass rewinds it
@@ -53,7 +55,8 @@ use mlbs_core::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::OnceLock;
 use std::time::Instant;
 use wsn_bitset::NodeSet;
 use wsn_dutycycle::{Slot, WakeSchedule};
@@ -85,8 +88,9 @@ pub enum Budget {
     /// Each restart draws from its own RNG stream, seeded from the config
     /// seed and the restart's index, and is billed when the chain takes
     /// it. On a host with a spare core a helper thread legalizes the next
-    /// restart ahead of the chain; the result is the same bit for bit with
-    /// or without it, whatever the thread count.
+    /// restart ahead of the chain and hands it back over a channel; the
+    /// result is the same bit for bit with or without it, whatever the
+    /// thread count.
     Iterations(u64),
 }
 
@@ -363,17 +367,19 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     // deterministic moves but paid in real time the move cadence cannot
     // see).
     let mut pass_cost_ewma = 0.0f64;
-    // The lookahead helper (iteration budgets only): whether it runs, and
-    // whether it is building the next restart.
-    let look = Lookahead::default();
-    let mut helper_runs = false;
+    // The lookahead helper (iteration budgets only): whether it is building
+    // the next restart, and the flag that ends a restart the chain will not
+    // take.
     let mut ahead = false;
     let mut restarts_ahead = 0u64;
+    let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        // Ends the helper when the chain ends, also by a panic, before the
-        // scope joins it.
-        let _close = CloseOnDrop(&look);
+        // Raises `stop` when the chain ends, also by a panic. The chain's
+        // channel ends, declared after it, drop first: with them gone the
+        // helper's loop ends, before the scope joins it.
+        let _stop = RaiseOnDrop(&stop);
+        let mut helper: Option<HelperEnds> = None;
         while best.latency() > depth && !clock.exhausted() {
             if let Budget::WallClockMs(ms) = config.budget {
                 let remaining = ms.saturating_sub(clock.elapsed_ms()) as f64;
@@ -394,24 +400,43 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                 restarts += 1;
                 wsn_obs::event("anytime.restart");
                 clock.moves += topo.len() as u64 / 64 + 1;
-                if !helper_runs
+                if helper.is_none()
                     && k > 0
                     && ctx.lookahead
                     && matches!(config.budget, Budget::Iterations(_))
                 {
-                    scope.spawn(|| lookahead_helper(&input, &look));
-                    helper_runs = true;
+                    let (order, orders) = sync_channel(1);
+                    let (hand_back, built) = sync_channel(1);
+                    let (input, stop) = (&input, &stop);
+                    // It builds each restart on order, with a legalizer of
+                    // its own, until the chain's ends drop. It opens no
+                    // spans.
+                    scope.spawn(move || {
+                        let mut legalizer = Legalizer::new(topo.len());
+                        for k in orders {
+                            let Some(schedule) = input.build(&mut legalizer, k, Some(stop)) else {
+                                return;
+                            };
+                            if hand_back.send((k, schedule)).is_err() {
+                                return;
+                            }
+                        }
+                    });
+                    helper = Some((order, built));
                 }
                 let built = if ahead {
                     // The helper built it beside the last restart.
                     ahead = false;
                     restarts_ahead += 1;
-                    (look.take(k), Receive::Replay)
+                    let (_, built) = helper.as_ref().expect("a restart is on order");
+                    let (built, schedule) = built.recv().expect("the lookahead helper died");
+                    assert_eq!(built, k, "the helper built the wrong restart");
+                    (schedule, Receive::Replay)
                 } else {
                     // The helper, when running, builds the next restart
                     // while this thread builds this one.
-                    if helper_runs {
-                        look.order(k + 1);
+                    if let Some((order, _)) = &helper {
+                        order.send(k + 1).expect("the lookahead helper died");
                         ahead = true;
                     }
                     let schedule = input.build(&mut legalizer, k, None).expect("no stop flag");
@@ -615,103 +640,18 @@ pub(crate) fn lookahead_pays(n: usize) -> bool {
             .get_or_init(|| std::thread::available_parallelism().is_ok_and(|p| p.get() > 1))
 }
 
-/// The hand-off between a chain and its lookahead helper. At a kick it
-/// builds itself, the chain orders the next restart; the helper builds it
-/// beside the chain's, and the chain takes it at its next kick.
-#[derive(Default)]
-struct Lookahead {
-    state: Mutex<Handoff>,
-    changed: Condvar,
-    /// Raised when the chain ends; a restart in progress reads it once
-    /// per slot and gives up. It publishes no data (the hand-off goes
-    /// through the mutex), so relaxed loads and stores suffice.
-    stop: AtomicBool,
-}
+/// The chain's ends of the channels to its lookahead helper: restart
+/// orders go out, built restarts come back.
+type HelperEnds = (SyncSender<u64>, Receiver<(u64, Schedule)>);
 
-#[derive(Default)]
-struct Handoff {
-    /// The restart on order, not yet started.
-    order: Option<u64>,
-    /// The restart the helper built.
-    built: Option<(u64, Schedule)>,
-    /// Set when either side leaves; the other stops waiting.
-    closed: bool,
-}
+/// Raises a flag when dropped, also while unwinding.
+struct RaiseOnDrop<'a>(&'a AtomicBool);
 
-impl Lookahead {
-    // Every field store leaves a `Handoff` valid, so the state a panicking
-    // holder leaves behind is too: a poisoned lock is recovered, and the
-    // other side sees `closed` or the restart.
-    fn lock(&self) -> MutexGuard<'_, Handoff> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, guard: MutexGuard<'a, Handoff>) -> MutexGuard<'a, Handoff> {
-        self.changed
-            .wait(guard)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Orders restart `k`.
-    fn order(&self, k: u64) {
-        self.lock().order = Some(k);
-        self.changed.notify_all();
-    }
-
-    /// Waits for restart `k`, the one on order.
-    fn take(&self, k: u64) -> Schedule {
-        let mut handoff = self.lock();
-        loop {
-            if let Some((built, schedule)) = handoff.built.take() {
-                assert_eq!(built, k, "the helper built the wrong restart");
-                return schedule;
-            }
-            assert!(!handoff.closed, "the lookahead helper died");
-            handoff = self.wait(handoff);
-        }
-    }
-
-    fn close(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.lock().closed = true;
-        self.changed.notify_all();
-    }
-}
-
-/// Closes a [`Lookahead`] when dropped, also while unwinding.
-struct CloseOnDrop<'a>(&'a Lookahead);
-
-impl Drop for CloseOnDrop<'_> {
+impl Drop for RaiseOnDrop<'_> {
     fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// The helper thread's body: build each restart the chain orders, with a
-/// legalizer of its own, until the chain closes the hand-off. It opens no
-/// spans.
-fn lookahead_helper<S: WakeSchedule, M: ConflictModel>(
-    input: &RestartInput<'_, S, M>,
-    look: &Lookahead,
-) {
-    let _close = CloseOnDrop(look);
-    let mut legalizer = Legalizer::new(input.inst.topo.len());
-    let mut handoff = look.lock();
-    loop {
-        if handoff.closed {
-            return;
-        }
-        let Some(k) = handoff.order.take() else {
-            handoff = look.wait(handoff);
-            continue;
-        };
-        drop(handoff);
-        let Some(schedule) = input.build(&mut legalizer, k, Some(&look.stop)) else {
-            return;
-        };
-        handoff = look.lock();
-        handoff.built = Some((k, schedule));
-        look.changed.notify_all();
+        // The flag publishes no data (restarts go over the channels), so a
+        // relaxed store suffices.
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 
@@ -877,11 +817,114 @@ pub(crate) mod tests {
         assert!(ahead > 0, "the helper must build restarts");
     }
 
+    /// Where [`Tripwire`] panics.
+    #[derive(Clone, Copy)]
+    enum Trip {
+        /// On any thread but its builder's.
+        Helper,
+        /// On its builder's thread, once another thread has used it.
+        ChainAfterHelper,
+    }
+
+    /// The protocol model under another fingerprint, so the legalizer calls
+    /// `resolve_receptions` every slot, and panics there per its [`Trip`].
+    #[derive(Clone)]
+    struct Tripwire<'a> {
+        builder: std::thread::ThreadId,
+        trip: Trip,
+        helper_ran: &'a AtomicBool,
+    }
+
+    impl ConflictModel for Tripwire<'_> {
+        fn fingerprint(&self) -> u64 {
+            !ProtocolModel.fingerprint()
+        }
+        fn locality(&self) -> wsn_phy::WitnessLocality {
+            ProtocolModel.locality()
+        }
+        fn conflicts(&self, topo: &Topology, u: NodeId, v: NodeId, unf: &NodeSet) -> bool {
+            ProtocolModel.conflicts(topo, u, v, unf)
+        }
+        fn collect_witnesses(&self, topo: &Topology, u: NodeId, v: NodeId, out: &mut Vec<u32>) {
+            ProtocolModel.collect_witnesses(topo, u, v, out)
+        }
+        fn witness_range(&self, topo: &Topology) -> Option<f64> {
+            ProtocolModel.witness_range(topo)
+        }
+        fn resolve_receptions(
+            &self,
+            topo: &Topology,
+            senders: &NodeSet,
+            uninformed: &NodeSet,
+        ) -> wsn_phy::ReceptionOutcome {
+            let on_builder = std::thread::current().id() == self.builder;
+            if !on_builder {
+                self.helper_ran.store(true, Ordering::Relaxed);
+            }
+            match self.trip {
+                Trip::Helper if !on_builder => panic!("tripwire on the helper"),
+                Trip::ChainAfterHelper if on_builder && self.helper_ran.load(Ordering::Relaxed) => {
+                    panic!("tripwire on the chain")
+                }
+                _ => ProtocolModel.resolve_receptions(topo, senders, uninformed),
+            }
+        }
+    }
+
+    /// Runs a helped chain on a 200-node paper instance under a duty cycle
+    /// (so it stays above the depth bound and kicks) and a [`Tripwire`], and
+    /// returns its panic message, or `None` when it ends.
+    fn tripped_chain(trip: Trip) -> Option<String> {
+        let (topo, src) = SyntheticDeployment::paper(200).sample(4);
+        let wake = WindowedRandom::new(topo.len(), 4, 4);
+        let config = AnytimeConfig {
+            budget: Budget::Iterations(200_000),
+            ..AnytimeConfig::default()
+        };
+        let helper_ran = AtomicBool::new(false);
+        let model = Tripwire {
+            builder: std::thread::current().id(),
+            trip,
+            helper_ran: &helper_ran,
+        };
+        let ctx = ChainCtx {
+            lookahead: true,
+            ..ChainCtx::standalone(topo.len())
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_chain(&topo, src, &wake, &model, &config, ctx)
+        }));
+        assert!(helper_ran.load(Ordering::Relaxed), "the helper must start");
+        let payload = run.err()?;
+        Some(match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap().to_string(),
+        })
+    }
+
+    /// A helper that dies makes the chain panic instead of waiting for a
+    /// restart that never comes.
+    #[test]
+    fn lookahead_helper_panic_fails_the_chain() {
+        let message = tripped_chain(Trip::Helper).expect("the chain must panic");
+        assert!(message.contains("the lookahead helper died"), "{message}");
+    }
+
+    /// A chain that dies stops its helper: `catch_unwind` returns only once
+    /// the scope has joined it, and the chain's own panic is the one that
+    /// surfaces.
+    #[test]
+    fn lookahead_chain_panic_stops_the_helper() {
+        let message = tripped_chain(Trip::ChainAfterHelper).expect("the chain must panic");
+        assert_eq!(message, "tripwire on the chain");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Sync (always awake, so ranked by reach) and duty, dead masks,
-        /// warm hints: the helper changes no result.
+        /// Sync (always awake, or windowed at rate 1: both ranked by
+        /// reach) and duty, dead masks, warm hints: the helper changes no
+        /// result.
         #[test]
         fn lookahead_changes_no_result(
             seed in 0..500u64,

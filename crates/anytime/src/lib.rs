@@ -24,7 +24,9 @@
 //!    relays under tabu tenure) search for assignments one slot shorter,
 //!    and a randomized greedy restart follows three failed passes in a row
 //!    (each restart draws from its own seeded stream, so under an
-//!    iteration budget a helper thread can build the next one ahead),
+//!    iteration budget a helper thread can build the next one ahead; it
+//!    takes orders and hands restarts back over two one-slot channels,
+//!    and a stop flag raised when the chain ends cuts its last one short),
 //! 4. every candidate is re-simulated by the legalizer and re-verified
 //!    under the real [`ConflictModel`](wsn_phy::ConflictModel) before it
 //!    may become the incumbent, and each acceptance appends to the

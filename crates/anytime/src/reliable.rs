@@ -19,13 +19,14 @@
 //!    repeat slots (a repeat slot where a sender's duty cycle is off
 //!    simply doesn't fire and is excluded from the probability mass).
 //! 2. **Compress** (`RepeatLedger`): the per-hop target overprovisions
-//!    every subtree shallower than the deepest one. The ledger caches the
-//!    serving tree, each node's delivery bound and each entry's demand
-//!    list, so trying to shave one repeat off an entry delta-evaluates
-//!    against only the affected subtrees — O(degree) work per touched
-//!    node — instead of a full O(V+E) profile recompute. Decrements only
-//!    consume slack, never create it, so one ascending pass with per-entry
-//!    fixpoints is a complete greedy trim.
+//!    every subtree shallower than the deepest one. The ledger takes the
+//!    serving tree from the replay that verified the plan and caches it,
+//!    each node's delivery bound and each entry's demand list, so trying
+//!    to shave one repeat off an entry delta-evaluates against only the
+//!    affected subtrees — O(degree) work per touched node — instead of a
+//!    full O(V+E) profile recompute. Decrements only consume slack, never
+//!    create it, so one ascending pass with per-entry fixpoints is a
+//!    complete greedy trim.
 //! 3. **Escalate** (safety net): one exact profile recompute; while some
 //!    node still misses the target (duty-cycled repeat slots can deliver
 //!    fewer awake attempts than planned), bump the weakest delivery on its
@@ -39,7 +40,7 @@
 //!
 //! [`AlwaysAwake`]: wsn_dutycycle::AlwaysAwake
 
-use mlbs_core::{ReliabilityReport, Schedule, ScheduleError};
+use mlbs_core::{ReliabilityReport, Schedule, ScheduleError, ServingTree};
 use wsn_dutycycle::{Slot, WakeSchedule};
 use wsn_phy::ConflictModel;
 use wsn_topology::{LinkQuality, NodeId, Topology};
@@ -125,8 +126,8 @@ fn retime<S: WakeSchedule>(schedule: &mut Schedule, wake: &S) {
 /// Exact repair loop: recompute the profile, and while some node misses
 /// the target, bump the weakest delivery on its serving path (respecting
 /// [`MAX_REPEAT`]) and re-time. Leaves `schedule` re-timed and returns its
-/// delivery profile from the replay that last verified it, or the error
-/// when re-timing could not keep every sender awake. Each round either
+/// serving tree from the replay that last verified it, or the error when
+/// re-timing could not keep every sender awake. Each round either
 /// returns or raises one entry's repeat count toward the cap, so the loop
 /// ends.
 fn escalate<S: WakeSchedule, M: ConflictModel>(
@@ -136,7 +137,7 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
     model: &M,
     quality: &LinkQuality,
     epsilon: f64,
-) -> Result<Vec<f64>, ScheduleError> {
+) -> Result<ServingTree, ScheduleError> {
     let target = 1.0 - epsilon;
     loop {
         retime(schedule, wake);
@@ -149,7 +150,7 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
             }
         }
         if min_p + 1e-12 >= target {
-            return Ok(tree.p);
+            return Ok(tree);
         }
         // Weakest bumpable delivery on the failing node's serving path.
         let mut bump: Option<(f64, usize)> = None;
@@ -165,7 +166,7 @@ fn escalate<S: WakeSchedule, M: ConflictModel>(
             w = u.idx();
         }
         let Some((_, ei)) = bump else {
-            return Ok(tree.p); // every entry on the path is at the cap
+            return Ok(tree); // every entry on the path is at the cap
         };
         if schedule.repeats.is_empty() {
             schedule.repeats = vec![1; schedule.entries.len()];
@@ -188,11 +189,27 @@ pub fn plan_repeats<S: WakeSchedule, M: ConflictModel>(
     quality: &LinkQuality,
     epsilon: f64,
 ) -> Schedule {
-    if schedule.entries.is_empty() {
-        return schedule.clone();
-    }
-    let Ok(tree) = schedule.serving_tree(topo, wake, model, quality) else {
-        return schedule.clone();
+    // A plan whose re-timing cannot keep every sender awake is returned
+    // as it stands; the caller's verification reports it.
+    plan(schedule, topo, wake, model, quality, epsilon).0
+}
+
+/// [`plan_repeats`], with the serving tree from the replay that last
+/// verified its result: the input's own when nothing repeats, else the
+/// plan's last [`escalate`] round. The error is the input's when it does
+/// not verify, or the plan's when re-timing could not keep every sender
+/// awake.
+fn plan<S: WakeSchedule, M: ConflictModel>(
+    schedule: &Schedule,
+    topo: &Topology,
+    wake: &S,
+    model: &M,
+    quality: &LinkQuality,
+    epsilon: f64,
+) -> (Schedule, Result<ServingTree, ScheduleError>) {
+    let tree = match schedule.serving_tree(topo, wake, model, quality) {
+        Ok(tree) => tree,
+        failed => return (schedule.clone(), failed),
     };
     let depth = tree.depth.iter().copied().max().unwrap_or(1).max(1);
     let theta = (1.0 - epsilon).powf(1.0 / f64::from(depth));
@@ -203,14 +220,12 @@ pub fn plan_repeats<S: WakeSchedule, M: ConflictModel>(
         }
     }
     if repeats.iter().all(|&r| r == 1) && schedule.repeats.is_empty() {
-        return schedule.clone();
+        return (schedule.clone(), Ok(tree));
     }
     let mut planned = schedule.clone();
     planned.repeats = repeats;
-    // A plan whose re-timing cannot keep every sender awake is returned
-    // as it stands; the caller's verification reports it.
-    let _ = escalate(&mut planned, topo, wake, model, quality, epsilon);
-    planned
+    let tree = escalate(&mut planned, topo, wake, model, quality, epsilon);
+    (planned, tree)
 }
 
 /// The repeat-compression ledger: the serving tree of a planned schedule
@@ -237,22 +252,15 @@ pub(crate) struct RepeatLedger {
 }
 
 impl RepeatLedger {
-    /// Builds the ledger for a planned schedule, or fails when the
-    /// schedule does not verify under `model`.
-    pub(crate) fn build<S: WakeSchedule, M: ConflictModel>(
-        schedule: &Schedule,
-        topo: &Topology,
-        wake: &S,
-        model: &M,
-        quality: &LinkQuality,
-        epsilon: f64,
-    ) -> Result<RepeatLedger, ScheduleError> {
-        let tree = schedule.serving_tree(topo, wake, model, quality)?;
+    /// The ledger of a planned schedule, from the serving tree of the
+    /// replay that verified it.
+    pub(crate) fn new(schedule: &Schedule, tree: ServingTree, epsilon: f64) -> RepeatLedger {
+        let n = tree.p.len();
         let repeats: Vec<u32> = (0..schedule.entries.len())
             .map(|i| schedule.repeat_of(i))
             .collect();
         let mut served = vec![Vec::new(); schedule.entries.len()];
-        let mut children = vec![Vec::new(); topo.len()];
+        let mut children = vec![Vec::new(); n];
         for (w, (&u, &ei)) in tree.parent.iter().zip(&tree.entry).enumerate() {
             if let (Some(u), Some(ei)) = (u, ei) {
                 served[ei].push(w as u32);
@@ -261,9 +269,9 @@ impl RepeatLedger {
         }
         // Recompute bounds in repeats-space (attempts == repeats) so the
         // delta algebra below is self-consistent.
-        let mut p = vec![0.0f64; topo.len()];
+        let mut p = vec![0.0f64; n];
         p[schedule.source.idx()] = 1.0;
-        let mut order: Vec<usize> = (0..topo.len()).collect();
+        let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by_key(|&w| tree.depth[w]);
         for w in order {
             if let (Some(u), Some(ei)) = (tree.parent[w], tree.entry[w]) {
@@ -271,14 +279,14 @@ impl RepeatLedger {
                 p[w] = p[u.idx()] * (1.0 - (1.0 - tree.q_in[w]).powi(r as i32));
             }
         }
-        Ok(RepeatLedger {
+        RepeatLedger {
             repeats,
             served,
             children,
             q_in: tree.q_in,
             p,
             target: 1.0 - epsilon,
-        })
+        }
     }
 
     /// Attempts to shave one repeat off entry `e`: delta-evaluates the
@@ -370,26 +378,24 @@ pub fn solve_anytime_reliable<S: WakeSchedule, M: ConflictModel>(
     let mut solve_span = wsn_obs::span("reliable.solve");
     let solve_started = wsn_obs::enabled().then(std::time::Instant::now);
     let base = solve_anytime(topo, source, wake, model, config);
-    let planned = plan_repeats(&base.schedule, topo, wake, model, quality, epsilon);
-    let planned_budget = planned.slot_budget();
-
-    let mut schedule = planned;
+    let (mut schedule, tree) = plan(&base.schedule, topo, wake, model, quality, epsilon);
+    let planned_budget = schedule.slot_budget();
     // The final schedule's delivery profile comes from the one replay
-    // that verified it last: the exact re-check (and duty-cycle repair)
-    // of a trimmed plan, or a single pass when nothing repeats.
-    let per_node = if schedule.repeats.is_empty() {
-        schedule.delivery_profile(topo, wake, model, quality)
-    } else {
-        if let Ok(mut ledger) = RepeatLedger::build(&schedule, topo, wake, model, quality, epsilon)
-        {
+    // that verified it last: the plan's own when nothing repeats, else
+    // the exact re-check (and duty-cycle repair) of the trimmed plan.
+    let tree = tree
+        .and_then(|tree| {
+            if schedule.repeats.is_empty() {
+                return Ok(tree);
+            }
+            let mut ledger = RepeatLedger::new(&schedule, tree, epsilon);
             if ledger.compress() > 0 {
                 ledger.apply(&mut schedule);
             }
-        }
-        escalate(&mut schedule, topo, wake, model, quality, epsilon)
-    }
-    .expect("planned schedule must verify");
-    let report = ReliabilityReport::new(&schedule, per_node);
+            escalate(&mut schedule, topo, wake, model, quality, epsilon)
+        })
+        .expect("planned schedule must verify");
+    let report = ReliabilityReport::new(&schedule, tree.p);
     let meets_target = report.meets(epsilon);
     if let Some(t0) = solve_started {
         wsn_obs::counter_add("reliable.solves", 1);

@@ -8,8 +8,9 @@ use crate::{Slot, WakeSchedule};
 /// slot in every window of `r` consecutive slots, drawn uniformly per
 /// window from a per-node seed, so the average gap is `r` but consecutive
 /// wake-ups are not equally spaced (worst-case gap just under `2r`).
-/// The pattern repeats after `windows` windows (`period = r × windows`),
-/// which keeps solver memo keys finite; `windows` defaults to 64 so the
+/// The pattern repeats after `windows` windows (`period = r × windows`;
+/// at `r = 1` every slot is a sending slot and the period is 1), which
+/// keeps solver memo keys finite; `windows` defaults to 64 so the
 /// repetition is far longer than any broadcast the evaluation runs.
 #[derive(Clone, Debug)]
 pub struct WindowedRandom {
@@ -154,8 +155,15 @@ impl WakeSchedule for WindowedRandom {
         }
     }
 
+    /// `rate × windows`, except at rate 1, where every node sends in every
+    /// slot and the schedule repeats after one slot, as the synchronous
+    /// system does.
     fn period(&self) -> Slot {
-        self.rate as u64 * self.windows as u64
+        if self.rate == 1 {
+            1
+        } else {
+            self.rate as u64 * self.windows as u64
+        }
     }
 
     fn cycle_rate(&self) -> f64 {
@@ -216,6 +224,17 @@ mod tests {
             for t in 0..p {
                 assert_eq!(s.can_send(u, t), s.can_send(u, t + p));
                 assert_eq!(s.can_send(u, t), s.can_send(u, t + 3 * p));
+            }
+        }
+    }
+
+    #[test]
+    fn rate_one_is_synchronous() {
+        let s = WindowedRandom::new(4, 1, 7);
+        assert_eq!(s.period(), 1);
+        for u in 0..4 {
+            for t in 0..200 {
+                assert!(s.can_send(u, t), "node {u} slot {t}");
             }
         }
     }

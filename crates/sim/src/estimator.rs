@@ -19,22 +19,9 @@
 //! against the *true* quality with seeded draws and feeds the estimator
 //! the resulting ACK stream, standing in for the radio.
 
+use crate::{splitmix64, unit};
 use mlbs_core::Schedule;
 use wsn_topology::{LinkQuality, NodeId, Topology};
-
-/// SplitMix64 step for the simulated ACK draws.
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A draw in `[0, 1)`.
-fn unit(word: u64) -> f64 {
-    (word >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Windowed per-link attempt history plus a delay EWMA (see module docs).
 ///

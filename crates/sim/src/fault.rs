@@ -14,26 +14,11 @@
 //! [`FaultyOutcome::dead`] is exactly the delta `wsn_anytime::reschedule`
 //! takes.
 
+use crate::{derive_seed, splitmix64, unit};
 use mlbs_core::Schedule;
 use wsn_bitset::NodeSet;
 use wsn_dutycycle::Slot;
 use wsn_topology::{LinkQuality, NodeId, Topology};
-
-/// Order-free hash of `(seed, a, b)` — same shape the link-quality
-/// generator uses, so scripts are deterministic per entity, not per
-/// iteration order.
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut x =
-        seed ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ b.wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A draw in `[0, 1)` from a mixed word.
-fn unit(word: u64) -> f64 {
-    (word >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// One injected fault.
 #[derive(Clone, Debug, PartialEq)]
@@ -117,9 +102,9 @@ impl FaultScript {
             if u == source {
                 continue;
             }
-            let w = mix(seed, 1, u64::from(u.0));
+            let w = derive_seed(seed, 1, u64::from(u.0));
             if unit(w) < params.death_fraction {
-                let at = start + mix(seed, 2, u64::from(u.0)) % span;
+                let at = start + derive_seed(seed, 2, u64::from(u.0)) % span;
                 events.push(Fault::NodeDeath { node: u, at });
             }
         }
@@ -130,8 +115,8 @@ impl FaultScript {
                     continue;
                 }
                 let key = (u64::from(u.0) << 32) | u64::from(v.0);
-                if unit(mix(seed, 3, key)) < params.flap_fraction {
-                    let from = start + mix(seed, 4, key) % span;
+                if unit(derive_seed(seed, 3, key)) < params.flap_fraction {
+                    let from = start + derive_seed(seed, 4, key) % span;
                     events.push(Fault::LinkFlap {
                         u,
                         v,
@@ -145,7 +130,7 @@ impl FaultScript {
         if params.burst_len > 0 {
             let windows = span.div_ceil(params.burst_len);
             for w in 0..windows {
-                if unit(mix(seed, 5, w)) < params.burst_rate {
+                if unit(derive_seed(seed, 5, w)) < params.burst_rate {
                     let from = start + w * params.burst_len;
                     events.push(Fault::Burst {
                         extra_loss: params.burst_extra_loss,
@@ -233,13 +218,7 @@ pub fn replay_faulty(
                     } else {
                         (1.0 - quality.delivery_at(u, k) + burst).min(1.0)
                     };
-                    let draw = unit({
-                        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                        let mut z = rng;
-                        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                        z ^ (z >> 31)
-                    });
+                    let draw = unit(splitmix64(&mut rng));
                     if draw < loss {
                         lost += 1;
                     } else {

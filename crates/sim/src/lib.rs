@@ -42,14 +42,35 @@ pub use lossy::{
 pub use stats::Summary;
 pub use sweep::{AlgorithmSummary, Sweep, SweepPointResult, SweepResult, TraceRow};
 
+/// SplitMix64's increment, the golden ratio in 64 bits.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// Derives a stream seed from a master seed and context labels
-/// (SplitMix64 over the mixed words).
+/// (SplitMix64's output mix over the mixed words). It is also the
+/// order-free per-entity hash of the fault scripts.
 pub fn derive_seed(master: u64, a: u64, b: u64) -> u64 {
-    let mut x =
-        master ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ b.wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    mix64(master ^ a.wrapping_mul(GOLDEN_GAMMA) ^ b.wrapping_mul(0xc2b2_ae3d_27d4_eb4f))
+}
+
+/// SplitMix64 step: advances `state` and returns the next word. The
+/// Monte-Carlo replays (lossy, fault and ACK draws) each run one stream,
+/// which keeps them deterministic without threading an external RNG
+/// through the replay.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    mix64(*state)
+}
+
+/// SplitMix64's output mix.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A draw in `[0, 1)` from the top 53 bits of `word`.
+pub(crate) fn unit(word: u64) -> f64 {
+    (word >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -9,19 +9,10 @@
 //! reliable … solution" and gives the localized protocol's
 //! retransmission-friendly design a measurable target.
 
+use crate::{splitmix64, unit};
 use mlbs_core::Schedule;
 use wsn_bitset::NodeSet;
 use wsn_topology::{LinkQuality, Topology};
-
-/// SplitMix64 step for the loss draws (self-contained; keeps the module
-/// deterministic without threading an external RNG through the replay).
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Outcome of one lossy replay.
 #[derive(Clone, Debug)]
@@ -75,7 +66,7 @@ fn replay_with(
                         continue;
                     }
                     // Draw in [0,1): delivered iff above the loss threshold.
-                    let draw = (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
+                    let draw = unit(splitmix64(&mut rng));
                     if draw < loss_of(u, v) {
                         lost += 1;
                     } else {

@@ -36,7 +36,9 @@
 //! reads the incumbent's receive slots from the legalizer run that built
 //! it, kept beside the incumbent. Only a restart the helper built replays
 //! its schedule for them, once, when it becomes the incumbent.
-//! Each freeze builds its conflict rows with a fresh builder.
+//! A freeze builds no conflict row: each relay's partner row is built the
+//! first time a pass moves that relay, and a rewind keeps the rows built
+//! so far, so the passes against one incumbent build each row at most once.
 //!
 //! Each chain runs one BFS from the source over the alive nodes, or takes
 //! the one the repair tier already ran. It gives the depth lower bound
@@ -60,7 +62,6 @@ use std::sync::OnceLock;
 use std::time::Instant;
 use wsn_bitset::NodeSet;
 use wsn_dutycycle::{Slot, WakeSchedule};
-use wsn_interference::ConflictGraphBuilder;
 use wsn_phy::ConflictModel;
 use wsn_topology::{NodeId, Topology};
 
@@ -80,10 +81,12 @@ pub enum Budget {
     /// Stop after this many deterministic work units: local-search moves,
     /// plus a setup charge of `relays / 8 + 1` per compression pass
     /// and `nodes / 64 + 1` per restart. The pass charge dates from when
-    /// every pass froze the incumbent again. A freeze now happens once per
-    /// incumbent and later passes rewind it, so the charge no longer
-    /// measures work done; it stays as the budget contract, which keeps
-    /// iteration-budget results reproducible bit for bit.
+    /// every pass froze the incumbent again and built every conflict row.
+    /// A freeze now happens once per incumbent and builds no row, later
+    /// passes rewind it, and a row is built only when a move first reads
+    /// it, so the charge no longer measures work done; it stays as the
+    /// budget contract, which keeps iteration-budget results reproducible
+    /// bit for bit.
     ///
     /// Each restart draws from its own RNG stream, seeded from the config
     /// seed and the restart's index, and is billed when the chain takes
@@ -358,9 +361,11 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
     let mut next_restart = if warm_hints.is_some() { 0 } else { 1 };
     // The frozen structure of `best`, kept while `best` stays the
     // incumbent and rewound at the start of each compression pass.
-    let mut frozen: Option<PartialSchedule> = None;
+    let mut frozen: Option<PartialSchedule<M>> = None;
     let mut freezes = 0u64;
     let mut freeze_reuses = 0u64;
+    // Partner rows the chain's freezes built, counted as each is dropped.
+    let mut partner_rows = 0u64;
     // Wall-clock budgets only: smoothed per-pass cost, so the loop can
     // decline to start a pass the remaining budget clearly cannot fit
     // (pass setup — frozen-structure builds, legalizations — is billed in
@@ -448,18 +453,10 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
             } else {
                 // Compression pass (PARTIALCOL): search the frozen conflict
                 // structure for an assignment one slot shorter, which the
-                // legalizer then re-simulates. Each freeze gets a fresh
-                // builder, so no builder scratch outlives its incumbent.
-                let freeze = || {
-                    PartialSchedule::freeze(
-                        &best,
-                        &best_receive,
-                        topo,
-                        model,
-                        &mut ConflictGraphBuilder::new(),
-                        ctx.dead,
-                    )
-                };
+                // legalizer then re-simulates. The freeze builds no partner
+                // row; each is built when a move first reads it.
+                let freeze =
+                    || PartialSchedule::freeze(&best, &best_receive, topo, model, ctx.dead);
                 let partial = match frozen.as_mut() {
                     Some(partial) => {
                         partial.rewind();
@@ -516,13 +513,13 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
                             .is_ok() =>
                 {
                     best = cand;
+                    partner_rows += frozen.take().map_or(0, |p| p.partner_rows() as u64);
                     match receive {
                         Receive::Legalizer => legalizer.take_receive_slots(&mut best_receive),
                         Receive::Replay => {
                             best_receive = best.receive_slots(topo, model, ctx.dead);
                         }
                     }
-                    frozen = None;
                     trace.push(TracePoint {
                         elapsed_ms: clock.elapsed_ms(),
                         moves: clock.moves,
@@ -552,6 +549,7 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         }
     });
 
+    partner_rows += frozen.map_or(0, |p| p.partner_rows() as u64);
     let proved_optimal = best.latency() <= depth;
     let latency = best.latency();
     if wsn_obs::enabled() {
@@ -565,6 +563,7 @@ pub(crate) fn run_chain<S: WakeSchedule, M: ConflictModel>(
         wsn_obs::counter_add("anytime.lookahead_wasted", u64::from(ahead));
         wsn_obs::counter_add("anytime.freezes", freezes);
         wsn_obs::counter_add("anytime.freeze_reuses", freeze_reuses);
+        wsn_obs::counter_add("anytime.partner_rows", partner_rows);
         if proved_optimal {
             wsn_obs::counter_add("anytime.proved_optimal", 1);
         }

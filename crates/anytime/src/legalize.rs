@@ -504,7 +504,7 @@ impl Legalizer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::driver::tests::{closed_mask, same_search};
     use crate::partial::PartialSchedule;
@@ -521,7 +521,7 @@ mod tests {
     /// to [`ProtocolModel`], so the legalizer takes its generic path
     /// (`resolve_receptions` after admission) with the same semantics.
     #[derive(Clone, Copy)]
-    struct Unrecognized;
+    pub(crate) struct Unrecognized;
 
     impl ConflictModel for Unrecognized {
         fn fingerprint(&self) -> u64 {
@@ -790,15 +790,12 @@ mod tests {
             let replayed = schedule.receive_slots(&topo, &ProtocolModel, dead.as_ref());
             prop_assert_eq!(&kept, &replayed);
 
-            let mut builder = ConflictGraphBuilder::new();
-            let chain = PartialSchedule::freeze(
-                &schedule, &kept, &topo, &ProtocolModel, &mut builder, dead.as_ref(),
-            );
+            let chain = PartialSchedule::freeze(&schedule, &kept, &topo, &ProtocolModel, dead.as_ref());
             let fresh = match dead.as_ref() {
-                None => PartialSchedule::from_schedule(&schedule, &topo, &ProtocolModel, &mut builder),
-                Some(mask) => PartialSchedule::freeze(
-                    &schedule, &replayed, &topo, &ProtocolModel, &mut builder, Some(mask),
+                None => PartialSchedule::from_schedule(
+                    &schedule, &topo, &ProtocolModel, &mut ConflictGraphBuilder::new(),
                 ),
+                Some(mask) => PartialSchedule::freeze(&schedule, &replayed, &topo, &ProtocolModel, Some(mask)),
             };
             prop_assert!(chain == fresh, "the chain's freeze differs from the replayed one");
         }

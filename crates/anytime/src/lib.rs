@@ -10,15 +10,17 @@
 //!    *reach* first, the deepest BFS level among the nodes a relay lies on
 //!    a shortest path to, computed once per chain from the BFS behind the
 //!    depth bound; duty-cycled chains rank by uninformed-degree alone,
-//! 2. a [`PartialSchedule`] freezes the incumbent's conflict structure —
-//!    partner pairs from the incremental conflict-graph builder
-//!    (spatially pruned at scale), per-pair *deadlines* from cached
-//!    witness sets against the slot each witness was informed in — so
-//!    single-relay moves delta-evaluate in `O(degree)`; the freeze happens
-//!    once per incumbent, and every later pass against the same incumbent
-//!    rewinds it in `O(relays + window)`. A schedule does not store those
-//!    slots: the search keeps the legalizer's copy beside its incumbent,
-//!    and [`PartialSchedule::from_schedule`] replays them with
+//! 2. a [`PartialSchedule`] freezes the incumbent in `O(relays + n)` and
+//!    builds its conflict structure on demand: a relay's partner row (the
+//!    relays it conflicts with, found through a spatial grid over relay
+//!    positions, each with a *deadline*, the last slot in which one of
+//!    their witnesses is still uninformed) is built the first time a move
+//!    reads it, so single-relay moves delta-evaluate in `O(degree)`; the
+//!    freeze happens once per incumbent, and every later pass against the
+//!    same incumbent rewinds it in `O(relays + window)`, keeping the rows
+//!    built so far. A schedule does not store the slots each node was
+//!    informed in: the search keeps the legalizer's copy beside its
+//!    incumbent, and [`PartialSchedule::from_schedule`] replays them with
 //!    [`Schedule::receive_slots`](mlbs_core::Schedule::receive_slots),
 //! 3. PARTIALCOL compression passes (evict the last slot, re-place its
 //!    relays under tabu tenure) search for assignments one slot shorter,
@@ -38,8 +40,8 @@
 //! iteration-counted for bit-reproducible sweeps ([`Budget`]). An
 //! iteration budget bills each compression pass a setup charge
 //! proportional to the relay count; since passes rewind instead of
-//! re-freezing, that charge is a budget contract kept for
-//! reproducibility, not work done.
+//! re-freezing and build only the rows they read, that charge is a budget
+//! contract kept for reproducibility, not work done.
 //!
 //! There is one search chain. [`reschedule`] runs it warm from an old
 //! schedule, under a mask of dead nodes; a serving shard answers every
@@ -239,7 +241,7 @@ mod tests {
     }
 
     fn assert_move_costs_match_brute_force(
-        partial: &PartialSchedule,
+        partial: &PartialSchedule<ProtocolModel>,
         topo: &Topology,
         schedule: &mlbs_core::Schedule,
     ) {

@@ -2,9 +2,10 @@
 //! search permutes.
 //!
 //! A complete broadcast schedule induces an assignment `relay → slot` plus
-//! a *frozen* conflict structure: for every pair of relays whose witness
-//! set is non-empty, the last slot at which they may not share a slot is
-//! `deadline(u, v) = max_w receive[w]` over their witnesses `w`, where
+//! a *frozen* conflict structure: for every pair of relays with a witness
+//! other than the source and the dead, the last slot at which they may not
+//! share a slot is `deadline(u, v) = max_w receive[w]` over those
+//! witnesses `w`, where
 //! `receive[w]` is the slot `w` was informed in
 //! ([`Schedule::receive_slots`]) — a witness received in slot `r` is
 //! vulnerable through slot `r` inclusive.
@@ -24,17 +25,30 @@
 //! for a tenure). Success = no unassigned relays ⇒ a schedule hint one
 //! slot shorter.
 //!
+//! Partner rows are built on demand. A freeze keeps only `O(relays + n)`
+//! state: the relays and their slots, a node → relay index, the receive
+//! slots and the set of nodes that may still be uninformed. Relay `i`'s
+//! row, its partners with their deadlines in ascending relay order, is
+//! built the first time a move reads it: the candidates are the relays a
+//! [`CellGrid`] over relay positions finds within the model's
+//! [`ConflictModel::witness_range`] of it (every relay when the model
+//! certifies no range), and each is kept when the model says the pair
+//! conflicts. A compression pass moves a handful of relays, so it builds a
+//! handful of rows.
+//!
 //! The frozen structure depends only on the schedule it was frozen from,
 //! so one freeze serves every pass against the same incumbent:
 //! [`PartialSchedule::rewind`] restores the just-frozen state in
-//! `O(relays + window)` instead of re-running the conflict builder.
+//! `O(relays + window)`, and keeps every row built so far.
 
 use mlbs_core::Schedule;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use wsn_bitset::NodeSet;
 use wsn_dutycycle::{Slot, WakeSchedule};
+use wsn_geom::CellGrid;
 use wsn_interference::ConflictGraphBuilder;
 use wsn_phy::ConflictModel;
 use wsn_topology::{NodeId, Topology};
@@ -56,17 +70,96 @@ pub enum StepOutcome {
     Stuck,
 }
 
-/// The mutable per-pass assignment (see the module docs).
-///
-/// Equality compares the whole state, scratch included; a rewound value
-/// equals a fresh freeze of the same schedule.
-#[derive(Debug, PartialEq, Eq)]
-pub struct PartialSchedule {
+/// Sentinel for "node is not a relay" in the node → relay index.
+const NO_RELAY: u32 = u32::MAX;
+
+/// The frozen conflict structure: what a partner row reads, and the rows
+/// built so far (see the module docs).
+struct Rows<'a, M> {
+    topo: &'a Topology,
+    model: &'a M,
     /// Relay ids; index space of everything below.
     relays: Vec<NodeId>,
-    /// Partner lists: `adj[i] = [(j, deadline), …]` — co-slot placement of
-    /// `relays[i]` and `relays[j]` at slot `t` conflicts iff `t ≤ deadline`.
-    adj: Vec<Vec<(u32, Slot)>>,
+    /// node → relay index ([`NO_RELAY`] for nodes that never send).
+    relay_of: Vec<u32>,
+    /// The slot each node was informed in.
+    receive: Vec<Slot>,
+    /// Everyone but the source and the dead: the nodes the partner test
+    /// counts as possibly uninformed.
+    unf: NodeSet,
+    source: NodeId,
+    /// The grid over relay positions, its cell side the model's witness
+    /// range, built with the first row; `None` when the model certifies
+    /// no range.
+    grid: OnceCell<Option<CellGrid>>,
+    /// Partner lists: `adj[i] = [(j, deadline), …]` in ascending `j` —
+    /// co-slot placement of `relays[i]` and `relays[j]` at slot `t`
+    /// conflicts iff `t ≤ deadline`. Filled on first read.
+    adj: Vec<OnceCell<Vec<(u32, Slot)>>>,
+}
+
+impl<M: ConflictModel> Rows<'_, M> {
+    /// Relay `i`'s partner row, built on first call.
+    fn row(&self, i: usize) -> &[(u32, Slot)] {
+        self.adj[i].get_or_init(|| self.build_row(i))
+    }
+
+    /// Every relay `j` whose co-slot placement with relay `i` the model
+    /// calls a conflict, with its deadline: the latest receive slot among
+    /// the pair's witnesses that are not dead.
+    fn build_row(&self, i: usize) -> Vec<(u32, Slot)> {
+        let (topo, model) = (self.topo, self.model);
+        let u = self.relays[i];
+        let mut row = Vec::new();
+        let mut witnesses = Vec::new();
+        let mut test = |j: usize| {
+            let v = self.relays[j];
+            if j == i || !model.conflicts(topo, u, v, &self.unf) {
+                return;
+            }
+            model.collect_witnesses(topo, u, v, &mut witnesses);
+            let deadline = witnesses
+                .iter()
+                .filter(|&&w| w == self.source.0 || self.unf.contains(w as usize))
+                .map(|&w| self.receive[w as usize])
+                .max()
+                .unwrap_or(0);
+            row.push((j as u32, deadline));
+        };
+        let grid = self.grid.get_or_init(|| {
+            model.witness_range(topo).map(|range| {
+                let ids: Vec<u32> = self.relays.iter().map(|r| r.0).collect();
+                CellGrid::build_subset(topo.positions(), &ids, range)
+            })
+        });
+        match grid {
+            Some(grid) => {
+                // Relays farther apart than the range share no witness.
+                let positions = topo.positions();
+                let at = positions[u.idx()];
+                let range2 = grid.cell() * grid.cell();
+                grid.for_each_near(&at, |node| {
+                    if positions[node as usize].dist2(&at) <= range2 {
+                        test(self.relay_of[node as usize] as usize);
+                    }
+                });
+                row.sort_unstable_by_key(|&(j, _)| j);
+            }
+            None => (0..self.relays.len()).for_each(test),
+        }
+        row
+    }
+}
+
+/// The mutable per-pass assignment (see the module docs).
+///
+/// Equality compares what the rows are built from (topology, model,
+/// relays, receive slots, uninformed mask) and the whole assignment state,
+/// scratch included; built rows are a cache and do not count. A rewound
+/// value equals a fresh freeze of the same schedule.
+pub struct PartialSchedule<'a, M> {
+    /// The frozen conflict structure, rows built on demand.
+    rows: Rows<'a, M>,
     /// Current absolute slot per relay ([`UNASSIGNED`] while evicted).
     slot_of: Vec<Slot>,
     /// The assignment as frozen, which [`PartialSchedule::rewind`]
@@ -93,41 +186,90 @@ pub struct PartialSchedule {
     unassigned: Vec<u32>,
 }
 
-impl PartialSchedule {
-    /// Freezes `schedule`'s conflict structure into a move-searchable
-    /// assignment. Partner pairs come from `builder` rows under `model`
-    /// (spatially pruned at scale), deadlines from the cached witness sets
-    /// against the receive times [`Schedule::receive_slots`] replays.
-    pub fn from_schedule<M: ConflictModel>(
+impl<M: ConflictModel> PartialEq for PartialSchedule<'_, M> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.rows, &other.rows);
+        (a.topo.token(), a.model.fingerprint()) == (b.topo.token(), b.model.fingerprint())
+            && (&a.relays, &a.receive, &a.unf, a.source)
+                == (&b.relays, &b.receive, &b.unf, b.source)
+            && (
+                &self.slot_of,
+                &self.frozen_slot_of,
+                &self.earliest,
+                &self.buckets,
+            ) == (
+                &other.slot_of,
+                &other.frozen_slot_of,
+                &other.earliest,
+                &other.buckets,
+            )
+            && (self.start, self.cap, self.src, self.iter)
+                == (other.start, other.cap, other.src, other.iter)
+            && (&self.tabu, &self.cost, &self.touched, &self.unassigned)
+                == (&other.tabu, &other.cost, &other.touched, &other.unassigned)
+    }
+}
+
+impl<M: ConflictModel> Eq for PartialSchedule<'_, M> {}
+
+impl<M> std::fmt::Debug for PartialSchedule<'_, M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PartialSchedule")
+            .field("relays", &self.rows.relays)
+            .field("slot_of", &self.slot_of)
+            .field("earliest", &self.earliest)
+            .field("cap", &self.cap)
+            .field("iter", &self.iter)
+            .field("unassigned", &self.unassigned)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
+    /// Freezes `schedule` into a move-searchable assignment against the
+    /// receive times [`Schedule::receive_slots`] replays, and builds every
+    /// partner row, so the call costs what a whole freeze costs. The
+    /// search itself freezes without building rows and builds each row
+    /// the first time a move reads it. `builder` is not read: rows come
+    /// from `model` directly (see the module docs). The parameter stays
+    /// so existing callers keep compiling.
+    pub fn from_schedule(
         schedule: &Schedule,
-        topo: &Topology,
-        model: &M,
-        builder: &mut ConflictGraphBuilder,
-    ) -> PartialSchedule {
+        topo: &'a Topology,
+        model: &'a M,
+        _builder: &mut ConflictGraphBuilder,
+    ) -> Self {
         let receive = schedule.receive_slots(topo, model, None);
-        PartialSchedule::freeze(schedule, &receive, topo, model, builder, None)
+        let partial = PartialSchedule::freeze(schedule, &receive, topo, model, None);
+        for i in 0..partial.relays().len() {
+            partial.rows.row(i);
+        }
+        partial
     }
 
-    /// As [`PartialSchedule::from_schedule`], against known receive times
-    /// (`receive[w]`, as [`Schedule::receive_slots`] with `dead` would give
-    /// them) and with dead nodes masked out of the frozen structure: dead
-    /// nodes cannot witness a conflict (they are excluded from the
-    /// partner-row universe and from deadline computation), which is what
-    /// makes repair-time passes as mobile as the surviving topology allows.
-    /// The schedule itself must already be free of dead senders.
-    pub(crate) fn freeze<M: ConflictModel>(
+    /// Freezes `schedule` against known receive times (`receive[w]`, as
+    /// [`Schedule::receive_slots`] with `dead` would give them), with dead
+    /// nodes masked out of the frozen structure: dead nodes cannot witness
+    /// a conflict (they are left out of the partner test and of every
+    /// deadline), which is what makes repair-time passes as mobile as the
+    /// surviving topology allows. The schedule itself must already be free
+    /// of dead senders, and no relay may send twice. `O(relays + n)`: no
+    /// partner row is built here.
+    pub(crate) fn freeze(
         schedule: &Schedule,
         receive: &[Slot],
-        topo: &Topology,
-        model: &M,
-        builder: &mut ConflictGraphBuilder,
+        topo: &'a Topology,
+        model: &'a M,
         dead: Option<&NodeSet>,
-    ) -> PartialSchedule {
+    ) -> Self {
         let n = topo.len();
         let mut relays: Vec<NodeId> = Vec::new();
         let mut slot_of: Vec<Slot> = Vec::new();
+        let mut relay_of = vec![NO_RELAY; n];
         for entry in &schedule.entries {
             for &u in &entry.senders {
+                debug_assert_eq!(relay_of[u.idx()], NO_RELAY, "relay {u} sends twice");
+                relay_of[u.idx()] = relays.len() as u32;
                 relays.push(u);
                 slot_of.push(entry.slot);
             }
@@ -147,7 +289,7 @@ impl PartialSchedule {
             }
         }
 
-        // Partner rows against "everyone but the source may still be
+        // Partner rows test against "everyone but the source may still be
         // uninformed"; the deadline then narrows each edge to the slots
         // where some witness is actually vulnerable.
         let mut unf = NodeSet::full(n);
@@ -155,29 +297,20 @@ impl PartialSchedule {
         if let Some(dead) = dead {
             unf.difference_with(dead);
         }
-        builder.update_with(model, topo, &relays, &unf);
-        let mut adj: Vec<Vec<(u32, Slot)>> = vec![Vec::new(); k];
-        for i in 0..k {
-            let row: Vec<usize> = builder.graph().row(i).iter().collect();
-            for j in row {
-                if j <= i {
-                    continue;
-                }
-                let deadline = builder
-                    .witnesses(model, topo, relays[i], relays[j])
-                    .iter()
-                    .filter(|&&w| dead.is_none_or(|d| !d.contains(w as usize)))
-                    .map(|&w| receive[w as usize])
-                    .max()
-                    .unwrap_or(0);
-                adj[i].push((j as u32, deadline));
-                adj[j].push((i as u32, deadline));
-            }
-        }
 
         let window = (end - start + 1) as usize;
         let mut partial = PartialSchedule {
-            adj,
+            rows: Rows {
+                topo,
+                model,
+                relays,
+                relay_of,
+                receive: receive.to_vec(),
+                unf,
+                source: schedule.source,
+                grid: OnceCell::new(),
+                adj: vec![OnceCell::new(); k],
+            },
             frozen_slot_of: slot_of.clone(),
             slot_of,
             earliest,
@@ -190,7 +323,6 @@ impl PartialSchedule {
             cost: vec![0; window],
             touched: Vec::new(),
             unassigned: Vec::new(),
-            relays,
         };
         // Fills the buckets, so a freeze and a rewind order them alike.
         partial.rewind();
@@ -201,8 +333,8 @@ impl PartialSchedule {
     /// since: the frozen assignment, its slot buckets in ascending relay
     /// order (bucket order feeds the RNG-indexed unassigned stack; the
     /// freeze fills its buckets by calling this), the full window, and
-    /// empty tabu and eviction state. `O(relays + window)`; the
-    /// conflict builder is not consulted.
+    /// empty tabu and eviction state. `O(relays + window)`. Partner rows
+    /// built so far are kept: they depend only on the frozen schedule.
     pub fn rewind(&mut self) {
         self.slot_of.copy_from_slice(&self.frozen_slot_of);
         self.buckets.iter_mut().for_each(Vec::clear);
@@ -220,7 +352,16 @@ impl PartialSchedule {
 
     /// The relay list (the assignment's index space).
     pub fn relays(&self) -> &[NodeId] {
-        &self.relays
+        &self.rows.relays
+    }
+
+    /// How many partner rows have been built since the freeze.
+    pub(crate) fn partner_rows(&self) -> usize {
+        self.rows
+            .adj
+            .iter()
+            .filter(|row| row.get().is_some())
+            .count()
     }
 
     /// Current slot of relay `i`, `None` while evicted.
@@ -229,9 +370,11 @@ impl PartialSchedule {
     }
 
     /// Frozen-structure cost of placing relay `i` at slot `t`: the number
-    /// of partners already sitting in `t` with a live deadline. `O(degree)`.
+    /// of partners already sitting in `t` with a live deadline. `O(degree)`
+    /// once relay `i`'s row is built; the first call builds it.
     pub fn move_cost(&self, i: usize, t: Slot) -> u32 {
-        self.adj[i]
+        self.rows
+            .row(i)
             .iter()
             .filter(|&&(j, dl)| self.slot_of[j as usize] == t && t <= dl)
             .count() as u32
@@ -291,7 +434,7 @@ impl PartialSchedule {
         let mut hints = Hints::new();
         for (i, &t) in self.slot_of.iter().enumerate() {
             if t != UNASSIGNED {
-                hints.entry(t).or_default().push(self.relays[i]);
+                hints.entry(t).or_default().push(self.rows.relays[i]);
             }
         }
         for list in hints.values_mut() {
@@ -318,7 +461,7 @@ impl PartialSchedule {
         for idx in self.touched.drain(..) {
             self.cost[idx as usize] = 0;
         }
-        for &(j, dl) in &self.adj[i] {
+        for &(j, dl) in self.rows.row(i) {
             let t = self.slot_of[j as usize];
             if t != UNASSIGNED && t <= dl {
                 let off = (t - self.start) as usize;
@@ -331,7 +474,7 @@ impl PartialSchedule {
         let mut best: Option<(u32, bool, Slot)> = None; // (cost, was_tabu_free, slot)
         let mut ties = 0u32;
         let lo = self.earliest[i].max(self.start + 1);
-        let node = self.relays[i].idx();
+        let node = self.rows.relays[i].idx();
         for t in lo..=self.cap {
             if !wake.can_send(node, t) {
                 continue;
@@ -372,71 +515,99 @@ impl PartialSchedule {
         // noise so cycles do not lock in.
         let until =
             self.iter + tenure + self.unassigned.len() as u64 / 2 + rng.random_range(0..3u64);
-        let adj = std::mem::take(&mut self.adj[i]);
-        for &(j, dl) in &adj {
-            let j = j as usize;
-            if self.slot_of[j] == t && t <= dl {
-                self.remove_from_bucket(j);
-                self.slot_of[j] = UNASSIGNED;
-                self.unassigned.push(j as u32);
-                self.tabu.insert((j as u32, t), until);
+        let bucket = (t - self.start) as usize;
+        for &(j, dl) in self.rows.row(i) {
+            if self.slot_of[j as usize] == t && t <= dl {
+                let at = self.buckets[bucket]
+                    .iter()
+                    .position(|&x| x == j)
+                    .expect("assigned relay sits in its bucket");
+                self.buckets[bucket].swap_remove(at);
+                self.slot_of[j as usize] = UNASSIGNED;
+                self.unassigned.push(j);
+                self.tabu.insert((j, t), until);
             }
         }
-        self.adj[i] = adj;
         self.slot_of[i] = t;
-        self.buckets[(t - self.start) as usize].push(i as u32);
-    }
-
-    /// Removes relay `j` from its slot bucket.
-    fn remove_from_bucket(&mut self, j: usize) {
-        let off = (self.slot_of[j] - self.start) as usize;
-        let bucket = &mut self.buckets[off];
-        let at = bucket
-            .iter()
-            .position(|&x| x as usize == j)
-            .expect("assigned relay sits in its bucket");
-        bucket.swap_remove(at);
+        self.buckets[bucket].push(i as u32);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::closed_mask;
+    use crate::driver::{run_chain, ChainCtx};
+    use crate::legalize::tests::Unrecognized;
     use crate::{solve_anytime, AnytimeConfig, Budget};
+    use proptest::prelude::*;
     use rand::SeedableRng;
-    use wsn_dutycycle::AlwaysAwake;
-    use wsn_phy::ProtocolModel;
+    use wsn_dutycycle::{AlwaysAwake, WindowedRandom};
+    use wsn_geom::Point;
+    use wsn_phy::{ProtocolModel, SinrModel, SinrParams};
     use wsn_topology::deploy::SyntheticDeployment;
 
-    /// The greedy seed of a paper instance, frozen, plus what a fresh
-    /// freeze of it needs.
-    fn frozen(n: usize, seed: u64) -> (Topology, Schedule, ConflictGraphBuilder, PartialSchedule) {
+    /// The partner rows the eager freeze built before rows were built on
+    /// demand: the builder's conflict graph over every relay, each pair's
+    /// deadline from its witness set.
+    fn builder_rows<M: ConflictModel>(
+        schedule: &Schedule,
+        receive: &[Slot],
+        topo: &Topology,
+        model: &M,
+        dead: Option<&NodeSet>,
+    ) -> Vec<Vec<(u32, Slot)>> {
+        let relays: Vec<NodeId> = schedule
+            .entries
+            .iter()
+            .flat_map(|e| e.senders.iter().copied())
+            .collect();
+        let k = relays.len();
+        let mut unf = NodeSet::full(topo.len());
+        unf.remove(schedule.source.idx());
+        if let Some(dead) = dead {
+            unf.difference_with(dead);
+        }
+        let mut builder = ConflictGraphBuilder::new();
+        let graph = builder.update_with(model, topo, &relays, &unf);
+        let mut adj: Vec<Vec<(u32, Slot)>> = vec![Vec::new(); k];
+        let mut witnesses = Vec::new();
+        for i in 0..k {
+            for j in graph.row(i).iter() {
+                if j <= i {
+                    continue;
+                }
+                model.collect_witnesses(topo, relays[i], relays[j], &mut witnesses);
+                let deadline = witnesses
+                    .iter()
+                    .filter(|&&w| dead.is_none_or(|d| !d.contains(w as usize)))
+                    .map(|&w| receive[w as usize])
+                    .max()
+                    .unwrap_or(0);
+                adj[i].push((j as u32, deadline));
+                adj[j].push((i as u32, deadline));
+            }
+        }
+        adj
+    }
+
+    /// The greedy seed of a paper instance.
+    fn greedy(n: usize, seed: u64) -> (Topology, Schedule) {
         let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
         let cfg = AnytimeConfig {
             budget: Budget::Iterations(0),
             ..AnytimeConfig::default()
         };
         let schedule = solve_anytime(&topo, src, &AlwaysAwake, &ProtocolModel, &cfg).schedule;
-        let mut builder = ConflictGraphBuilder::new();
-        let partial =
-            PartialSchedule::from_schedule(&schedule, &topo, &ProtocolModel, &mut builder);
-        (topo, schedule, builder, partial)
-    }
-
-    fn assert_rewinds_to_fresh(
-        partial: &mut PartialSchedule,
-        topo: &Topology,
-        schedule: &Schedule,
-        builder: &mut ConflictGraphBuilder,
-    ) {
-        partial.rewind();
-        let fresh = PartialSchedule::from_schedule(schedule, topo, &ProtocolModel, builder);
-        assert_eq!(*partial, fresh);
+        (topo, schedule)
     }
 
     #[test]
     fn rewind_after_compress_moves_equals_fresh_freeze() {
-        let (topo, schedule, mut builder, mut partial) = frozen(80, 2);
+        let (topo, schedule) = greedy(80, 2);
+        let receive = schedule.receive_slots(&topo, &ProtocolModel, None);
+        let freeze = || PartialSchedule::freeze(&schedule, &receive, &topo, &ProtocolModel, None);
+        let mut partial = freeze();
         let last = partial.last_occupied().unwrap();
         assert!(last > 0);
         let mut rng = StdRng::seed_from_u64(1);
@@ -452,7 +623,117 @@ mod tests {
             partial.buckets[last].is_empty(),
             "the pass emptied the last bucket"
         );
-        assert_rewinds_to_fresh(&mut partial, &topo, &schedule, &mut builder);
+        let built = partial.partner_rows();
+        assert!(built > 0 && built < partial.relays().len());
+        partial.rewind();
+        assert_eq!(partial.partner_rows(), built, "rewind keeps built rows");
+        assert_eq!(partial, freeze());
+        let mut builder = ConflictGraphBuilder::new();
+        let whole = PartialSchedule::from_schedule(&schedule, &topo, &ProtocolModel, &mut builder);
+        assert_eq!(whole.partner_rows(), whole.relays().len());
+        assert_eq!(partial, whole);
         assert_eq!(partial.last_occupied(), Some(last));
+    }
+
+    /// On a chain of nodes every relay was informed one slot before it
+    /// sends, so the last relay fits in no earlier slot: the pass is stuck
+    /// at its first step, having built that relay's row and no other.
+    #[test]
+    fn a_pass_stuck_at_its_first_step_builds_one_row() {
+        let topo = Topology::unit_disk(
+            (0..12).map(|i| Point::new(i as f64 * 0.8, 0.0)).collect(),
+            1.0,
+        );
+        let cfg = AnytimeConfig {
+            budget: Budget::Iterations(0),
+            ..AnytimeConfig::default()
+        };
+        let schedule = solve_anytime(&topo, NodeId(0), &AlwaysAwake, &ProtocolModel, &cfg).schedule;
+        let receive = schedule.receive_slots(&topo, &ProtocolModel, None);
+        let mut partial = PartialSchedule::freeze(&schedule, &receive, &topo, &ProtocolModel, None);
+        assert_eq!(partial.partner_rows(), 0, "a freeze builds no row");
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..2 {
+            partial.rewind();
+            assert!(partial.begin_compress());
+            let step = partial.compress_step(&AlwaysAwake, 7, &mut rng);
+            assert_eq!(step, StepOutcome::Stuck);
+            assert_eq!(partial.partner_rows(), 1);
+        }
+    }
+
+    /// Freezes the greedy seed of `topo` under `wake`, `model` and `dead`,
+    /// and checks every row built on demand against [`builder_rows`].
+    fn check_rows<S: WakeSchedule, M: ConflictModel>(
+        topo: &Topology,
+        src: NodeId,
+        wake: &S,
+        model: &M,
+        dead: Option<&NodeSet>,
+    ) -> Result<(), TestCaseError> {
+        let cfg = AnytimeConfig {
+            budget: Budget::Iterations(0),
+            ..AnytimeConfig::default()
+        };
+        let ctx = ChainCtx {
+            warm: None,
+            dead,
+            levels: None,
+            lookahead: false,
+        };
+        let schedule = run_chain(topo, src, wake, model, &cfg, ctx).schedule;
+        let receive = schedule.receive_slots(topo, model, dead);
+        let partial = PartialSchedule::freeze(&schedule, &receive, topo, model, dead);
+        let want = builder_rows(&schedule, &receive, topo, model, dead);
+        prop_assert_eq!(want.len(), partial.relays().len());
+        prop_assert!(want.iter().any(|row| !row.is_empty()));
+        for (i, row) in want.iter().enumerate() {
+            prop_assert_eq!(partial.rows.row(i), row.as_slice(), "relay {}", i);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Rows built on demand equal the builder's eager rows: sync and
+        /// duty, dead masks, under the protocol model on its own path, the
+        /// same model under another fingerprint, and calibrated SINR.
+        #[test]
+        fn on_demand_rows_match_the_builder(
+            seed in 0..500u64,
+            n in 40usize..300,
+            rate in prop::sample::select(vec![1u32, 4, 10]),
+            dead_every in prop::sample::select(vec![0usize, 7, 23]),
+            model in 0u8..3,
+        ) {
+            let (topo, src) = SyntheticDeployment::paper(n).sample(seed);
+            let dead = (dead_every > 0)
+                .then(|| closed_mask(&topo, src, (seed as usize % 5..n).step_by(dead_every)));
+            let dead = dead.as_ref();
+            fn under<M: ConflictModel>(
+                topo: &Topology,
+                src: NodeId,
+                rate: u32,
+                seed: u64,
+                model: &M,
+                dead: Option<&NodeSet>,
+            ) -> Result<(), TestCaseError> {
+                if rate == 1 {
+                    check_rows(topo, src, &AlwaysAwake, model, dead)
+                } else {
+                    let wake = WindowedRandom::new(topo.len(), rate, seed ^ 0xD0);
+                    check_rows(topo, src, &wake, model, dead)
+                }
+            }
+            match model {
+                0 => under(&topo, src, rate, seed, &ProtocolModel, dead)?,
+                1 => under(&topo, src, rate, seed, &Unrecognized, dead)?,
+                _ => {
+                    let sinr = SinrModel::new(SinrParams::calibrated(topo.radius(), 3.0, 1.5), &topo);
+                    under(&topo, src, rate, seed, &sinr, dead)?
+                }
+            }
+        }
     }
 }

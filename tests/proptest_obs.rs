@@ -230,6 +230,15 @@ fn stalled_passes_reuse_the_frozen_incumbent() {
     assert!(freezes >= 1 && freezes <= out.trace.len() as u64);
     assert!(reuses > 0, "a stalled chain must rewind, not re-freeze");
     assert_eq!(freezes + reuses + out.restarts, out.passes);
+    // A pass builds the partner row of each relay it moves, when no pass
+    // before it against the same incumbent did, so the chain builds at
+    // least one row and no more than it made moves.
+    let rows = rec.counter_value("anytime.partner_rows");
+    assert!(
+        rows >= 1 && rows <= out.moves,
+        "{rows} rows in {} moves",
+        out.moves
+    );
 }
 
 /// Injected (non-global) recorders observe nothing from the global free

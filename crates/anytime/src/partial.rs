@@ -73,11 +73,9 @@ pub enum StepOutcome {
 /// Sentinel for "node is not a relay" in the node → relay index.
 const NO_RELAY: u32 = u32::MAX;
 
-/// The frozen conflict structure: what a partner row reads, and the rows
-/// built so far (see the module docs).
-struct Rows<'a, M> {
-    topo: &'a Topology,
-    model: &'a M,
+/// What a partner row is built from (see the module docs).
+#[derive(PartialEq, Eq)]
+struct Frozen {
     /// Relay ids; index space of everything below.
     relays: Vec<NodeId>,
     /// node → relay index ([`NO_RELAY`] for nodes that never send).
@@ -88,6 +86,25 @@ struct Rows<'a, M> {
     /// counts as possibly uninformed.
     unf: NodeSet,
     source: NodeId,
+}
+
+/// The topology and model rows are built under. Two bindings are equal
+/// when their topology tokens and model fingerprints are.
+struct Binding<'a, M> {
+    topo: &'a Topology,
+    model: &'a M,
+}
+
+impl<M: ConflictModel> PartialEq for Binding<'_, M> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.topo.token(), self.model.fingerprint())
+            == (other.topo.token(), other.model.fingerprint())
+    }
+}
+
+/// The rows built so far. They are a function of the [`Frozen`] state and
+/// the [`Binding`], so any two caches compare equal.
+struct RowCache {
     /// The grid over relay positions, its cell side the model's witness
     /// range, built with the first row; `None` when the model certifies
     /// no range.
@@ -98,37 +115,59 @@ struct Rows<'a, M> {
     adj: Vec<OnceCell<Vec<(u32, Slot)>>>,
 }
 
+impl PartialEq for RowCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// The frozen conflict structure: what a partner row reads, and the rows
+/// built so far.
+struct Rows<'a, M> {
+    at: Binding<'a, M>,
+    frozen: Frozen,
+    cache: RowCache,
+}
+
+impl<M: ConflictModel> PartialEq for Rows<'_, M> {
+    fn eq(&self, other: &Self) -> bool {
+        let Rows { at, frozen, cache } = self;
+        (at, frozen, cache) == (&other.at, &other.frozen, &other.cache)
+    }
+}
+
 impl<M: ConflictModel> Rows<'_, M> {
     /// Relay `i`'s partner row, built on first call.
     fn row(&self, i: usize) -> &[(u32, Slot)] {
-        self.adj[i].get_or_init(|| self.build_row(i))
+        self.cache.adj[i].get_or_init(|| self.build_row(i))
     }
 
     /// Every relay `j` whose co-slot placement with relay `i` the model
     /// calls a conflict, with its deadline: the latest receive slot among
     /// the pair's witnesses that are not dead.
     fn build_row(&self, i: usize) -> Vec<(u32, Slot)> {
-        let (topo, model) = (self.topo, self.model);
-        let u = self.relays[i];
+        let Binding { topo, model } = self.at;
+        let f = &self.frozen;
+        let u = f.relays[i];
         let mut row = Vec::new();
         let mut witnesses = Vec::new();
         let mut test = |j: usize| {
-            let v = self.relays[j];
-            if j == i || !model.conflicts(topo, u, v, &self.unf) {
+            let v = f.relays[j];
+            if j == i || !model.conflicts(topo, u, v, &f.unf) {
                 return;
             }
             model.collect_witnesses(topo, u, v, &mut witnesses);
             let deadline = witnesses
                 .iter()
-                .filter(|&&w| w == self.source.0 || self.unf.contains(w as usize))
-                .map(|&w| self.receive[w as usize])
+                .filter(|&&w| w == f.source.0 || f.unf.contains(w as usize))
+                .map(|&w| f.receive[w as usize])
                 .max()
                 .unwrap_or(0);
             row.push((j as u32, deadline));
         };
-        let grid = self.grid.get_or_init(|| {
+        let grid = self.cache.grid.get_or_init(|| {
             model.witness_range(topo).map(|range| {
-                let ids: Vec<u32> = self.relays.iter().map(|r| r.0).collect();
+                let ids: Vec<u32> = f.relays.iter().map(|r| r.0).collect();
                 CellGrid::build_subset(topo.positions(), &ids, range)
             })
         });
@@ -140,26 +179,20 @@ impl<M: ConflictModel> Rows<'_, M> {
                 let range2 = grid.cell() * grid.cell();
                 grid.for_each_near(&at, |node| {
                     if positions[node as usize].dist2(&at) <= range2 {
-                        test(self.relay_of[node as usize] as usize);
+                        test(f.relay_of[node as usize] as usize);
                     }
                 });
                 row.sort_unstable_by_key(|&(j, _)| j);
             }
-            None => (0..self.relays.len()).for_each(test),
+            None => (0..f.relays.len()).for_each(test),
         }
         row
     }
 }
 
-/// The mutable per-pass assignment (see the module docs).
-///
-/// Equality compares what the rows are built from (topology, model,
-/// relays, receive slots, uninformed mask) and the whole assignment state,
-/// scratch included; built rows are a cache and do not count. A rewound
-/// value equals a fresh freeze of the same schedule.
-pub struct PartialSchedule<'a, M> {
-    /// The frozen conflict structure, rows built on demand.
-    rows: Rows<'a, M>,
+/// The assignment a compression pass permutes, scratch included.
+#[derive(Debug, PartialEq, Eq)]
+struct Assignment {
     /// Current absolute slot per relay ([`UNASSIGNED`] while evicted).
     slot_of: Vec<Slot>,
     /// The assignment as frozen, which [`PartialSchedule::rewind`]
@@ -186,27 +219,22 @@ pub struct PartialSchedule<'a, M> {
     unassigned: Vec<u32>,
 }
 
+/// The mutable per-pass assignment (see the module docs).
+///
+/// Equality compares what the rows are built from (topology, model,
+/// relays, receive slots, uninformed mask) and the whole assignment state,
+/// scratch included; built rows are a cache and do not count. A rewound
+/// value equals a fresh freeze of the same schedule.
+pub struct PartialSchedule<'a, M> {
+    /// The frozen conflict structure, rows built on demand.
+    rows: Rows<'a, M>,
+    state: Assignment,
+}
+
 impl<M: ConflictModel> PartialEq for PartialSchedule<'_, M> {
     fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (&self.rows, &other.rows);
-        (a.topo.token(), a.model.fingerprint()) == (b.topo.token(), b.model.fingerprint())
-            && (&a.relays, &a.receive, &a.unf, a.source)
-                == (&b.relays, &b.receive, &b.unf, b.source)
-            && (
-                &self.slot_of,
-                &self.frozen_slot_of,
-                &self.earliest,
-                &self.buckets,
-            ) == (
-                &other.slot_of,
-                &other.frozen_slot_of,
-                &other.earliest,
-                &other.buckets,
-            )
-            && (self.start, self.cap, self.src, self.iter)
-                == (other.start, other.cap, other.src, other.iter)
-            && (&self.tabu, &self.cost, &self.touched, &self.unassigned)
-                == (&other.tabu, &other.cost, &other.touched, &other.unassigned)
+        let PartialSchedule { rows, state } = self;
+        (rows, state) == (&other.rows, &other.state)
     }
 }
 
@@ -215,12 +243,8 @@ impl<M: ConflictModel> Eq for PartialSchedule<'_, M> {}
 impl<M> std::fmt::Debug for PartialSchedule<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PartialSchedule")
-            .field("relays", &self.rows.relays)
-            .field("slot_of", &self.slot_of)
-            .field("earliest", &self.earliest)
-            .field("cap", &self.cap)
-            .field("iter", &self.iter)
-            .field("unassigned", &self.unassigned)
+            .field("relays", &self.rows.frozen.relays)
+            .field("state", &self.state)
             .finish_non_exhaustive()
     }
 }
@@ -301,28 +325,33 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
         let window = (end - start + 1) as usize;
         let mut partial = PartialSchedule {
             rows: Rows {
-                topo,
-                model,
-                relays,
-                relay_of,
-                receive: receive.to_vec(),
-                unf,
-                source: schedule.source,
-                grid: OnceCell::new(),
-                adj: vec![OnceCell::new(); k],
+                at: Binding { topo, model },
+                frozen: Frozen {
+                    relays,
+                    relay_of,
+                    receive: receive.to_vec(),
+                    unf,
+                    source: schedule.source,
+                },
+                cache: RowCache {
+                    grid: OnceCell::new(),
+                    adj: vec![OnceCell::new(); k],
+                },
             },
-            frozen_slot_of: slot_of.clone(),
-            slot_of,
-            earliest,
-            buckets: vec![Vec::new(); window],
-            start,
-            cap: end,
-            src,
-            tabu: HashMap::new(),
-            iter: 0,
-            cost: vec![0; window],
-            touched: Vec::new(),
-            unassigned: Vec::new(),
+            state: Assignment {
+                frozen_slot_of: slot_of.clone(),
+                slot_of,
+                earliest,
+                buckets: vec![Vec::new(); window],
+                start,
+                cap: end,
+                src,
+                tabu: HashMap::new(),
+                iter: 0,
+                cost: vec![0; window],
+                touched: Vec::new(),
+                unassigned: Vec::new(),
+            },
         };
         // Fills the buckets, so a freeze and a rewind order them alike.
         partial.rewind();
@@ -336,28 +365,31 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
     /// empty tabu and eviction state. `O(relays + window)`. Partner rows
     /// built so far are kept: they depend only on the frozen schedule.
     pub fn rewind(&mut self) {
-        self.slot_of.copy_from_slice(&self.frozen_slot_of);
-        self.buckets.iter_mut().for_each(Vec::clear);
-        for (i, &t) in self.slot_of.iter().enumerate() {
-            self.buckets[(t - self.start) as usize].push(i as u32);
+        self.state
+            .slot_of
+            .copy_from_slice(&self.state.frozen_slot_of);
+        self.state.buckets.iter_mut().for_each(Vec::clear);
+        for (i, &t) in self.state.slot_of.iter().enumerate() {
+            self.state.buckets[(t - self.state.start) as usize].push(i as u32);
         }
-        self.cap = self.start + self.buckets.len() as Slot - 1;
-        self.tabu.clear();
-        self.iter = 0;
-        for idx in self.touched.drain(..) {
-            self.cost[idx as usize] = 0;
+        self.state.cap = self.state.start + self.state.buckets.len() as Slot - 1;
+        self.state.tabu.clear();
+        self.state.iter = 0;
+        for idx in self.state.touched.drain(..) {
+            self.state.cost[idx as usize] = 0;
         }
-        self.unassigned.clear();
+        self.state.unassigned.clear();
     }
 
     /// The relay list (the assignment's index space).
     pub fn relays(&self) -> &[NodeId] {
-        &self.rows.relays
+        &self.rows.frozen.relays
     }
 
     /// How many partner rows have been built since the freeze.
     pub(crate) fn partner_rows(&self) -> usize {
         self.rows
+            .cache
             .adj
             .iter()
             .filter(|row| row.get().is_some())
@@ -366,7 +398,7 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
 
     /// Current slot of relay `i`, `None` while evicted.
     pub fn slot_of(&self, i: usize) -> Option<Slot> {
-        (self.slot_of[i] != UNASSIGNED).then_some(self.slot_of[i])
+        (self.state.slot_of[i] != UNASSIGNED).then_some(self.state.slot_of[i])
     }
 
     /// Frozen-structure cost of placing relay `i` at slot `t`: the number
@@ -376,13 +408,13 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
         self.rows
             .row(i)
             .iter()
-            .filter(|&&(j, dl)| self.slot_of[j as usize] == t && t <= dl)
+            .filter(|&&(j, dl)| self.state.slot_of[j as usize] == t && t <= dl)
             .count() as u32
     }
 
     /// The last occupied window offset, if any slot is occupied.
     fn last_occupied(&self) -> Option<usize> {
-        self.buckets.iter().rposition(|b| !b.is_empty())
+        self.state.buckets.iter().rposition(|b| !b.is_empty())
     }
 
     /// Starts a PARTIALCOL pass: evicts every relay of the last occupied
@@ -395,11 +427,11 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
         if off == 0 {
             return false;
         }
-        for i in std::mem::take(&mut self.buckets[off]) {
-            self.slot_of[i as usize] = UNASSIGNED;
-            self.unassigned.push(i);
+        for i in std::mem::take(&mut self.state.buckets[off]) {
+            self.state.slot_of[i as usize] = UNASSIGNED;
+            self.state.unassigned.push(i);
         }
-        self.cap = self.start + off as Slot - 1;
+        self.state.cap = self.state.start + off as Slot - 1;
         true
     }
 
@@ -416,12 +448,12 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
         };
         let Some(t) = self.best_slot(pick, wake, rng) else {
             // No wake-feasible slot inside the window: undo the pick.
-            self.unassigned.push(pick as u32);
+            self.state.unassigned.push(pick as u32);
             return StepOutcome::Stuck;
         };
         self.place_evicting(pick, t, tenure, rng);
-        self.iter += 1;
-        if self.unassigned.is_empty() {
+        self.state.iter += 1;
+        if self.state.unassigned.is_empty() {
             StepOutcome::Done
         } else {
             StepOutcome::Progress
@@ -432,9 +464,9 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
     /// only), slot-keyed.
     pub fn hints(&self) -> Hints {
         let mut hints = Hints::new();
-        for (i, &t) in self.slot_of.iter().enumerate() {
+        for (i, &t) in self.state.slot_of.iter().enumerate() {
             if t != UNASSIGNED {
-                hints.entry(t).or_default().push(self.rows.relays[i]);
+                hints.entry(t).or_default().push(self.rows.frozen.relays[i]);
             }
         }
         for list in hints.values_mut() {
@@ -445,11 +477,11 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
 
     /// Picks the next relay to place, randomly from the unassigned stack.
     fn pick_unassigned(&mut self, rng: &mut StdRng) -> Option<usize> {
-        if self.unassigned.is_empty() {
+        if self.state.unassigned.is_empty() {
             return None;
         }
-        let at = rng.random_range(0..self.unassigned.len());
-        Some(self.unassigned.swap_remove(at) as usize)
+        let at = rng.random_range(0..self.state.unassigned.len());
+        Some(self.state.unassigned.swap_remove(at) as usize)
     }
 
     /// The cheapest non-tabu feasible slot for relay `i` (aspiration:
@@ -458,33 +490,34 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
     /// wake-feasible slot exists.
     fn best_slot<S: WakeSchedule>(&mut self, i: usize, wake: &S, rng: &mut StdRng) -> Option<Slot> {
         // Bump per-offset costs from the partner list (O(degree)).
-        for idx in self.touched.drain(..) {
-            self.cost[idx as usize] = 0;
+        for idx in self.state.touched.drain(..) {
+            self.state.cost[idx as usize] = 0;
         }
         for &(j, dl) in self.rows.row(i) {
-            let t = self.slot_of[j as usize];
+            let t = self.state.slot_of[j as usize];
             if t != UNASSIGNED && t <= dl {
-                let off = (t - self.start) as usize;
-                if self.cost[off] == 0 {
-                    self.touched.push(off as u32);
+                let off = (t - self.state.start) as usize;
+                if self.state.cost[off] == 0 {
+                    self.state.touched.push(off as u32);
                 }
-                self.cost[off] += 1;
+                self.state.cost[off] += 1;
             }
         }
         let mut best: Option<(u32, bool, Slot)> = None; // (cost, was_tabu_free, slot)
         let mut ties = 0u32;
-        let lo = self.earliest[i].max(self.start + 1);
-        let node = self.rows.relays[i].idx();
-        for t in lo..=self.cap {
+        let lo = self.state.earliest[i].max(self.state.start + 1);
+        let node = self.rows.frozen.relays[i].idx();
+        for t in lo..=self.state.cap {
             if !wake.can_send(node, t) {
                 continue;
             }
-            let c = self.cost[(t - self.start) as usize];
+            let c = self.state.cost[(t - self.state.start) as usize];
             let free = c == 0
                 || self
+                    .state
                     .tabu
                     .get(&(i as u32, t))
-                    .is_none_or(|&until| until <= self.iter);
+                    .is_none_or(|&until| until <= self.state.iter);
             let better = match best {
                 None => true,
                 // Non-tabu beats tabu; then lower cost; equal → reservoir.
@@ -513,23 +546,25 @@ impl<'a, M: ConflictModel> PartialSchedule<'a, M> {
     fn place_evicting(&mut self, i: usize, t: Slot, tenure: u64, rng: &mut StdRng) {
         // Dynamic tenure: longer while the unassigned set is larger, plus
         // noise so cycles do not lock in.
-        let until =
-            self.iter + tenure + self.unassigned.len() as u64 / 2 + rng.random_range(0..3u64);
-        let bucket = (t - self.start) as usize;
+        let until = self.state.iter
+            + tenure
+            + self.state.unassigned.len() as u64 / 2
+            + rng.random_range(0..3u64);
+        let bucket = (t - self.state.start) as usize;
         for &(j, dl) in self.rows.row(i) {
-            if self.slot_of[j as usize] == t && t <= dl {
-                let at = self.buckets[bucket]
+            if self.state.slot_of[j as usize] == t && t <= dl {
+                let at = self.state.buckets[bucket]
                     .iter()
                     .position(|&x| x == j)
                     .expect("assigned relay sits in its bucket");
-                self.buckets[bucket].swap_remove(at);
-                self.slot_of[j as usize] = UNASSIGNED;
-                self.unassigned.push(j);
-                self.tabu.insert((j, t), until);
+                self.state.buckets[bucket].swap_remove(at);
+                self.state.slot_of[j as usize] = UNASSIGNED;
+                self.state.unassigned.push(j);
+                self.state.tabu.insert((j, t), until);
             }
         }
-        self.slot_of[i] = t;
-        self.buckets[bucket].push(i as u32);
+        self.state.slot_of[i] = t;
+        self.state.buckets[bucket].push(i as u32);
     }
 }
 
@@ -549,7 +584,7 @@ mod tests {
 
     /// The partner rows the eager freeze built before rows were built on
     /// demand: the builder's conflict graph over every relay, each pair's
-    /// deadline from its witness set.
+    /// deadline from the builder's cached witness set.
     fn builder_rows<M: ConflictModel>(
         schedule: &Schedule,
         receive: &[Slot],
@@ -569,16 +604,16 @@ mod tests {
             unf.difference_with(dead);
         }
         let mut builder = ConflictGraphBuilder::new();
-        let graph = builder.update_with(model, topo, &relays, &unf);
+        builder.update_with(model, topo, &relays, &unf);
         let mut adj: Vec<Vec<(u32, Slot)>> = vec![Vec::new(); k];
-        let mut witnesses = Vec::new();
         for i in 0..k {
-            for j in graph.row(i).iter() {
+            let row: Vec<usize> = builder.graph().row(i).iter().collect();
+            for j in row {
                 if j <= i {
                     continue;
                 }
-                model.collect_witnesses(topo, relays[i], relays[j], &mut witnesses);
-                let deadline = witnesses
+                let deadline = builder
+                    .witnesses(model, topo, relays[i], relays[j])
                     .iter()
                     .filter(|&&w| dead.is_none_or(|d| !d.contains(w as usize)))
                     .map(|&w| receive[w as usize])
@@ -617,10 +652,10 @@ mod tests {
                 break;
             }
         }
-        assert!(partial.iter > 0, "the pass must have made moves");
-        assert!(!partial.tabu.is_empty() && !partial.unassigned.is_empty());
+        assert!(partial.state.iter > 0, "the pass must have made moves");
+        assert!(!partial.state.tabu.is_empty() && !partial.state.unassigned.is_empty());
         assert!(
-            partial.buckets[last].is_empty(),
+            partial.state.buckets[last].is_empty(),
             "the pass emptied the last bucket"
         );
         let built = partial.partner_rows();

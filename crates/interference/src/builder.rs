@@ -218,6 +218,31 @@ impl ConflictGraphBuilder {
         &self.graph
     }
 
+    /// The pair's witness set (sorted ascending), computed on first touch
+    /// and cached in the builder's arena for the lifetime of the
+    /// `(topology, model)` binding — the same cache retests read, exposed
+    /// so schedulers layered on the builder (e.g. the anytime local-search
+    /// tier) can derive per-pair conflict deadlines without recollecting.
+    ///
+    /// Must be called under the same `(topology, model)` the last update
+    /// ran with; a mismatch would silently mix witness semantics, so it
+    /// panics instead.
+    pub fn witnesses<M: ConflictModel>(
+        &mut self,
+        model: &M,
+        topo: &Topology,
+        u: NodeId,
+        v: NodeId,
+    ) -> &[u32] {
+        assert_eq!(
+            (topo.token(), model.fingerprint()),
+            (self.topo_token, self.model_fp),
+            "witnesses() requires the (topology, model) pair of the last update"
+        );
+        let (off, len) = self.witness_range(model, topo, u, v);
+        &self.warena[off..off + len]
+    }
+
     /// Produces the protocol-model conflict graph of `candidates` against
     /// `uninformed`, reusing as much of the previous graph as the delta
     /// allows. Row indices match `candidates` order exactly, as with
@@ -998,5 +1023,32 @@ mod tests {
             bs.update_with(&sinr, &chain, &chain_cands, &unf),
             &ConflictGraph::build_with_model(&sinr, &chain, &chain_cands, &unf),
         );
+    }
+
+    #[test]
+    fn public_witness_accessor_matches_model() {
+        let t = line(20);
+        let cands: Vec<NodeId> = (0..10).map(|i| NodeId(i as u32)).collect();
+        let unf = NodeSet::full(20);
+        let mut b = ConflictGraphBuilder::new();
+        b.update(&t, &cands, &unf);
+        let mut expect = Vec::new();
+        for (i, &u) in cands.iter().enumerate() {
+            for &v in &cands[i + 1..] {
+                ProtocolModel.collect_witnesses(&t, u, v, &mut expect);
+                assert_eq!(b.witnesses(&ProtocolModel, &t, u, v), expect.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "requires the (topology, model)")]
+    fn public_witness_accessor_rejects_stale_binding() {
+        let t = line(20);
+        let other = line(20);
+        let cands: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let mut b = ConflictGraphBuilder::new();
+        b.update(&t, &cands, &NodeSet::full(20));
+        b.witnesses(&ProtocolModel, &other, NodeId(0), NodeId(1));
     }
 }
